@@ -10,19 +10,26 @@ import sys
 import time
 from pathlib import Path
 
+from speed import IMPORT_REFERENCE_S, Speedometer
 from tracer import COUNTED, TIMED, Tracer
 from workloads import SUITES, SUITE_OF, attempt
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 SETUP_STARTS = 11
+SETUP_REFERENCES = 3  # import references timed before and after the imports
 
-# A fresh interpreter doing every import an untraced run needs.
-SETUP_CODE = (f"import sys; sys.path[:0] = [{str(SRC)!r}, {str(HERE)!r}]; "
-              "import vkrew, harness")
+# A fresh interpreter doing every import an untraced run needs, between
+# two sets of import references; it prints the reference times.
+SETUP_CODE = "\n".join([
+    f"import sys; sys.path[:0] = [{str(SRC)!r}, {str(HERE)!r}]",
+    f"import speed; took = speed.time_import_reference({SETUP_REFERENCES})",
+    "import vkrew, harness",
+    f"print(*took, *speed.time_import_reference({SETUP_REFERENCES}))",
+])
 
-END_TO_END = {"wall_s": "s", "objects_per_s": "1/s", "setup_s": "s",
-              "peak_rss_mb": "MB"}
+END_TO_END = {"scaled_wall_s": "s", "scaled_objects_per_s": "1/s",
+              "setup_s": "s", "peak_rss_mb": "MB"}
 
 PER_LAYER = {
     "poset.index.calls": "count", "poset.covers.calls": "count",
@@ -55,12 +62,18 @@ STEP_NAMES = ("pstrict.promote", "rowmotion.row", "rowmotion.togpro",
 
 
 def measure_setup(starts: int = SETUP_STARTS) -> float:
-    """Median wall time of fresh interpreters that only import."""
+    """Median time of fresh interpreters that only import, in seconds at
+    the reference speed: each start's wall time, less its import
+    references, over their median time and times ``IMPORT_REFERENCE_S``."""
     times = []
     for _ in range(starts):
         began = time.perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE], check=True)
-        times.append(time.perf_counter() - began)
+        out = subprocess.run([sys.executable, "-c", SETUP_CODE], check=True,
+                             capture_output=True, text=True).stdout
+        wall = time.perf_counter() - began
+        took = [float(t) for t in out.split()]
+        times.append((wall - sum(took)) / statistics.median(took)
+                     * IMPORT_REFERENCE_S)
     return statistics.median(times)
 
 
@@ -68,22 +81,22 @@ def run_rounds(workload, seconds: float, tracers=(None,)):
     """Whole rounds for as long as another round as long as the last one
     still ends within ``seconds``, and at least one round per tracer.
     Round i is traced by ``tracers[i % len(tracers)]`` (None: untraced).
-    Returns each round's wall time, operations attempted and failed, and
-    the errors."""
-    walls, attempted, failed, errors = [], 0, 0, []
+    Returns each round's start and end (``time.perf_counter()``), the
+    operations attempted and failed, and the errors."""
+    rounds, attempted, failed, errors = [], 0, 0, []
     deadline = time.perf_counter() + seconds
     while True:
-        tracer = tracers[len(walls) % len(tracers)]
+        tracer = tracers[len(rounds) % len(tracers)]
         began = time.perf_counter()
         for op in workload.operations:
             op_errors = attempt(op, tracer)
             attempted += op.size
             failed += min(op.size, len(op_errors))
             errors += op_errors
-        walls.append(time.perf_counter() - began)
-        if len(walls) >= len(tracers) \
-                and time.perf_counter() + walls[-1] > deadline:
-            return walls, attempted, failed, errors
+        ended = time.perf_counter()
+        rounds.append((began, ended))
+        if len(rounds) >= len(tracers) and ended + (ended - began) > deadline:
+            return rounds, attempted, failed, errors
 
 
 def layer_metrics(counter: Tracer, counted_rounds: int, tr: Tracer,
@@ -153,25 +166,29 @@ def measure(workload, seconds: float, trace: bool,
             setup_starts: int = SETUP_STARTS):
     """The result object of one run, and the timing tracer of a traced run.
 
-    Untraced: the end-to-end metrics.  ``wall_s`` is the fastest round:
-    on a shared machine other work only ever adds time, in phases of
-    several seconds, so the fastest round is the steadiest measure of the
-    program's own cost.  ``setup_s`` is the median of fresh starts.
+    Untraced: the end-to-end metrics.  ``scaled_wall_s`` is the median
+    round, in seconds at the reference speed (see ``speed.py``), and
+    ``setup_s`` the median of fresh starts, scaled the same way.
 
     Traced: untraced rounds for the first half of ``seconds``, then
     counting and timing rounds in turn for the second.  The per-layer
     metrics are per round, and ``trace.overhead_s`` is the fastest timing
-    round minus the fastest untraced round."""
+    round minus the fastest untraced round, in wall seconds."""
     if not trace:
         setup_s = measure_setup(setup_starts)
-        walls, attempted, failed, errors = run_rounds(workload, seconds)
-        wall_s = min(walls)
+        with Speedometer() as meter:
+            rounds, attempted, failed, errors = run_rounds(workload, seconds)
+        scaled = [meter.scaled(began, ended) for began, ended in rounds]
+        wall_s = statistics.median(scaled)
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        values = {"wall_s": wall_s, "objects_per_s": workload.objects / wall_s,
+        values = {"scaled_wall_s": wall_s,
+                  "scaled_objects_per_s": workload.objects / wall_s,
                   "setup_s": setup_s, "peak_rss_mb": rss_kb / 1024}
         units, tr = END_TO_END, None
+        print(f"scaled rounds: {json.dumps(scaled)}", file=sys.stderr)
+        print(f"slowdown: {meter.slowdown():.3f}", file=sys.stderr)
     else:
-        walls, attempted, failed, errors = run_rounds(workload, seconds / 2)
+        rounds, attempted, failed, errors = run_rounds(workload, seconds / 2)
         counter, tr = Tracer(COUNTED), Tracer(TIMED)
         traced, t_attempted, t_failed, t_errors = run_rounds(
             workload, seconds / 2, (counter, tr))
@@ -179,10 +196,11 @@ def measure(workload, seconds: float, trace: bool,
         errors += t_errors
         values = layer_metrics(counter, len(traced[0::2]), tr,
                                len(traced[1::2]), workload.objects)
-        values["trace.overhead_s"] = min(traced[1::2]) - min(walls)
+        values["trace.overhead_s"] = min(_walls(traced[1::2])) \
+            - min(_walls(rounds))
         units = PER_LAYER
-        walls += traced
-    print(f"rounds: {json.dumps(walls)}", file=sys.stderr)
+        rounds += traced
+    print(f"rounds: {json.dumps(_walls(rounds))}", file=sys.stderr)
     for line in errors[:10]:
         print(f"error: {line}", file=sys.stderr)
     metrics = {name: {"value": values[name], "unit": unit}
@@ -190,3 +208,7 @@ def measure(workload, seconds: float, trace: bool,
     result = {"correct": failed == 0, "attempted": attempted,
               "failed": failed, "metrics": metrics}
     return result, tr
+
+
+def _walls(rounds) -> list[float]:
+    return [ended - began for began, ended in rounds]

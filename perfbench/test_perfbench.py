@@ -10,10 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import signal
+import time
+
 import pytest
 
 import harness
 import oracle
+import speed
 import workloads
 
 HERE = Path(__file__).resolve().parent
@@ -81,6 +85,32 @@ def test_verify_all_objects_come_from_the_claim_grids():
                      for ell in range(1, 4) for k in range(1, 4)) \
         + oracle.count_partitions(1, 4) + oracle.count_partitions(2, 4)
     assert workloads.verify_all(seed=1).objects == labelings + partitions + 3026
+
+
+def test_workload_objects_are_the_oracle_counts():
+    assert workloads.pstrict_orbits(1).objects == 37128 + 11628
+    assert workloads.partition_orbits(1).objects == 37128
+
+
+def test_speedometer_scales_slices_by_their_reference_time():
+    previous = signal.getsignal(signal.SIGALRM)
+    with speed.Speedometer(interval=0.005) as meter:
+        a = time.perf_counter()
+        while time.perf_counter() < a + 0.05:
+            pass
+        b = time.perf_counter()
+        while time.perf_counter() < b + 0.05:
+            pass
+        c = time.perf_counter()
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert len(meter.marks) > 5
+    whole = meter.scaled(a, c)
+    assert whole == pytest.approx(meter.scaled(a, b) + meter.scaled(b, c))
+    # each slice is (its wall time less the reference runs) / reference time
+    work = c - a - sum(min(end, c) - max(start, a)
+                       for start, end, _ in meter.marks if end > a and start < c)
+    took = [t for *_, t in meter.marks[1:]]
+    assert work / max(took) <= whole / speed.REFERENCE_S <= work / min(took)
 
 
 def test_metric_names_are_those_in_benchmark_json():

@@ -29,6 +29,7 @@ verify = importlib.import_module("vkrew.verify")
 
 SAMPLE = 32  # seeded elements per grid point stepped q times by hand
 
+PSTRICT_POINTS = ((3, 7), (2, 9))  # (ell, q): labelings of V x [ell] in [q]
 PARTITION_POINT = (3, 7)  # (ell, q): partitions of V x [q - 2]
 LABELING_POINT = (3, 7)   # (ell, q): sampled for verify-all's Pro^q check
 
@@ -204,6 +205,12 @@ def _orbit_op(action: str, ell: int, q: int, count: int, chosen,
     return Operation(name, 1, call, check)
 
 
+def pstrict_orbits(seed: int) -> Workload:
+    return orbit_reports("pstrict-orbits",
+                         [("pro-pstrict", ell, q) for ell, q in PSTRICT_POINTS],
+                         seed)
+
+
 def partition_orbits(seed: int) -> Workload:
     return orbit_reports("partition-orbits",
                          [("row", *PARTITION_POINT),
@@ -278,4 +285,5 @@ def verify_all(seed: int, suite: str = "all") -> Workload:
                     count_objects(points))
 
 
-WORKLOADS = {"partition-orbits": partition_orbits, "verify-all": verify_all}
+WORKLOADS = {"pstrict-orbits": pstrict_orbits,
+             "partition-orbits": partition_orbits, "verify-all": verify_all}
