@@ -126,29 +126,46 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-def _read_json(path: str):
+def _read_json_object(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"input JSON must be an object, not {type(data).__name__}")
+    return data
+
+
+def _from_json(build, data: dict):
+    """``build(data)``, reporting JSON of the wrong shape as a ValueError."""
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValueError(f"input JSON lacks the key {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"input JSON has the wrong shape: {exc}") from None
+
+
+def _word_from_json(data: dict):
+    if "blocks" in data:
+        return PartialMultiKrewerasWord.from_json(data)
+    if "letters" in data:
+        return KrewerasWord(data["letters"])
+    if "word" in data:
+        return PartialMultiKrewerasWord.from_text(data["word"])
+    raise ValueError("input JSON needs 'blocks', 'letters', or 'word'")
 
 
 def _cmd_render(args, parser) -> int:
-    data = _read_json(args.input)
-    if "blocks" in data:
-        obj = PartialMultiKrewerasWord.from_json(data)
-    elif "letters" in data:
-        obj = KrewerasWord(data["letters"])
-    elif "word" in data:
-        obj = PartialMultiKrewerasWord.from_text(data["word"])
-    else:
-        parser.error("input JSON needs 'blocks', 'letters', or 'word'")
+    obj = _from_json(_word_from_json, _read_json_object(args.input))
     sys.stdout.write(render_diagram(obj, args.format))
     return 0
 
 
 def _cmd_export(args, parser) -> int:
-    report = report_from_json(_read_json(args.input))
+    report = _from_json(report_from_json, _read_json_object(args.input))
     if args.format == "csv":
         text = report_to_csv_text(report)
     else:

@@ -6,13 +6,22 @@ and confined to a per-element interval.  Bender-Knuth involutions tau_k
 exchange the freely movable k's and (k+1)'s inside each fiber; promotion
 composes tau_1 through tau_{q-1}.
 
+Both step raw fiber tuples: in each fiber tau_k rewrites the one slice
+where the run of k's meets the run of (k+1)'s.  bender_knuth_tau
+validates the labeling it returns, and promote_pstrict validates once
+per promotion, never the states between its steps.  free_labels finds
+the free labels layer by layer; it is the reference the tests hold the
+kernel to.
+
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -24,6 +33,18 @@ __all__ = [
     "free_labels_bruteforce", "bender_knuth_tau", "promote_pstrict",
     "swap_bc",
 ]
+
+
+@lru_cache(maxsize=None)
+def _cover_indices(poset: Poset) -> tuple[tuple[tuple[int, ...], ...],
+                                          tuple[tuple[int, ...], ...]]:
+    """Upper- and lower-cover indices of each element, aligned with
+    poset.elements."""
+    up = tuple(tuple(poset.index(u) for u in poset.upper_covers(e))
+               for e in poset.elements)
+    down = tuple(tuple(poset.index(d) for d in poset.lower_covers(e))
+                 for e in poset.elements)
+    return up, down
 
 
 @dataclass(frozen=True)
@@ -91,21 +112,24 @@ class PStrictLabeling:
             raise ValueError("ell must be >= 1")
         if len(self.fibers) != len(poset):
             raise ValueError("one fiber per element required")
-        for e, fiber in zip(poset.elements, self.fibers):
+        for e, fiber, (lo, hi) in zip(poset.elements, self.fibers,
+                                      rf.intervals):
             if len(fiber) != self.ell:
                 raise ValueError(f"fiber of {e!r} has wrong length")
-            lo, hi = rf.interval(e)
             for a, b in zip(fiber, fiber[1:]):
                 if a > b:
                     raise ValueError(f"fiber of {e!r} decreases")
-            if fiber and not (lo <= fiber[0] and fiber[-1] <= hi):
+            if not (lo <= fiber[0] and fiber[-1] <= hi):
                 raise ValueError(f"fiber of {e!r} leaves its interval")
-        for a, b in poset.covers:
-            fa, fb = self.fiber(a), self.fiber(b)
-            for i in range(self.ell):
-                if fa[i] >= fb[i]:
-                    raise ValueError(
-                        f"layer {i + 1} not strict across {a!r} < {b!r}")
+        up, _ = _cover_indices(poset)
+        for ai, fa in enumerate(self.fibers):
+            for bi in up[ai]:
+                fb = self.fibers[bi]
+                for i in range(self.ell):
+                    if fa[i] >= fb[i]:
+                        raise ValueError(
+                            f"layer {i + 1} not strict across "
+                            f"{poset.elements[ai]!r} < {poset.elements[bi]!r}")
 
     @property
     def q(self) -> int:
@@ -161,12 +185,10 @@ def enumerate_restricted_labelings(
     Requires poset.elements to be topologically sorted (all our posets
     are).  A pinned fiber is emitted as given if it fits.
     """
-    poset = rf.poset
-    elems = poset.elements
-    for i, e in enumerate(elems):
-        for d in poset.lower_covers(e):
-            if poset.index(d) >= i:
-                raise ValueError("element order is not topological")
+    elems = rf.poset.elements
+    _, lower = _cover_indices(rf.poset)
+    if any(d >= i for i, down in enumerate(lower) for d in down):
+        raise ValueError("element order is not topological")
     pinned = pinned_fibers or {}
     fibers: list[tuple[int, ...]] = [()] * len(elems)
 
@@ -176,7 +198,7 @@ def enumerate_restricted_labelings(
             return
         e = elems[i]
         lo, hi = rf.intervals[i]
-        down = [poset.index(d) for d in poset.lower_covers(e)]
+        down = lower[i]
         floor = tuple(max((fibers[d][j] for d in down), default=0)
                       for j in range(ell)) if down else None
         if e in pinned:
@@ -283,36 +305,64 @@ def _fiber_fits(f: PStrictLabeling, ei: int, fiber: tuple[int, ...]) -> bool:
     return True
 
 
+def _tau_fibers(fibers, k, up, down, intervals):
+    """tau_k on raw fibers; returns ``fibers`` itself when nothing moves.
+
+    Fibers of covers increase weakly too, so in the run of k's the free
+    ones (every upper cover already above k+1) form a suffix, and in the
+    run of (k+1)'s the free ones (every lower cover below k) a prefix.
+    The two runs meet, so one slice is rewritten.  The free labels are
+    those _raisable_layers and _lowerable_layers find layer by layer.
+    """
+    new = None
+    for ei, fiber in enumerate(fibers):
+        a = bisect_left(fiber, k)
+        c = bisect_right(fiber, k + 1, a)
+        if a == c:
+            continue
+        b = bisect_right(fiber, k, a, c)
+        lo, hi = intervals[ei]
+        s = b
+        if k < hi:
+            while s > a and all(fibers[u][s - 1] > k + 1 for u in up[ei]):
+                s -= 1
+        t = b
+        if k >= lo:
+            while t < c and all(fibers[d][t] < k for d in down[ei]):
+                t += 1
+        if t - b == b - s:  # as many free k's as free (k+1)'s: no change
+            continue
+        if new is None:
+            new = list(fibers)
+        new[ei] = (fiber[:s] + (k,) * (t - b) + (k + 1,) * (b - s)
+                   + fiber[t:])
+    return fibers if new is None else tuple(new)
+
+
 def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
     """Within each fiber, turn a free k's followed by b free (k+1)'s into
     b k's followed by a (k+1)'s."""
     if not 1 <= k <= f.q - 1:
         raise ValueError(f"k={k} out of range 1..{f.q - 1}")
-    new_fibers = []
-    changed = False
-    for ei in range(len(f.restriction.poset)):
-        ra = _raisable_layers(f, ei, k)
-        lw = _lowerable_layers(f, ei, k)
-        if not ra and not lw:
-            new_fibers.append(f.fibers[ei])
-            continue
-        fiber = list(f.fibers[ei])
-        slots = ra + lw
-        values = [k] * len(lw) + [k + 1] * len(ra)
-        for i, v in zip(slots, values):
-            fiber[i] = v
-        new_fibers.append(tuple(fiber))
-        changed = True
-    if not changed:
+    rf = f.restriction
+    fibers = _tau_fibers(f.fibers, k, *_cover_indices(rf.poset),
+                         rf.intervals)
+    if fibers is f.fibers:
         return f
-    return PStrictLabeling(f.restriction, f.ell, tuple(new_fibers))
+    return PStrictLabeling(rf, f.ell, fibers)
 
 
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
-    """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}."""
-    for k in range(1, f.q):
-        f = bender_knuth_tau(k, f)
-    return f
+    """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
+    the raw fibers and validating only the result."""
+    rf = f.restriction
+    up, down = _cover_indices(rf.poset)
+    fibers = f.fibers
+    for k in range(1, rf.q):
+        fibers = _tau_fibers(fibers, k, up, down, rf.intervals)
+    if fibers is f.fibers:
+        return f
+    return PStrictLabeling(rf, f.ell, fibers)
 
 
 def swap_bc(f: PStrictLabeling) -> PStrictLabeling:

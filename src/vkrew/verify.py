@@ -571,6 +571,10 @@ class _Claim:
     run: Callable[[], dict | None]
 
 
+def _given(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
 def _build_suite(name: str, ell_max: int | None, q_max: int | None,
                  sum_max: int | None, ceiling: int) -> list[_Claim]:
     claims: list[_Claim] = []
@@ -593,19 +597,19 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         add("kreweras-roundtrip", {"n_max": n_orbit},
             lambda: _claim_kreweras_roundtrip(n_orbit, ceiling))
     elif name == "main":
-        em, qm = ell_max or 3, q_max or 7
-        sm = sum_max if sum_max is not None else 10
+        em, qm = _given(ell_max, 3), _given(q_max, 7)
+        sm = _given(sum_max, 10)
         grid = {"ell_max": em, "q_max": qm, "sum_max": sm}
         add("pstrict-order-divides-2q", grid,
             lambda: _claim_pstrict_divides(em, qm, sm, ceiling))
         add("pstrict-pro-q-is-bc-swap", grid,
             lambda: _claim_pstrict_swap(em, qm, sm, ceiling))
     elif name == "layers":
-        em, qm = ell_max or 2, q_max or 6
+        em, qm = _given(ell_max, 2), _given(q_max, 6)
         add("content-rotation", {"ell_max": em, "q_max": qm},
             lambda: _claim_content_rotation(em, qm, ceiling))
     elif name == "doublearcs":
-        em, qm = ell_max or 2, q_max or 6
+        em, qm = _given(ell_max, 2), _given(q_max, 6)
         grid = {"ell_max": em, "q_max": qm}
         add("double-arc-count-invariant", grid,
             lambda: _claim_double_arc_count(em, qm, ceiling))
@@ -616,7 +620,7 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         add("shortest-arc-shift", grid,
             lambda: _claim_shortest_arc_shift(em, qm, ceiling))
     elif name == "standardization":
-        em, qm = ell_max or 2, q_max or 6
+        em, qm = _given(ell_max, 2), _given(q_max, 6)
         grid = {"ell_max": em, "q_max": qm}
         add("std-pro-commutation", grid,
             lambda: _claim_std_pro_commutation(em, qm, ceiling))
@@ -629,20 +633,20 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         add("word-pro-q-is-bc-swap", grid,
             lambda: _claim_word_swap(em, qm, ceiling))
     elif name == "rowmotion":
-        em = ell_max or 3
-        km = (q_max - 2) if q_max else 3
+        em = _given(ell_max, 3)
+        km = _given(q_max, 5) - 2  # partitions of V x [q - 2]
         add("row-order-divides", {"ell_max": em, "k_max": km},
             lambda: _claim_row_divides(em, km, ceiling))
         add("row-order-exact-ell1", {"k_max": km},
             lambda: _claim_row_exact(km, ceiling))
         fm = em if ell_max is not None else 2
-        fq = q_max or 6
+        fq = _given(q_max, 6)
         add("row-q-is-flip", {"ell_max": fm, "q_max": fq},
             lambda: _claim_row_flip(fm, fq, ceiling))
         add("row-extension-independent", {},
             lambda: _claim_row_extension_independent(ceiling))
     elif name == "equivariance":
-        em, qm = ell_max or 2, q_max or 6
+        em, qm = _given(ell_max, 2), _given(q_max, 6)
         grid = {"ell_max": em, "q_max": qm}
         add("orbit-multisets-agree", grid,
             lambda: _claim_equivariance(em, qm, ceiling))
@@ -676,6 +680,11 @@ def run_suite(suite: str, ell_max: int | None = None,
     else:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(SUITE_NAMES + ('all',))}")
+    # below these no grid point is left, and a claim would check nothing
+    for flag, value, least in (("ell_max", ell_max, 1), ("q_max", q_max, 3),
+                               ("sum_max", sum_max, 4)):
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     started = time.monotonic()
     results = []
     for name in names:

@@ -183,3 +183,38 @@ def test_export_bad_input_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "export", "--input", str(path),
                        "--out", str(tmp_path / "x.csv"), "--format", "csv")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "main", "--ell-max", "0", "--q-max", "4"),
+    ("--suite", "rowmotion", "--q-max", "2"),
+    ("--suite", "main", "--q-max", "2"),
+    ("--suite", "main", "--sum-max", "3"),
+])
+def test_verify_empty_grid_exit_2(capsys, argv):
+    # an explicit bound is never swapped for the default, and a grid with
+    # no point in it is refused rather than reported as a pass
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("render", 42),
+    ("render", {"blocks": [[1, 0, 0]], "q": 1}),
+    ("export", 42),
+    ("export", {"claims": [{"id": "x"}]}),
+])
+def test_wrong_json_shape_exit_2(capsys, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "render":
+        argv = ("render", "--input", str(path), "--format", "ascii")
+    else:
+        argv = ("export", "--input", str(path),
+                "--out", str(tmp_path / "x.csv"), "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,8 +3,9 @@ import pytest
 from vkrew import golden
 from vkrew.poset import LinearExtension, Poset, make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
-    bender_knuth_tau, enumerate_labelings, free_labels, \
-    free_labels_bruteforce, promote_pstrict, restriction_rq, swap_bc
+    bender_knuth_tau, enumerate_labelings, enumerate_restricted_labelings, \
+    free_labels, free_labels_bruteforce, promote_pstrict, restriction_rq, \
+    swap_bc
 from vkrew.kreweras import promote_linext
 
 
@@ -165,6 +166,63 @@ def test_tau_involution_and_validity():
             assert bender_knuth_tau(k, image) == f
 
 
+def reference_tau(k, f):
+    """tau_k assembled layer by layer from free_labels: in each fiber the
+    free slots, read in layer order, get the free (k+1)'s count of k's
+    and then the free k's count of (k+1)'s."""
+    raisable, lowerable = free_labels(k, f)
+    fibers = []
+    for p, fiber in zip(f.restriction.poset.elements, f.fibers):
+        ups = [i - 1 for e, i in raisable if e == p]
+        downs = [i - 1 for e, i in lowerable if e == p]
+        fiber = list(fiber)
+        for i, v in zip(ups + downs, [k] * len(downs) + [k + 1] * len(ups)):
+            fiber[i] = v
+        fibers.append(tuple(fiber))
+    return PStrictLabeling(f.restriction, f.ell, tuple(fibers))
+
+
+def assert_kernel_matches_reference(labelings):
+    """tau_k is checked at tau_{k-1} ... tau_1(f).  That map is a
+    bijection, so as f runs over a whole enumeration every labeling meets
+    every tau_k once."""
+    count = 0
+    for f in labelings:
+        promoted = f
+        for k in range(1, f.q):
+            step = reference_tau(k, promoted)
+            assert bender_knuth_tau(k, promoted) == step
+            promoted = step
+        assert promote_pstrict(f) == promoted
+        count += 1
+    assert count > 0
+
+
+# the default grid of the main suite: ell <= 3, q <= 7, ell + q <= 10
+MAIN_GRID = [(ell, q) for ell in range(1, 4) for q in range(3, 8)
+             if ell + q <= 10]
+
+
+@pytest.mark.parametrize("ell,q", MAIN_GRID)
+def test_tau_and_promotion_match_free_labels_reference(ell, q):
+    assert_kernel_matches_reference(enumerate_labelings(ell, q))
+
+
+def diamond():
+    return Poset("abcd", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
+
+
+@pytest.mark.parametrize("rf", [
+    restriction_rq(diamond(), 5),
+    restriction_rq(chain(3), 5),
+    restriction_rq(product_with_chain(make_v(), 2), 5),
+    RestrictionFunction(make_v(), 5, ((2, 3), (3, 5), (4, 5))),
+], ids=["diamond", "chain", "v-times-2", "narrow-v"])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_kernel_matches_reference_on_other_posets(rf, ell):
+    assert_kernel_matches_reference(enumerate_restricted_labelings(rf, ell))
+
+
 def test_promotion_examples():
     f = labeling(1, 3, (1,), (3,), (3,))
     assert promote_pstrict(f).fibers == ((2,), (3,), (3,))
@@ -207,8 +265,6 @@ def test_swap_bc_rejects_other_posets():
 
 
 def test_enumeration_requires_topological_element_order():
-    from vkrew.pstrict import enumerate_restricted_labelings
-
     upside_down = Poset(("B", "A"), (("A", "B"),))
     rf = restriction_rq(upside_down, 3)
     with pytest.raises(ValueError):
