@@ -163,6 +163,18 @@ class Poset:
 
 
 @lru_cache(maxsize=None)
+def _cover_indices(poset: Poset) -> tuple[tuple[tuple[int, ...], ...],
+                                          tuple[tuple[int, ...], ...]]:
+    """Upper- and lower-cover indices of each element, aligned with
+    poset.elements."""
+    up = tuple(tuple(poset.index(u) for u in poset.upper_covers(e))
+               for e in poset.elements)
+    down = tuple(tuple(poset.index(d) for d in poset.lower_covers(e))
+                 for e in poset.elements)
+    return up, down
+
+
+@lru_cache(maxsize=None)
 def make_v() -> Poset:
     """The 3-element poset on A, B, C with A below both B and C."""
     return Poset(("A", "B", "C"), (("A", "B"), ("A", "C")))
@@ -204,10 +216,14 @@ class LinearExtension:
         m = len(self.poset)
         if len(self.labels) != m or sorted(self.labels) != list(range(1, m + 1)):
             raise ValueError("labels must be a bijection onto 1..m")
-        for a, b in self.poset.covers:
-            if self.label_of(a) >= self.label_of(b):
-                raise ValueError(
-                    f"labels do not respect {a!r} < {b!r}")
+        labels = self.labels
+        up, _ = _cover_indices(self.poset)
+        for ai, ups in enumerate(up):
+            for bi in ups:
+                if labels[ai] >= labels[bi]:
+                    elements = self.poset.elements
+                    raise ValueError(f"labels do not respect "
+                                     f"{elements[ai]!r} < {elements[bi]!r}")
 
     @property
     def m(self) -> int:

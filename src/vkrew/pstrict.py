@@ -20,12 +20,11 @@ poset carries the order guarantees verified by the test suites.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .poset import Element, Poset, make_v
+from .poset import Element, Poset, _cover_indices, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -35,18 +34,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _cover_indices(poset: Poset) -> tuple[tuple[tuple[int, ...], ...],
-                                          tuple[tuple[int, ...], ...]]:
-    """Upper- and lower-cover indices of each element, aligned with
-    poset.elements."""
-    up = tuple(tuple(poset.index(u) for u in poset.upper_covers(e))
-               for e in poset.elements)
-    down = tuple(tuple(poset.index(d) for d in poset.lower_covers(e))
-                 for e in poset.elements)
-    return up, down
-
-
 @dataclass(frozen=True)
 class RestrictionFunction:
     """Per-element label intervals within 1..q for a graded poset."""
@@ -54,6 +41,9 @@ class RestrictionFunction:
     poset: Poset
     q: int
     intervals: tuple[tuple[int, int], ...]  # (lo, hi) aligned with poset.elements
+    # Every dict lookup of a labeling hashes its restriction, so the hash
+    # of the three fields is computed once, here.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.intervals) != len(self.poset):
@@ -61,6 +51,11 @@ class RestrictionFunction:
         for e, (lo, hi) in zip(self.poset.elements, self.intervals):
             if not (1 <= lo <= hi <= self.q):
                 raise ValueError(f"empty or out-of-range interval for {e!r}")
+        object.__setattr__(self, "_hash",
+                           hash((self.poset, self.q, self.intervals)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def interval(self, p: Element) -> tuple[int, int]:
         return self.intervals[self.poset.index(p)]

@@ -6,16 +6,24 @@ weakly increasing upward.  The toggle at p reflects its value inside
 contribute the virtual bounds 0 and ell.  Rowmotion composes all
 toggles along a linear extension, maximal elements first;
 toggle-promotion groups toggles along diagonals of V x [q-2].
+
+toggle, rowmotion and togpro step a raw list of values: one sweep
+applies the toggles along a tuple of element indices, reading covers
+from the poset's cached cover-index table, and the index order of each
+action is cached per poset.  Each call validates once, on the partition
+it returns, never the states between its toggles.  The element-level
+reading (upper_covers, lower_covers, PPartition.value) is the reference
+the tests hold the sweep to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .poset import Element, LinearExtension, Poset, linear_extensions, \
-    make_v, product_with_chain, v_chain_layers
+from .poset import Element, LinearExtension, Poset, _cover_indices, \
+    linear_extensions, make_v, product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -36,11 +44,16 @@ class PPartition:
             raise ValueError("ell must be >= 0")
         if len(self.values) != len(self.poset):
             raise ValueError("one value per element required")
-        if any(not 0 <= v <= self.ell for v in self.values):
+        values = self.values
+        if values and (min(values) < 0 or max(values) > self.ell):
             raise ValueError(f"values must lie in 0..{self.ell}")
-        for a, b in self.poset.covers:
-            if self.value(a) > self.value(b):
-                raise ValueError(f"values decrease across {a!r} < {b!r}")
+        up, _ = _cover_indices(self.poset)
+        for ai, ups in enumerate(up):
+            for bi in ups:
+                if values[ai] > values[bi]:
+                    elements = self.poset.elements
+                    raise ValueError(f"values decrease across "
+                                     f"{elements[ai]!r} < {elements[bi]!r}")
 
     def value(self, p: Element) -> int:
         return self.values[self.poset.index(p)]
@@ -91,57 +104,70 @@ def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     return rec(0)
 
 
-def _toggle_index(f_values: list[int], poset: Poset, ell: int, idx: int) -> None:
-    e = poset.elements[idx]
-    top = min((f_values[poset.index(u)] for u in poset.upper_covers(e)),
-              default=ell)
-    bottom = max((f_values[poset.index(d)] for d in poset.lower_covers(e)),
-                 default=0)
-    f_values[idx] = top + bottom - f_values[idx]
+def _sweep(values: list[int], order: tuple[int, ...], poset: Poset,
+           ell: int) -> None:
+    """Toggle the elements with the given indices, in order, in place."""
+    up, down = _cover_indices(poset)
+    for i in order:
+        top = ell
+        for u in up[i]:
+            if values[u] < top:
+                top = values[u]
+        bottom = 0
+        for d in down[i]:
+            if values[d] > bottom:
+                bottom = values[d]
+        values[i] = top + bottom - values[i]
 
 
 def toggle(p: Element, f: PPartition) -> PPartition:
     """Reflect the value at p within the window its covers allow."""
-    idx = f.poset.index(p)
     values = list(f.values)
-    _toggle_index(values, f.poset, f.ell, idx)
+    _sweep(values, (f.poset.index(p),), f.poset, f.ell)
     return PPartition(f.poset, f.ell, tuple(values))
 
 
 @lru_cache(maxsize=None)
-def _default_extension(poset: Poset) -> LinearExtension:
-    return next(iter(linear_extensions(poset)))
+def _rowmotion_order(poset: Poset,
+                     ext: LinearExtension | None) -> tuple[int, ...]:
+    """Element indices along ``ext`` reversed; None is the canonical
+    first extension."""
+    if ext is None:
+        ext = next(iter(linear_extensions(poset)))
+    return tuple(poset.index(e) for e in reversed(ext.order()))
 
 
 def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
     """Toggle every element once, from maximal down to minimal along a
     linear extension.  The result does not depend on the extension; the
     default is the canonical first one."""
-    if ext is None:
-        ext = _default_extension(f.poset)
-    elif ext.poset != f.poset:
+    if ext is not None and ext.poset != f.poset:
         raise ValueError("linear extension belongs to a different poset")
     values = list(f.values)
-    poset = f.poset
-    for e in reversed(ext.order()):
-        _toggle_index(values, poset, f.ell, poset.index(e))
-    return PPartition(poset, f.ell, tuple(values))
+    _sweep(values, _rowmotion_order(f.poset, ext), f.poset, f.ell)
+    return PPartition(f.poset, f.ell, tuple(values))
+
+
+@lru_cache(maxsize=None)
+def _togpro_order(poset: Poset, q: int) -> tuple[int, ...]:
+    """Element indices of the diagonals {(p, i) : i = q - 1 + rk(p) - k},
+    k = 1, 2, ..., q - 1, in toggling order."""
+    k_layers = v_chain_layers(poset)
+    if k_layers is None or k_layers != q - 2:
+        raise ValueError(f"poset must be V x [{q - 2}] for q={q}")
+    return tuple(poset.index((p, i))
+                 for k in range(1, q)
+                 for p, rk in (("A", 0), ("B", 1), ("C", 1))
+                 for i in (q - 1 + rk - k,) if 1 <= i <= q - 2)
 
 
 def togpro(f: PPartition, q: int) -> PPartition:
     """Toggle-promotion on V x [q-2]: sweep k = 1, 2, ... toggling the
     diagonal {(p, i) : i = q - 1 + rk(p) - k} at each step."""
-    k_layers = v_chain_layers(f.poset)
-    if k_layers is None or k_layers != q - 2:
-        raise ValueError(f"poset must be V x [{q - 2}] for q={q}")
+    order = _togpro_order(f.poset, q)
     values = list(f.values)
-    poset = f.poset
-    for k in range(1, q):
-        for p, rk in (("A", 0), ("B", 1), ("C", 1)):
-            i = q - 1 + rk - k
-            if 1 <= i <= q - 2:
-                _toggle_index(values, poset, f.ell, poset.index((p, i)))
-    return PPartition(poset, f.ell, tuple(values))
+    _sweep(values, order, f.poset, f.ell)
+    return PPartition(f.poset, f.ell, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -150,22 +176,20 @@ class PosetAutomorphism:
 
     poset: Poset
     mapping: tuple[Element, ...]  # image of each element, in element order
+    # index of each image, in element order
+    _indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sorted(map(self.poset.index, self.mapping)) != list(range(len(self.poset))):
+        indices = tuple(map(self.poset.index, self.mapping))
+        if sorted(indices) != list(range(len(self.poset))):
             raise ValueError("mapping is not a bijection on the elements")
+        object.__setattr__(self, "_indices", indices)
         for a, b in self.poset.covers:
             if (self(a), self(b)) not in self.poset.covers:
                 raise ValueError(f"image of cover ({a!r}, {b!r}) is not a cover")
 
     def __call__(self, e: Element) -> Element:
         return self.mapping[self.poset.index(e)]
-
-    def inverse(self) -> "PosetAutomorphism":
-        inv = [None] * len(self.poset)
-        for e, img in zip(self.poset.elements, self.mapping):
-            inv[self.poset.index(img)] = e
-        return PosetAutomorphism(self.poset, tuple(inv))
 
 
 def flip_automorphism(poset: Poset) -> PosetAutomorphism:
@@ -185,5 +209,5 @@ def apply_automorphism(psi: PosetAutomorphism, f: PPartition) -> PPartition:
     the old value at psi(p)."""
     if psi.poset != f.poset:
         raise ValueError("automorphism belongs to a different poset")
-    values = tuple(f.value(psi(p)) for p in f.poset.elements)
+    values = tuple(map(f.values.__getitem__, psi._indices))
     return PPartition(f.poset, f.ell, values)

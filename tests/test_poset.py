@@ -104,7 +104,7 @@ def test_linear_extension_validation():
     v = make_v()
     with pytest.raises(ValueError):
         LinearExtension(v, (1, 2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labels do not respect 'A' < 'B'"):
         LinearExtension(v, (2, 1, 3))
 
 

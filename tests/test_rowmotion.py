@@ -17,10 +17,15 @@ def pp(values, ell=1, poset=None):
 
 def test_ppartition_validation():
     pp((0, 1, 1))
-    with pytest.raises(ValueError):
-        pp((1, 0, 1))  # decreases across A < B
-    with pytest.raises(ValueError):
-        pp((0, 2, 0))  # above ell
+    with pytest.raises(ValueError, match="values decrease across 'A' < 'B'"):
+        pp((1, 0, 1))
+    with pytest.raises(ValueError, match=r"values decrease across "
+                                         r"\('A', 2\) < \('B', 2\)"):
+        pp((0, 1, 0, 0, 0, 1), poset=product_with_chain(make_v(), 2))
+    with pytest.raises(ValueError, match=r"values must lie in 0\.\.1"):
+        pp((0, 2, 0))
+    with pytest.raises(ValueError, match=r"values must lie in 0\.\.1"):
+        pp((0, 1, -1))
     with pytest.raises(ValueError):
         PPartition(make_v(), -1, (0, 0, 0))
 
@@ -189,17 +194,75 @@ def test_apply_automorphism_rejects_mismatch():
         apply_automorphism(flip, f)
 
 
-def test_automorphism_inverse():
-    poset = product_with_chain(make_v(), 2)
-    flip = flip_automorphism(poset)
-    assert flip.inverse() == flip  # an involution is its own inverse
-    identity = PosetAutomorphism(poset, poset.elements)
-    assert identity.inverse() == identity
-
-
 def test_flip_action_is_involution_on_partitions():
     poset = product_with_chain(make_v(), 2)
     flip = flip_automorphism(poset)
     cycles = orbit_cycles(lambda f: apply_automorphism(flip, f),
                           list(enumerate_ppartitions(poset, 2)))
     assert all(len(c) in (1, 2) for c in cycles)
+
+
+# -- the raw-value sweep against single toggles read off the elements --
+
+def reference_values(f, elements):
+    """Toggle ``elements`` in turn, reading covers and values element by
+    element; the virtual bounds are 0 below and ell above."""
+    poset = f.poset
+    values = {p: f.value(p) for p in poset.elements}
+    for p in elements:
+        top = min((values[u] for u in poset.upper_covers(p)), default=f.ell)
+        bottom = max((values[d] for d in poset.lower_covers(p)), default=0)
+        values[p] = top + bottom - values[p]
+    return tuple(values[p] for p in poset.elements)
+
+
+def reference_togpro_elements(q):
+    """The diagonals of V x [q-2] in toggling order, read off the ranks
+    of V: at step k the element (p, i) with i = q - 1 + rk(p) - k."""
+    v = make_v()
+    return [(p, q - 1 + v.rank(p) - k)
+            for k in range(1, q) for p in v.elements
+            if 1 <= q - 1 + v.rank(p) - k <= q - 2]
+
+
+# every (ell, k) of the rowmotion grid (ell <= 3, k <= 3) and of the
+# equivariance grid (ell <= 2, q <= 6, so k <= 4)
+DEFAULT_GRID = sorted({(ell, k) for ell in range(1, 4) for k in range(1, 4)}
+                      | {(ell, k) for ell in range(1, 3) for k in range(1, 5)})
+
+
+def test_sweep_matches_reference_on_default_grids():
+    checked = 0
+    for ell, k in DEFAULT_GRID:
+        poset = product_with_chain(make_v(), k)
+        row_order = list(reversed(next(iter(linear_extensions(poset))).order()))
+        togpro_order = reference_togpro_elements(k + 2)
+        flip = flip_automorphism(poset)
+        for f in enumerate_ppartitions(poset, ell):
+            assert rowmotion(f).values == reference_values(f, row_order), f
+            assert togpro(f, k + 2).values \
+                == reference_values(f, togpro_order), f
+            assert apply_automorphism(flip, f).values \
+                == tuple(f.value(flip(p)) for p in poset.elements), f
+            checked += 1
+    assert checked == 4038
+
+
+def diamond():
+    return Poset("abcd", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
+
+
+@pytest.mark.parametrize("poset", [
+    diamond(),
+    Poset(("x1", "x2", "x3"), (("x1", "x2"), ("x2", "x3"))),
+    product_with_chain(make_v(), 2),
+], ids=["diamond", "chain", "v-times-2"])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_sweep_matches_reference_on_other_posets(poset, ell):
+    exts = list(linear_extensions(poset))
+    for f in enumerate_ppartitions(poset, ell):
+        for p in poset.elements:
+            assert toggle(p, f).values == reference_values(f, [p])
+        for ext in exts:
+            assert rowmotion(f, ext).values \
+                == reference_values(f, list(reversed(ext.order())))
