@@ -18,8 +18,9 @@ from .pstrict import PStrictLabeling, RestrictionFunction, bender_knuth_tau, \
     enumerate_labelings, free_labels, free_labels_bruteforce, promote_pstrict, \
     restriction_rq, swap_bc
 from .render import render_diagram
+# The rowmotion function is not re-exported: its name is its module's.
 from .rowmotion import PosetAutomorphism, PPartition, apply_automorphism, \
-    enumerate_ppartitions, flip_automorphism, rowmotion, toggle, togpro
+    enumerate_ppartitions, flip_automorphism, toggle, togpro
 from .verify import VerificationReport, export_report, \
     orbit_report_for_action, run_suite
 from .words import GeneralizedBumpDiagram, PartialMultiKrewerasWord, VLayer, \

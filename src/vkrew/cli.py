@@ -37,6 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--limit", type=int, help="stop after this many items")
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
 
     p = sub.add_parser("orbits", help="orbit decomposition of one action")
     p.add_argument("--action", required=True,
@@ -99,8 +100,11 @@ def _cmd_enumerate(args, parser) -> int:
                  for f in enumerate_ppartitions(poset, args.ell))
     count = 0
     for line in items:
-        print(line)
         count += 1
+        if count > args.ceiling:
+            raise CeilingExceeded(f"{args.object} exceed the ceiling of "
+                                  f"{args.ceiling} elements")
+        print(line)
         if args.limit is not None and count >= args.limit:
             break
     return 0
@@ -144,7 +148,7 @@ def _from_json(build, data: dict):
         return build(data)
     except KeyError as exc:
         raise ValueError(f"input JSON lacks the key {exc}") from None
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"input JSON has the wrong shape: {exc}") from None
 
 

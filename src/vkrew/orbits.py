@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Iterable, TypeVar
@@ -15,9 +16,12 @@ class ActionError(ValueError):
     """The map is not a bijection of the given set onto itself."""
 
 
-def orbit_cycles(step: Callable[[X], X], elements: Iterable[X]) -> list[list[X]]:
-    """Cycles of ``step`` on ``elements``; raises ActionError if the map
-    leaves the set or identifies two elements."""
+def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
+                 indices: bool = False) -> list:
+    """Cycles of ``step`` on ``elements``, each starting at its earliest
+    element, in order of those; with ``indices`` a cycle is a compact
+    array of positions in ``elements`` instead.  Raises ActionError if
+    the map leaves the set or identifies two elements."""
     items = list(elements)
     index = {x: i for i, x in enumerate(items)}
     if len(index) != len(items):
@@ -42,9 +46,10 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X]) -> list[list[X]]
         i = start
         while not seen[i]:
             seen[i] = True
-            cycle.append(items[i])
+            cycle.append(i)
             i = image[i]
-        cycles.append(cycle)
+        cycles.append(array("q", cycle) if indices
+                      else [items[j] for j in cycle])
     return cycles
 
 

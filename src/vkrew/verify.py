@@ -1,6 +1,18 @@
 """Verification suites: every order, rotation, and commutation claim is
 checked exhaustively over desk-scale parameter grids, with the first
-counterexample reported on failure."""
+counterexample reported on failure.
+
+Claims on an action are predicates over orbit tables: one action's
+elements at one grid point in enumeration order, with its cycles as lists
+of positions.  run_suite is point-major: it walks the (point, action)
+keys of all its claims in grid order, builds each table once for every
+claim whose grid holds the point, and drops it before the next, so each
+object is stepped once per run and one table is alive at a time.
+Predicates read step^q of an element q places along its cycle and compare
+raw forms with the B/C mirror image; word laws take Pro(w) from the
+table.  A claim reports its first failing element in enumeration order.
+orbit_report_for_action shares the tables and predicates.
+"""
 
 from __future__ import annotations
 
@@ -9,21 +21,23 @@ import io
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import golden
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
-from .orbits import OrbitReport, orbit_cycles, power_map
+from .orbits import OrbitReport, orbit_cycles
 from .poset import linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
-from .words import delete_double_arc, destandardize, double_arcs, \
-    generalized_bump_diagram, labeling_of_word, layer_decomposition, \
+from .words import PartialMultiKrewerasWord, delete_double_arc, \
+    destandardize, double_arcs, labeling_of_word, layer_decomposition, \
     promote_vlayer, promote_word, promote_word_layerwise, rotate_double_arc, \
     same_block_closers_nest, shortest_arc_triples, standardize, swap_bc_word, \
     word_of_labeling
@@ -98,11 +112,11 @@ class VerificationReport:
 
 # -- grid helpers ------------------------------------------------------
 
-def _word_grid(ell_max: int, q_max: int, sum_max: int | None = None):
-    for ell in range(1, ell_max + 1):
-        for q in range(3, q_max + 1):
-            if sum_max is None or ell + q <= sum_max:
-                yield ell, q
+def _word_grid(ell_max: int, q_max: int,
+               sum_max: int | None = None) -> list[tuple[int, int]]:
+    return [(ell, q) for ell in range(1, ell_max + 1)
+            for q in range(3, q_max + 1)
+            if sum_max is None or ell + q <= sum_max]
 
 
 def _labelings(ell: int, q: int, ceiling: int) -> list:
@@ -110,8 +124,9 @@ def _labelings(ell: int, q: int, ceiling: int) -> list:
                         f"labelings ell={ell} q={q}"))
 
 
-def _words(ell: int, q: int, ceiling: int) -> list:
-    return [word_of_labeling(f) for f in _labelings(ell, q, ceiling)]
+def _extensions(n: int, ceiling: int) -> list:
+    return list(_capped(linear_extensions(product_with_chain(make_v(), n)),
+                        ceiling, f"extensions n={n}"))
 
 
 def _ppartitions(ell: int, k: int, ceiling: int) -> list:
@@ -120,306 +135,19 @@ def _ppartitions(ell: int, k: int, ceiling: int) -> list:
                         f"ppartitions ell={ell} k={k}"))
 
 
-# -- claim bodies ------------------------------------------------------
+# -- claims that run on their own --------------------------------------
 
 def _claim_classical_counts(n_max: int, ceiling: int):
     for n in range(1, n_max + 1):
-        poset = product_with_chain(make_v(), n)
-        count = sum(1 for _ in _capped(linear_extensions(poset), ceiling,
-                                       f"extensions n={n}"))
+        count = len(_extensions(n, ceiling))
         if count != kreweras_number(n):
             return {"n": n, "count": count, "expected": kreweras_number(n)}
     return None
 
 
-def _claim_linext_order(n_max: int, ceiling: int):
-    """Order divides 6n everywhere; equals 6n once n >= 2.  At n = 1 the
-    action is a single swap of the two extensions, so its order is 2."""
-    for n in range(1, n_max + 1):
-        poset = product_with_chain(make_v(), n)
-        elements = list(_capped(linear_extensions(poset), ceiling,
-                                f"extensions n={n}"))
-        cycles = orbit_cycles(promote_linext, elements)
-        order = lcm(*(len(c) for c in cycles))
-        if (6 * n) % order != 0:
-            return {"n": n, "order": order, "must_divide": 6 * n}
-        if n >= 2 and order != 6 * n:
-            return {"n": n, "order": order, "expected": 6 * n}
-    return None
-
-
-def _claim_pro_3n_swaps(n_max: int, ceiling: int):
-    """The 3n-th power of promotion exchanges the B's and C's of a word."""
-    for n in range(1, n_max + 1):
-        poset = product_with_chain(make_v(), n)
-        words = [to_kreweras(e) for e in
-                 _capped(linear_extensions(poset), ceiling, f"extensions n={n}")]
-        cycles = orbit_cycles(promote_kreweras, words)
-        for x, y in power_map(cycles, 3 * n).items():
-            if y != swap_bc_letters(x):
-                return {"n": n, "word": x.letters, "pro_3n": y.letters,
-                        "swapped": swap_bc_letters(x).letters}
-    return None
-
-
-def _claim_kreweras_order_matches(n_max: int, ceiling: int):
-    """Promotion of words and of extensions have identical cycle structure."""
-    for n in range(1, n_max + 1):
-        poset = product_with_chain(make_v(), n)
-        exts = list(_capped(linear_extensions(poset), ceiling,
-                            f"extensions n={n}"))
-        ext_sizes = sorted(len(c) for c in orbit_cycles(promote_linext, exts))
-        word_sizes = sorted(len(c) for c in orbit_cycles(
-            promote_kreweras, [to_kreweras(e) for e in exts]))
-        if ext_sizes != word_sizes:
-            return {"n": n, "extension_orbits": ext_sizes,
-                    "word_orbits": word_sizes}
-    return None
-
-
-def _claim_kreweras_intertwines(n_max: int, ceiling: int):
-    for n in range(1, n_max + 1):
-        poset = product_with_chain(make_v(), n)
-        for ext in _capped(linear_extensions(poset), ceiling,
-                           f"extensions n={n}"):
-            via_ext = to_kreweras(promote_linext(ext)).letters
-            via_word = promote_kreweras(to_kreweras(ext)).letters
-            if via_ext != via_word:
-                return {"n": n, "word": to_kreweras(ext).letters,
-                        "via_extension": via_ext, "via_word": via_word}
-    return None
-
-
-def _claim_kreweras_roundtrip(n_max: int, ceiling: int):
-    for n in range(1, n_max + 1):
-        poset = product_with_chain(make_v(), n)
-        for ext in _capped(linear_extensions(poset), ceiling,
-                           f"extensions n={n}"):
-            word = to_kreweras(ext)
-            if from_kreweras(word) != ext:
-                return {"n": n, "word": word.letters}
-            if to_kreweras(from_kreweras(word)) != word:
-                return {"n": n, "word": word.letters}
-    return None
-
-
-def _claim_pstrict_divides(ell_max: int, q_max: int, sum_max: int | None,
-                           ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max, sum_max):
-        cycles = orbit_cycles(promote_pstrict, _labelings(ell, q, ceiling))
-        for cycle in cycles:
-            if (2 * q) % len(cycle) != 0:
-                return {"ell": ell, "q": q, "orbit_size": len(cycle),
-                        "labeling": cycle[0].to_json()}
-    return None
-
-
-def _claim_pstrict_swap(ell_max: int, q_max: int, sum_max: int | None,
-                        ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max, sum_max):
-        cycles = orbit_cycles(promote_pstrict, _labelings(ell, q, ceiling))
-        for x, y in power_map(cycles, q).items():
-            if y != swap_bc(x):
-                return {"ell": ell, "q": q, "labeling": x.to_json(),
-                        "pro_q": y.to_json(), "swapped": swap_bc(x).to_json()}
-    return None
-
-
-def _claim_word_swap(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            target = swap_bc_word(w)
-            v = w
-            for _ in range(q):
-                v = promote_word(v)
-            if v != target:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "pro_q": v.to_text(), "swapped": target.to_text()}
-    return None
-
-
-def _claim_content_rotation(ell_max: int, q_max: int, ceiling: int):
-    """Promoting the labeling equals promoting every layer of its word
-    and regathering the block counts (fibers reorder, arcs may recouple)."""
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            direct = promote_word(w)
-            layerwise = promote_word_layerwise(w)
-            if direct != layerwise:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "promoted": direct.to_text(),
-                        "layerwise": layerwise.to_text()}
-    return None
-
-
-def _claim_double_arc_count(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            before, after = double_arcs(w), double_arcs(promote_word(w))
-            if len(before) != len(after):
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "before": before, "after": after}
-    return None
-
-
-def _claim_double_arc_rotation(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            expected = sorted(rotate_double_arc(d, q) for d in double_arcs(w))
-            actual = double_arcs(promote_word(w))
-            if expected != actual:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "expected": expected, "actual": actual}
-    return None
-
-
-def _claim_double_arc_deletion(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        if ell < 1:
-            continue
-        for w in _words(ell, q, ceiling):
-            for arc in sorted(set(double_arcs(w))):
-                deleted_then_promoted = promote_word(delete_double_arc(w, arc))
-                promoted_then_deleted = delete_double_arc(
-                    promote_word(w), rotate_double_arc(arc, q))
-                if deleted_then_promoted != promoted_then_deleted:
-                    return {"ell": ell, "q": q, "word": w.to_text(),
-                            "arc": list(arc),
-                            "delete_then_promote": deleted_then_promoted.to_text(),
-                            "promote_then_delete": promoted_then_deleted.to_text()}
-    return None
-
-
-def _claim_shortest_arc_shift(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            shifted = Counter((color, a - 1, b - 1)
-                              for color, a, b in shortest_arc_triples(w)
-                              if a > 1)
-            present = Counter(shortest_arc_triples(promote_word(w)))
-            if shifted - present:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "missing": sorted((shifted - present).elements())}
-    return None
-
-
-def _claim_std_pro_commutation(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            if double_arcs(w):
-                continue
-            std, _ = standardize(w)
-            std_promoted, _ = standardize(promote_word(w))
-            k = w.block_size(1)
-            iterated = std
-            for _ in range(k):
-                iterated = promote_kreweras(iterated)
-            if std_promoted != iterated:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "k": k, "std_of_promoted": std_promoted.letters,
-                        "promoted_std": iterated.letters}
-    return None
-
-
-def _claim_std_valid(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            if double_arcs(w):
-                continue
-            try:
-                std, sizes = standardize(w)
-            except ValueError as exc:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "error": str(exc)}
-            if not same_block_closers_nest(std, sizes):
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "std": std.letters, "error": "same-block arcs cross"}
-    return None
-
-
-def _claim_destandardize_roundtrip(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            if double_arcs(w):
-                continue
-            std, sizes = standardize(w)
-            if destandardize(std, sizes) != w:
-                return {"ell": ell, "q": q, "word": w.to_text(),
-                        "std": std.letters, "sizes": list(sizes)}
-    return None
-
-
-def _claim_std_order_unique(ell_max: int, q_max: int, ceiling: int):
-    """Any adjacent transposition of same-block closers makes two arcs
-    ending in that block cross, so the nesting order is forced."""
-    for ell, q in _word_grid(ell_max, q_max):
-        for w in _words(ell, q, ceiling):
-            if double_arcs(w):
-                continue
-            diagram = generalized_bump_diagram(w)
-            opener_of = {c: o for o, c in diagram.arcs_b}
-            opener_of.update({c: o for o, c in diagram.arcs_c})
-            std, sizes = standardize(w)
-            block_start = [0]
-            for size in sizes:
-                block_start.append(block_start[-1] + size)
-            std_diagram = bump_diagram(std)
-            std_opener = {c: o for o, c in std_diagram.arcs_b}
-            std_opener.update({c: o for o, c in std_diagram.arcs_c})
-            for bi in range(len(sizes)):
-                closers = [pos for pos in range(block_start[bi] + 1,
-                                                block_start[bi + 1] + 1)
-                           if std.letters[pos - 1] != "A"]
-                for x, y in zip(closers, closers[1:]):
-                    swapped = [(std_opener[x], y), (std_opener[y], x)]
-                    if not is_crossing(*swapped):
-                        return {"ell": ell, "q": q, "word": w.to_text(),
-                                "block": bi + 1, "positions": [x, y]}
-    return None
-
-
-def _row_cycles(ell: int, k: int, ceiling: int):
-    return orbit_cycles(rowmotion, _ppartitions(ell, k, ceiling))
-
-
-def _claim_row_divides(ell_max: int, k_max: int, ceiling: int):
-    for ell in range(1, ell_max + 1):
-        for k in range(1, k_max + 1):
-            for cycle in _row_cycles(ell, k, ceiling):
-                if (2 * (k + 2)) % len(cycle) != 0:
-                    return {"ell": ell, "k": k, "orbit_size": len(cycle),
-                            "partition": cycle[0].to_json()}
-    return None
-
-
-def _claim_row_exact(k_max: int, ceiling: int):
-    for k in range(1, k_max + 1):
-        cycles = _row_cycles(1, k, ceiling)
-        order = lcm(*(len(c) for c in cycles))
-        if order != 2 * (k + 2):
-            return {"ell": 1, "k": k, "order": order, "expected": 2 * (k + 2)}
-    return None
-
-
-def _claim_row_flip(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        poset = product_with_chain(make_v(), q - 2)
-        flip = flip_automorphism(poset)
-        cycles = _row_cycles(ell, q - 2, ceiling)
-        for x, y in power_map(cycles, q).items():
-            if y != apply_automorphism(flip, x):
-                return {"ell": ell, "q": q, "partition": x.to_json(),
-                        "row_q": y.to_json(),
-                        "flipped": apply_automorphism(flip, x).to_json()}
-    return None
-
-
 def _claim_row_extension_independent(ceiling: int):
-    cases = [(1, 2), (2, 1)]  # (ell, k)
-    for ell, k in cases:
-        poset = product_with_chain(make_v(), k)
-        exts = list(_capped(linear_extensions(poset), ceiling,
-                            f"extensions k={k}"))
+    for ell, k in ((1, 2), (2, 1)):
+        exts = _extensions(k, ceiling)
         for f in _ppartitions(ell, k, ceiling):
             images = {rowmotion(f, ext) for ext in exts}
             if len(images) != 1:
@@ -428,34 +156,315 @@ def _claim_row_extension_independent(ceiling: int):
     return None
 
 
-def _claim_togpro_flip(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        poset = product_with_chain(make_v(), q - 2)
-        flip = flip_automorphism(poset)
-        cycles = orbit_cycles(lambda f: togpro(f, q),
-                              _ppartitions(ell, q - 2, ceiling))
-        for x, y in power_map(cycles, q).items():
-            if y != apply_automorphism(flip, x):
-                return {"ell": ell, "q": q, "partition": x.to_json()}
+# -- orbit tables ------------------------------------------------------
+
+# The actions with tables, in the order they are built at a grid point.
+# Extensions and Kreweras words of V x [n] sit at the point (n, 3n).
+_ACTIONS = ("pro-linext", "pro-kreweras", "pro-pstrict", "pro-word", "row",
+           "togpro")
+
+
+@dataclass
+class _Table:
+    """The orbits of one action at one grid point: the elements in
+    enumeration order, and the cycles as arrays of their positions."""
+
+    action: str
+    ell: int
+    q: int
+    elements: list
+    cycles: list
+
+    def power(self, t: int) -> list:
+        """step^t of each element, in enumeration order."""
+        out = [None] * len(self.elements)
+        for cycle in self.cycles:
+            size = len(cycle)
+            for j, i in enumerate(cycle):
+                out[i] = self.elements[cycle[(j + t) % size]]
+        return out
+
+    def sizes(self) -> list[int]:
+        return sorted((len(c) for c in self.cycles), reverse=True)
+
+
+def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
+    """Enumerate once and step each element once.  The step is looked up
+    in this module as the table is built, so a rebound name is used."""
+    if action in ("pro-linext", "pro-kreweras"):
+        elements, step = _extensions(ell, ceiling), promote_linext
+        if action == "pro-kreweras":
+            elements = [to_kreweras(e) for e in elements]
+            step = promote_kreweras
+    elif action in ("row", "togpro"):
+        elements = _ppartitions(ell, q - 2, ceiling)
+        step = rowmotion if action == "row" else (lambda f: togpro(f, q))
+    else:
+        elements = _labelings(ell, q, ceiling)
+        step = promote_pstrict
+        if action == "pro-word":
+            elements = [word_of_labeling(f) for f in elements]
+            step = promote_word
+    return _Table(action, ell, q, elements,
+                  orbit_cycles(step, elements, indices=True))
+
+
+def _misfit_orbit(t: _Table, period: int):
+    """(size, earliest element) of the first orbit whose size does not
+    divide ``period``, or None."""
+    for cycle in t.cycles:
+        if period % len(cycle):
+            return len(cycle), t.elements[cycle[0]]
     return None
 
 
-def _claim_equivariance(ell_max: int, q_max: int, ceiling: int):
-    for ell, q in _word_grid(ell_max, q_max):
-        sizes = {}
-        cycles = orbit_cycles(promote_pstrict, _labelings(ell, q, ceiling))
-        sizes["pro-pstrict"] = sorted((len(c) for c in cycles), reverse=True)
-        cycles = _row_cycles(ell, q - 2, ceiling)
-        sizes["row"] = sorted((len(c) for c in cycles), reverse=True)
-        cycles = orbit_cycles(lambda f: togpro(f, q),
-                              _ppartitions(ell, q - 2, ceiling))
-        sizes["togpro"] = sorted((len(c) for c in cycles), reverse=True)
-        if not (sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]):
-            return {"ell": ell, "q": q, "sizes": dict(sizes)}
+_SWAP = itemgetter(0, 2, 1)
+_SWAP_BC = str.maketrans("BC", "CB")
+# The raw form of an element, and the raw form of its B/C mirror image.
+_MIRRORS = {
+    "pro-kreweras": (attrgetter("letters"), lambda s: s.translate(_SWAP_BC)),
+    "pro-pstrict": (attrgetter("fibers"), _SWAP),
+    "pro-word": (attrgetter("blocks"), lambda b: tuple(map(_SWAP, b))),
+}
+
+
+def _unmirrored(t: _Table):
+    """(x, step^q(x)) for the first x, in enumeration order, whose step^q
+    is not its B/C mirror image, or None.  Compares raw letters, fibers,
+    block counts or values."""
+    if t.action in _MIRRORS:
+        raw, mirror = _MIRRORS[t.action]
+    else:  # a partition is read through the flip automorphism
+        poset = product_with_chain(make_v(), t.q - 2)
+        flip = map(poset.index, flip_automorphism(poset).mapping)
+        raw, mirror = attrgetter("values"), itemgetter(*flip)
+    for x, y in zip(t.elements, t.power(t.q)):
+        if raw(y) != mirror(raw(x)):
+            return x, y
+    return None
+
+
+# -- claim predicates over a table ------------------------------------
+
+def _order_divides(t: _Table):
+    """Every orbit size divides 2q, which is 2(k + 2) on V x [k]."""
+    bad = _misfit_orbit(t, 2 * t.q)
+    if bad is None:
+        return None
+    if t.action == "pro-pstrict":
+        return {"ell": t.ell, "q": t.q, "orbit_size": bad[0],
+                "labeling": bad[1].to_json()}
+    return {"ell": t.ell, "k": t.q - 2, "orbit_size": bad[0],
+            "partition": bad[1].to_json()}
+
+
+def _linext_order(t: _Table):
+    """Order divides 6n everywhere; equals 6n once n >= 2.  At n = 1 the
+    action is a single swap of the two extensions, so its order is 2."""
+    n, order = t.ell, lcm(*t.sizes())
+    if (6 * n) % order != 0:
+        return {"n": n, "order": order, "must_divide": 6 * n}
+    if n >= 2 and order != 6 * n:
+        return {"n": n, "order": order, "expected": 6 * n}
+    return None
+
+
+def _kreweras_intertwines(t: _Table):
+    for ext, promoted in zip(t.elements, t.power(1)):
+        word = to_kreweras(ext)
+        via_ext = to_kreweras(promoted).letters
+        via_word = promote_kreweras(word).letters
+        if via_ext != via_word:
+            return {"n": t.ell, "word": word.letters,
+                    "via_extension": via_ext, "via_word": via_word}
+    return None
+
+
+def _kreweras_roundtrip(t: _Table):
+    for ext in t.elements:
+        word = to_kreweras(ext)
+        if from_kreweras(word) != ext \
+                or to_kreweras(from_kreweras(word)) != word:
+            return {"n": t.ell, "word": word.letters}
+    return None
+
+
+def _row_exact(t: _Table):
+    order = lcm(*t.sizes())
+    if order != 2 * t.q:
+        return {"ell": t.ell, "k": t.q - 2, "order": order,
+                "expected": 2 * t.q}
+    return None
+
+
+def _q_is_mirror(t: _Table):
+    """step^q is the B/C swap of a labeling or word, or the flip of a
+    partition."""
+    bad = _unmirrored(t)
+    if bad is None:
+        return None
+    x, y = bad
+    point = {"ell": t.ell, "q": t.q}
+    if t.action == "pro-kreweras":
+        return {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
+                "swapped": swap_bc_letters(x).letters}
+    if t.action == "pro-pstrict":
+        return {**point, "labeling": x.to_json(), "pro_q": y.to_json(),
+                "swapped": swap_bc(x).to_json()}
+    if t.action == "pro-word":
+        return {**point, "word": x.to_text(), "pro_q": y.to_text(),
+                "swapped": swap_bc_word(x).to_text()}
+    if t.action == "togpro":
+        return {**point, "partition": x.to_json()}
+    flipped = apply_automorphism(flip_automorphism(x.poset), x)
+    return {**point, "partition": x.to_json(), "row_q": y.to_json(),
+            "flipped": flipped.to_json()}
+
+
+def _sizes_agree():
+    """A predicate keeping the sorted orbit sizes of each action at a point
+    until the last action read there comes in: pro-kreweras for
+    kreweras-orbits-match-linext, togpro for orbit-multisets-agree."""
+    sizes: dict = {}
+
+    def check(t: _Table):
+        sizes[t.action] = t.sizes()
+        if t.action == "pro-kreweras" \
+                and sizes["pro-linext"] != sizes["pro-kreweras"]:
+            return {"n": t.ell,
+                    "extension_orbits": sorted(sizes["pro-linext"]),
+                    "word_orbits": sorted(sizes["pro-kreweras"])}
+        if t.action == "togpro" and not (
+                sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]):
+            return {"ell": t.ell, "q": t.q, "sizes": dict(sizes)}
+        return None
+    return check
+
+
+def _per_word(check, arcless: bool = False):
+    """A table predicate applying ``check(w, Pro(w), q)`` to every word,
+    or with ``arcless`` to every word without double arcs."""
+    def predicate(t: _Table):
+        for w, promoted in zip(t.elements, t.power(1)):
+            if arcless and double_arcs(w):
+                continue
+            bad = check(w, promoted, t.q)
+            if bad is not None:
+                return {"ell": t.ell, "q": t.q, "word": w.to_text(), **bad}
+        return None
+    return predicate
+
+
+def _content_rotation(w, promoted, q):
+    """Promoting the labeling equals promoting every layer of its word
+    and regathering the block counts (fibers reorder, arcs may recouple)."""
+    layerwise = promote_word_layerwise(w)
+    if promoted != layerwise:
+        return {"promoted": promoted.to_text(),
+                "layerwise": layerwise.to_text()}
+    return None
+
+
+def _double_arc_count(w, promoted, q):
+    before, after = double_arcs(w), double_arcs(promoted)
+    if len(before) != len(after):
+        return {"before": before, "after": after}
+    return None
+
+
+def _double_arc_rotation(w, promoted, q):
+    expected = sorted(rotate_double_arc(d, q) for d in double_arcs(w))
+    actual = double_arcs(promoted)
+    if expected != actual:
+        return {"expected": expected, "actual": actual}
+    return None
+
+
+def _double_arc_deletion(t: _Table):
+    """Pro of each deleted word, an (ell - 1, q) word, is computed once
+    per table.  A rotated arc missing from Pro(w) fails the claim."""
+    promoted_of: dict = {}
+
+    def check(w, promoted, q):
+        for arc in sorted(set(double_arcs(w))):
+            deleted = delete_double_arc(w, arc)
+            if deleted not in promoted_of:
+                promoted_of[deleted] = promote_word(deleted)
+            rotated = rotate_double_arc(arc, q)
+            promoted_then_deleted = (delete_double_arc(promoted, rotated)
+                                     if rotated in double_arcs(promoted)
+                                     else None)
+            if promoted_of[deleted] != promoted_then_deleted:
+                return {"arc": list(arc),
+                        "delete_then_promote": promoted_of[deleted].to_text(),
+                        "promote_then_delete": promoted_then_deleted
+                        and promoted_then_deleted.to_text()}
+        return None
+    return _per_word(check)(t)
+
+
+def _shortest_arc_shift(w, promoted, q):
+    shifted = Counter((color, a - 1, b - 1)
+                      for color, a, b in shortest_arc_triples(w) if a > 1)
+    missing = shifted - Counter(shortest_arc_triples(promoted))
+    if missing:
+        return {"missing": sorted(missing.elements())}
+    return None
+
+
+def _std_pro_commutation(w, promoted, q):
+    std, _ = standardize(w)
+    std_promoted, _ = standardize(promoted)
+    k = w.block_size(1)
+    iterated = std
+    for _ in range(k):
+        iterated = promote_kreweras(iterated)
+    if std_promoted != iterated:
+        return {"k": k, "std_of_promoted": std_promoted.letters,
+                "promoted_std": iterated.letters}
+    return None
+
+
+def _std_valid(w, promoted, q):
+    try:
+        std, sizes = standardize(w)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    if not same_block_closers_nest(std, sizes):
+        return {"std": std.letters, "error": "same-block arcs cross"}
+    return None
+
+
+def _destandardize_roundtrip(w, promoted, q):
+    std, sizes = standardize(w)
+    if destandardize(std, sizes) != w:
+        return {"std": std.letters, "sizes": list(sizes)}
+    return None
+
+
+def _std_order_unique(w, promoted, q):
+    """Any adjacent transposition of same-block closers makes two arcs
+    ending in that block cross, so the nesting order is forced."""
+    std, sizes = standardize(w)
+    block_start = [0]
+    for size in sizes:
+        block_start.append(block_start[-1] + size)
+    std_diagram = bump_diagram(std)
+    std_opener = {c: o for o, c in std_diagram.arcs_b}
+    std_opener.update({c: o for o, c in std_diagram.arcs_c})
+    for bi in range(len(sizes)):
+        closers = [pos for pos in range(block_start[bi] + 1,
+                                        block_start[bi + 1] + 1)
+                   if std.letters[pos - 1] != "A"]
+        for x, y in zip(closers, closers[1:]):
+            if not is_crossing((std_opener[x], y), (std_opener[y], x)):
+                return {"block": bi + 1, "positions": [x, y]}
     return None
 
 
 # -- figure claims -----------------------------------------------------
+# Each compares the paper's figures item by item and stops at the first
+# mismatch; ``or`` evaluates the next comparison only if this one agreed.
 
 def _figure_mismatch(name, expected, actual):
     if expected != actual:
@@ -463,93 +472,74 @@ def _figure_mismatch(name, expected, actual):
     return None
 
 
-def _claim_figure_promotion_pair(_ceiling: int):
+def _claim_figure_promotion_pair():
     promoted = promote_linext(golden.ext18())
     return _figure_mismatch("extension-promotion",
                             golden.ext18_promoted().labels, promoted.labels)
 
 
-def _claim_figure_kreweras_pair(_ceiling: int):
+def _claim_figure_kreweras_pair():
     word = to_kreweras(golden.ext18())
-    bad = _figure_mismatch("word-of-extension", golden.WORD18, word.letters)
-    if bad:
-        return bad
-    bad = _figure_mismatch("promoted-word", golden.WORD18_PROMOTED,
-                           promote_kreweras(word).letters)
-    if bad:
-        return bad
-    return _figure_mismatch("extension-of-word",
-                            golden.ext18().labels,
-                            from_kreweras(word).labels)
+    return (_figure_mismatch("word-of-extension", golden.WORD18, word.letters)
+            or _figure_mismatch("promoted-word", golden.WORD18_PROMOTED,
+                                promote_kreweras(word).letters)
+            or _figure_mismatch("extension-of-word", golden.ext18().labels,
+                                from_kreweras(word).labels))
 
 
-def _claim_figure_bump_arcs(_ceiling: int):
+def _claim_figure_bump_arcs():
     diagram = bump_diagram(golden.word18())
-    bad = _figure_mismatch("solid-arcs", sorted(golden.ARCS18_B),
-                           sorted(diagram.arcs_b))
-    if bad:
-        return bad
-    return _figure_mismatch("dashed-arcs", sorted(golden.ARCS18_C),
-                            sorted(diagram.arcs_c))
+    return (_figure_mismatch("solid-arcs", sorted(golden.ARCS18_B),
+                             sorted(diagram.arcs_b))
+            or _figure_mismatch("dashed-arcs", sorted(golden.ARCS18_C),
+                                sorted(diagram.arcs_c)))
 
 
-def _claim_figure_word_labeling(_ceiling: int):
+def _claim_figure_word_labeling():
     word = golden.word69()
-    bad = _figure_mismatch("word-of-labeling", word.to_text(),
-                           word_of_labeling(golden.labeling69()).to_text())
-    if bad:
-        return bad
-    return _figure_mismatch("labeling-of-word",
-                            golden.labeling69().fibers,
-                            labeling_of_word(word).fibers)
+    return (_figure_mismatch("word-of-labeling", word.to_text(),
+                             word_of_labeling(golden.labeling69()).to_text())
+            or _figure_mismatch("labeling-of-word", golden.labeling69().fibers,
+                                labeling_of_word(word).fibers))
 
 
-def _claim_figure_layers(_ceiling: int):
+def _claim_figure_layers():
     layers = tuple(layer.as_tuple() for layer in layer_decomposition(golden.word69()))
     return _figure_mismatch("layers", golden.LAYERS69, layers)
 
 
-def _claim_figure_promoted_layers(_ceiling: int):
-    rotated = tuple(sorted(promote_vlayer(layer, 9).as_tuple()
-                           for layer in layer_decomposition(golden.word69())))
-    bad = _figure_mismatch("promoted-layers", golden.LAYERS69_PROMOTED, rotated)
-    if bad:
-        return bad
-    promoted = tuple(layer.as_tuple()
-                     for layer in layer_decomposition(promote_word(golden.word69())))
-    return _figure_mismatch("layers-of-promoted-word",
-                            golden.LAYERS69_PROMOTED, promoted)
-
-
-def _claim_figure_promoted_word(_ceiling: int):
-    promoted = promote_word(golden.word69())
-    bad = _figure_mismatch("promoted-word", golden.WORD69_PROMOTED_TEXT,
-                           promoted.to_text())
-    if bad:
-        return bad
-    via_labeling = word_of_labeling(promote_pstrict(golden.labeling69()))
-    return _figure_mismatch("promoted-labeling", golden.WORD69_PROMOTED_TEXT,
-                            via_labeling.to_text())
-
-
-def _claim_figure_double_arcs(_ceiling: int):
+def _claim_figure_promoted_layers():
     word = golden.word69()
-    bad = _figure_mismatch("double-arcs", golden.WORD69_DOUBLE_ARCS,
-                           double_arcs(word))
-    if bad:
-        return bad
-    deleted = delete_double_arc(word, (3, 4))
-    bad = _figure_mismatch("deleted-word", golden.WORD69_DELETED_TEXT,
-                           deleted.to_text())
-    if bad:
-        return bad
-    return _figure_mismatch("rotated-double-arc", [(2, 3)],
-                            double_arcs(promote_word(word)))
+    rotated = tuple(sorted(promote_vlayer(layer, 9).as_tuple()
+                           for layer in layer_decomposition(word)))
+    return (_figure_mismatch("promoted-layers", golden.LAYERS69_PROMOTED,
+                             rotated)
+            or _figure_mismatch(
+                "layers-of-promoted-word", golden.LAYERS69_PROMOTED,
+                tuple(layer.as_tuple()
+                      for layer in layer_decomposition(promote_word(word)))))
 
 
-def _claim_figure_standardization(_ceiling: int):
-    from .words import PartialMultiKrewerasWord
+def _claim_figure_promoted_word():
+    labeling = golden.labeling69()
+    return (_figure_mismatch("promoted-word", golden.WORD69_PROMOTED_TEXT,
+                             promote_word(golden.word69()).to_text())
+            or _figure_mismatch(
+                "promoted-labeling", golden.WORD69_PROMOTED_TEXT,
+                word_of_labeling(promote_pstrict(labeling)).to_text()))
 
+
+def _claim_figure_double_arcs():
+    word = golden.word69()
+    return (_figure_mismatch("double-arcs", golden.WORD69_DOUBLE_ARCS,
+                             double_arcs(word))
+            or _figure_mismatch("deleted-word", golden.WORD69_DELETED_TEXT,
+                                delete_double_arc(word, (3, 4)).to_text())
+            or _figure_mismatch("rotated-double-arc", [(2, 3)],
+                                double_arcs(promote_word(word))))
+
+
+def _claim_figure_standardization():
     for text, expected_word, expected_sizes in golden.STD_PAIRS:
         w = PartialMultiKrewerasWord.from_text(text)
         std, sizes = standardize(w)
@@ -566,113 +556,115 @@ def _claim_figure_standardization(_ceiling: int):
 
 @dataclass
 class _Claim:
+    """A claim with its params.  With ``actions``, ``check`` is a predicate
+    over the table of each action at each of ``points`` (in grid order);
+    without, it runs on its own."""
+
     id: str
     params: dict
-    run: Callable[[], dict | None]
+    check: Callable
+    actions: tuple[str, ...] = ()
+    points: list = field(default_factory=list)
 
 
 def _given(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
+_WORD_CLAIMS = {
+    "layers": (("content-rotation", _per_word(_content_rotation)),),
+    "doublearcs": (
+        ("double-arc-count-invariant", _per_word(_double_arc_count)),
+        ("double-arc-rotation", _per_word(_double_arc_rotation)),
+        ("double-arc-deletion-commutes", _double_arc_deletion),
+        ("shortest-arc-shift", _per_word(_shortest_arc_shift))),
+    "standardization": (
+        ("std-pro-commutation", _per_word(_std_pro_commutation, True)),
+        ("std-valid-kreweras", _per_word(_std_valid, True)),
+        ("destandardize-roundtrip", _per_word(_destandardize_roundtrip, True)),
+        ("std-order-unique", _per_word(_std_order_unique, True)),
+        ("word-pro-q-is-bc-swap", _q_is_mirror)),
+}
+
+_FIGURE_CLAIMS = (
+    ("figure-promotion-pair", _claim_figure_promotion_pair),
+    ("figure-kreweras-pair", _claim_figure_kreweras_pair),
+    ("figure-bump-arcs", _claim_figure_bump_arcs),
+    ("figure-word-labeling", _claim_figure_word_labeling),
+    ("figure-layers", _claim_figure_layers),
+    ("figure-promoted-layers", _claim_figure_promoted_layers),
+    ("figure-promoted-word", _claim_figure_promoted_word),
+    ("figure-double-arcs", _claim_figure_double_arcs),
+    ("figure-standardization", _claim_figure_standardization),
+)
+
+
 def _build_suite(name: str, ell_max: int | None, q_max: int | None,
                  sum_max: int | None, ceiling: int) -> list[_Claim]:
-    claims: list[_Claim] = []
-
-    def add(cid, params, fn):
-        claims.append(_Claim(cid, params, fn))
-
     if name == "classical":
-        n_count, n_orbit = 4, 3
-        add("classical-count-formula", {"n_max": n_count},
-            lambda: _claim_classical_counts(n_count, ceiling))
-        add("classical-order-6n", {"n_max": n_orbit},
-            lambda: _claim_linext_order(n_orbit, ceiling))
-        add("classical-pro-3n-swaps-bc", {"n_max": n_orbit},
-            lambda: _claim_pro_3n_swaps(n_orbit, ceiling))
-        add("kreweras-orbits-match-linext", {"n_max": n_orbit},
-            lambda: _claim_kreweras_order_matches(n_orbit, ceiling))
-        add("kreweras-intertwines", {"n_max": n_orbit},
-            lambda: _claim_kreweras_intertwines(n_orbit, ceiling))
-        add("kreweras-roundtrip", {"n_max": n_orbit},
-            lambda: _claim_kreweras_roundtrip(n_orbit, ceiling))
-    elif name == "main":
+        params = {"n_max": 3}
+        grid = [(n, 3 * n) for n in range(1, 4)]
+        return [
+            _Claim("classical-count-formula", {"n_max": 4},
+                   partial(_claim_classical_counts, 4, ceiling)),
+            _Claim("classical-order-6n", params, _linext_order,
+                   ("pro-linext",), grid),
+            _Claim("classical-pro-3n-swaps-bc", params, _q_is_mirror,
+                   ("pro-kreweras",), grid),
+            _Claim("kreweras-orbits-match-linext", params, _sizes_agree(),
+                   ("pro-linext", "pro-kreweras"), grid),
+            _Claim("kreweras-intertwines", params, _kreweras_intertwines,
+                   ("pro-linext",), grid),
+            _Claim("kreweras-roundtrip", params, _kreweras_roundtrip,
+                   ("pro-linext",), grid)]
+    if name == "main":
         em, qm = _given(ell_max, 3), _given(q_max, 7)
         sm = _given(sum_max, 10)
-        grid = {"ell_max": em, "q_max": qm, "sum_max": sm}
-        add("pstrict-order-divides-2q", grid,
-            lambda: _claim_pstrict_divides(em, qm, sm, ceiling))
-        add("pstrict-pro-q-is-bc-swap", grid,
-            lambda: _claim_pstrict_swap(em, qm, sm, ceiling))
-    elif name == "layers":
+        params = {"ell_max": em, "q_max": qm, "sum_max": sm}
+        grid = _word_grid(em, qm, sm)
+        return [_Claim("pstrict-order-divides-2q", params, _order_divides,
+                       ("pro-pstrict",), grid),
+                _Claim("pstrict-pro-q-is-bc-swap", params, _q_is_mirror,
+                       ("pro-pstrict",), grid)]
+    if name in _WORD_CLAIMS:
         em, qm = _given(ell_max, 2), _given(q_max, 6)
-        add("content-rotation", {"ell_max": em, "q_max": qm},
-            lambda: _claim_content_rotation(em, qm, ceiling))
-    elif name == "doublearcs":
-        em, qm = _given(ell_max, 2), _given(q_max, 6)
-        grid = {"ell_max": em, "q_max": qm}
-        add("double-arc-count-invariant", grid,
-            lambda: _claim_double_arc_count(em, qm, ceiling))
-        add("double-arc-rotation", grid,
-            lambda: _claim_double_arc_rotation(em, qm, ceiling))
-        add("double-arc-deletion-commutes", grid,
-            lambda: _claim_double_arc_deletion(em, qm, ceiling))
-        add("shortest-arc-shift", grid,
-            lambda: _claim_shortest_arc_shift(em, qm, ceiling))
-    elif name == "standardization":
-        em, qm = _given(ell_max, 2), _given(q_max, 6)
-        grid = {"ell_max": em, "q_max": qm}
-        add("std-pro-commutation", grid,
-            lambda: _claim_std_pro_commutation(em, qm, ceiling))
-        add("std-valid-kreweras", grid,
-            lambda: _claim_std_valid(em, qm, ceiling))
-        add("destandardize-roundtrip", grid,
-            lambda: _claim_destandardize_roundtrip(em, qm, ceiling))
-        add("std-order-unique", grid,
-            lambda: _claim_std_order_unique(em, qm, ceiling))
-        add("word-pro-q-is-bc-swap", grid,
-            lambda: _claim_word_swap(em, qm, ceiling))
-    elif name == "rowmotion":
+        params = {"ell_max": em, "q_max": qm}
+        return [_Claim(cid, params, check, ("pro-word",), _word_grid(em, qm))
+                for cid, check in _WORD_CLAIMS[name]]
+    if name == "rowmotion":
         em = _given(ell_max, 3)
-        km = _given(q_max, 5) - 2  # partitions of V x [q - 2]
-        add("row-order-divides", {"ell_max": em, "k_max": km},
-            lambda: _claim_row_divides(em, km, ceiling))
-        add("row-order-exact-ell1", {"k_max": km},
-            lambda: _claim_row_exact(km, ceiling))
-        fm = em if ell_max is not None else 2
-        fq = _given(q_max, 6)
-        add("row-q-is-flip", {"ell_max": fm, "q_max": fq},
-            lambda: _claim_row_flip(fm, fq, ceiling))
-        add("row-extension-independent", {},
-            lambda: _claim_row_extension_independent(ceiling))
-    elif name == "equivariance":
+        qm = _given(q_max, 5)  # partitions of V x [q - 2]
+        fm, fq = _given(ell_max, 2), _given(q_max, 6)
+        return [
+            _Claim("row-order-divides", {"ell_max": em, "k_max": qm - 2},
+                   _order_divides, ("row",), _word_grid(em, qm)),
+            _Claim("row-order-exact-ell1", {"k_max": qm - 2}, _row_exact,
+                   ("row",), _word_grid(1, qm)),
+            _Claim("row-q-is-flip", {"ell_max": fm, "q_max": fq}, _q_is_mirror,
+                   ("row",), _word_grid(fm, fq)),
+            _Claim("row-extension-independent", {},
+                   partial(_claim_row_extension_independent, ceiling))]
+    if name == "equivariance":
         em, qm = _given(ell_max, 2), _given(q_max, 6)
-        grid = {"ell_max": em, "q_max": qm}
-        add("orbit-multisets-agree", grid,
-            lambda: _claim_equivariance(em, qm, ceiling))
-        add("togpro-q-is-flip", grid,
-            lambda: _claim_togpro_flip(em, qm, ceiling))
-    elif name == "figures":
-        for cid, fn in (
-                ("figure-promotion-pair", _claim_figure_promotion_pair),
-                ("figure-kreweras-pair", _claim_figure_kreweras_pair),
-                ("figure-bump-arcs", _claim_figure_bump_arcs),
-                ("figure-word-labeling", _claim_figure_word_labeling),
-                ("figure-layers", _claim_figure_layers),
-                ("figure-promoted-layers", _claim_figure_promoted_layers),
-                ("figure-promoted-word", _claim_figure_promoted_word),
-                ("figure-double-arcs", _claim_figure_double_arcs),
-                ("figure-standardization", _claim_figure_standardization)):
-            add(cid, {}, (lambda f: lambda: f(ceiling))(fn))
-    else:
-        raise ValueError(f"unknown suite {name!r}")
-    return claims
+        params = {"ell_max": em, "q_max": qm}
+        grid = _word_grid(em, qm)
+        return [_Claim("orbit-multisets-agree", params, _sizes_agree(),
+                       ("pro-pstrict", "row", "togpro"), grid),
+                _Claim("togpro-q-is-flip", params, _q_is_mirror,
+                       ("togpro",), grid)]
+    if name == "figures":
+        return [_Claim(cid, {}, fn) for cid, fn in _FIGURE_CLAIMS]
+    raise ValueError(f"unknown suite {name!r}")
 
 
 def run_suite(suite: str, ell_max: int | None = None,
               q_max: int | None = None, sum_max: int | None = None,
               ceiling: int = DEFAULT_CEILING) -> VerificationReport:
-    """Run one named suite (or 'all') and collect per-claim results."""
+    """Run one named suite (or 'all') and collect per-claim results.
+
+    Claims that run on their own go first.  Then each table is built in
+    grid order and checked by every claim still passing that reads it; a
+    claim's result is settled at its last table."""
     if suite == "all":
         names = SUITE_NAMES
     elif suite in SUITE_NAMES:
@@ -686,12 +678,39 @@ def run_suite(suite: str, ell_max: int | None = None,
         if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
     started = time.monotonic()
-    results = []
-    for name in names:
-        for claim in _build_suite(name, ell_max, q_max, sum_max, ceiling):
-            counterexample = claim.run()
-            results.append(ClaimResult(claim.id, claim.params,
-                                       counterexample is None, counterexample))
+    claims = [claim for name in names
+              for claim in _build_suite(name, ell_max, q_max, sum_max,
+                                        ceiling)]
+    results: list = [None] * len(claims)
+
+    def settle(i: int, counterexample: dict | None) -> None:
+        results[i] = ClaimResult(claims[i].id, claims[i].params,
+                                 counterexample is None, counterexample)
+
+    readers: dict = {}  # (ell, q, action) -> positions of claims reading it
+    for i, claim in enumerate(claims):
+        if not claim.actions:
+            settle(i, claim.check())
+        for ell, q in claim.points:
+            for action in claim.actions:
+                readers.setdefault((ell, q, _ACTIONS.index(action)),
+                                   []).append(i)
+    keys = sorted(readers)
+    last = {i: key for key in keys for i in readers[key]}
+    failed: dict = {}
+    for key in keys:
+        live = [i for i in readers[key] if i not in failed]
+        if live:
+            ell, q, action = key
+            table = _table(_ACTIONS[action], ell, q, ceiling)
+            for i in live:
+                counterexample = claims[i].check(table)
+                if counterexample is not None:
+                    failed[i] = counterexample
+            del table  # one table alive at a time
+        for i in readers[key]:
+            if last[i] == key:
+                settle(i, failed.get(i))
     duration_ms = int((time.monotonic() - started) * 1000)
     return VerificationReport(suite, results, duration_ms)
 
@@ -705,51 +724,29 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
     counterexamples: dict = {}
 
     if action in ("pro-linext", "pro-kreweras"):
-        n = ell
-        poset = product_with_chain(make_v(), n)
-        exts = list(_capped(linear_extensions(poset), ceiling,
-                            f"extensions n={n}"))
-        if action == "pro-linext":
-            elements, step = exts, promote_linext
-        else:
-            elements, step = [to_kreweras(e) for e in exts], promote_kreweras
-        cycles = orbit_cycles(step, elements)
+        n, table = ell, _table(action, ell, 3 * ell, ceiling)
         params = {"ell": n, "q": 3 * n}
-        order = lcm(*(len(c) for c in cycles)) if cycles else 1
+        order = lcm(*table.sizes())
         checks["order_divides_6n"] = (6 * n) % order == 0
         checks["order_equals_6n"] = order == 6 * n
-        checks["count_matches_formula"] = len(elements) == kreweras_number(n)
-    elif action == "pro-pstrict":
-        if q is None:
-            raise ValueError("pro-pstrict needs q")
-        elements = _labelings(ell, q, ceiling)
-        cycles = orbit_cycles(promote_pstrict, elements)
-        params = {"ell": ell, "q": q}
-        checks["order_divides_2q"] = all((2 * q) % len(c) == 0 for c in cycles)
-        bad = next((x for x, y in power_map(cycles, q).items()
-                    if y != swap_bc(x)), None)
-        checks["pro_q_is_bc_swap"] = bad is None
-        if bad is not None:
-            counterexamples["pro_q_is_bc_swap"] = bad.to_json()
-    elif action in ("row", "togpro"):
+        checks["count_matches_formula"] = \
+            len(table.elements) == kreweras_number(n)
+    elif action in ("pro-pstrict", "row", "togpro"):
         if q is None:
             raise ValueError(f"{action} needs q")
-        poset = product_with_chain(make_v(), q - 2)
-        elements = _ppartitions(ell, q - 2, ceiling)
-        step = rowmotion if action == "row" else (lambda f: togpro(f, q))
-        cycles = orbit_cycles(step, elements)
+        table = _table(action, ell, q, ceiling)
         params = {"ell": ell, "q": q}
-        checks["order_divides_2q"] = all((2 * q) % len(c) == 0 for c in cycles)
-        flip = flip_automorphism(poset)
-        bad = next((x for x, y in power_map(cycles, q).items()
-                    if y != apply_automorphism(flip, x)), None)
-        checks[f"{action}_q_is_flip"] = bad is None
+        checks["order_divides_2q"] = _misfit_orbit(table, 2 * q) is None
+        law = ("pro_q_is_bc_swap" if action == "pro-pstrict"
+               else f"{action}_q_is_flip")
+        bad = _unmirrored(table)
+        checks[law] = bad is None
         if bad is not None:
-            counterexamples[f"{action}_q_is_flip"] = bad.to_json()
+            counterexamples[law] = bad[0].to_json()
     else:
         raise ValueError(f"unknown action {action!r}")
 
-    sizes = tuple(sorted((len(c) for c in cycles), reverse=True))
+    sizes = tuple(table.sizes())
     return OrbitReport(action=action, params=params, count=sum(sizes),
                        orbit_sizes=sizes,
                        order=lcm(*sizes) if sizes else 1,

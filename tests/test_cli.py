@@ -1,9 +1,14 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vkrew import cli
-from vkrew.verify import ClaimResult, VerificationReport
+from vkrew.verify import SUITE_NAMES, ClaimResult, VerificationReport
 
 
 def run(capsys, *argv):
@@ -90,6 +95,24 @@ def test_enumerate_linext_accepts_ell_alias(capsys):
     code, out, _ = run(capsys, "enumerate", "--object", "linext", "--ell", "2")
     assert code == 0
     assert len(out.splitlines()) == 16
+
+
+def test_enumerate_ceiling_exit_2(capsys):
+    # V x [1] with labels in 1..4 has 14 labelings
+    code, out, err = run(capsys, "enumerate", "--object", "labelings",
+                         "--ell", "1", "--q", "4", "--ceiling", "10")
+    assert code == 2
+    assert len(out.splitlines()) == 10
+    assert err == "error: labelings exceed the ceiling of 10 elements\n"
+
+
+def test_enumerate_limit_below_ceiling_exit_0(capsys):
+    code, out, err = run(capsys, "enumerate", "--object", "labelings",
+                         "--ell", "1", "--q", "4", "--ceiling", "10",
+                         "--limit", "10")
+    assert code == 0
+    assert len(out.splitlines()) == 10
+    assert err == ""
 
 
 def test_enumerate_missing_flags_exit_2(capsys):
@@ -218,3 +241,80 @@ def test_wrong_json_shape_exit_2(capsys, tmp_path, command, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- fuzzing every subcommand ------------------------------------------
+# Sizes and ceilings are capped so that no example starts a large
+# enumeration; --ceiling is always given, since its default is 5,000,000.
+
+SMALL = st.integers(-2, 6)
+CEILING = st.integers(-1, 100)
+JSON_KEYS = ["blocks", "letters", "word", "ell", "q", "k", "suite", "claims",
+             "id", "params", "pass", "counterexample", "duration_ms",
+             "action", "count", "orbit_sizes", "order", "checks"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text("ABC|∅ 0",
+                                                               max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=4),
+    max_leaves=12)
+JSON_TEXT = st.one_of(
+    st.dictionaries(st.sampled_from(JSON_KEYS), JSON_VALUES,
+                    max_size=6).map(json.dumps),
+    JSON_VALUES.map(json.dumps), st.text(max_size=12))
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def invocations(draw):
+    """An argument list, and the text of the --input file it names."""
+    command = draw(st.sampled_from(["enumerate", "orbits", "verify",
+                                    "render", "export"]))
+    argv, text = [command], None
+    if command == "enumerate":
+        argv += ["--object", draw(st.sampled_from(
+            ["linext", "labelings", "words", "ppartitions"]))]
+        for flag in ("--ell", "--q", "--k"):
+            argv += draw(optional(flag, SMALL))
+        argv += draw(optional("--limit", st.integers(-1, 20)))
+        argv += ["--ceiling", str(draw(CEILING))]
+    elif command == "orbits":
+        argv += ["--action", draw(st.sampled_from(
+            ["pro-linext", "pro-pstrict", "pro-kreweras", "row", "togpro"]))]
+        argv += draw(optional("--ell", SMALL))
+        argv += draw(optional("--q", st.integers(-1, 9)))
+        argv += ["--ceiling", str(draw(CEILING))]
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(SUITE_NAMES + ("all",)))]
+        for flag in ("--ell-max", "--q-max", "--sum-max"):
+            argv += draw(optional(flag, SMALL))
+        argv += ["--ceiling", str(draw(CEILING))]
+    else:
+        text = draw(JSON_TEXT)
+        argv += ["--input", "{input}", "--format", draw(st.sampled_from(
+            ["ascii", "svg"] if command == "render" else ["json", "csv"]))]
+        if command == "export":
+            argv += ["--out", "{out}"]
+    return argv, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(invocations())
+def test_every_subcommand_keeps_the_exit_code_contract(invocation):
+    argv, text = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"input": Path(tmp, "input.json"), "out": Path(tmp, "out")}
+        if text is not None:
+            paths["input"].write_text(text, encoding="utf-8")
+        argv = [a.format(**paths) for a in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

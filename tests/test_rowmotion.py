@@ -266,3 +266,17 @@ def test_sweep_matches_reference_on_other_posets(poset, ell):
         for ext in exts:
             assert rowmotion(f, ext).values \
                 == reference_values(f, list(reversed(ext.order())))
+
+
+def test_package_attribute_is_the_rowmotion_module():
+    # the package used to re-export the function over its own submodule,
+    # so ``import vkrew.rowmotion as m`` gave the function
+    import importlib
+
+    import vkrew
+    import vkrew.rowmotion as module
+
+    assert module is importlib.import_module("vkrew.rowmotion")
+    assert vkrew.rowmotion is module
+    assert module.PPartition is PPartition
+    assert module.rowmotion is rowmotion

@@ -1,11 +1,20 @@
 import dataclasses
 import json
+from collections import Counter
+from math import lcm
 
 import pytest
 
+from vkrew import verify
+from vkrew.poset import make_v, product_with_chain
+from vkrew.pstrict import bender_knuth_tau, enumerate_labelings, \
+    promote_pstrict, swap_bc
+from vkrew.rowmotion import apply_automorphism, enumerate_ppartitions, \
+    flip_automorphism, rowmotion, togpro
 from vkrew.verify import CeilingExceeded, VerificationReport, export_report, \
     orbit_report_for_action, report_from_json, report_to_csv_text, \
     report_to_json_text, run_suite
+from vkrew.words import enumerate_words, promote_word_layerwise, swap_bc_word
 
 
 def normalized(report: VerificationReport) -> VerificationReport:
@@ -146,3 +155,171 @@ def test_summary_lines():
 def test_csv_text_rejects_other_types():
     with pytest.raises(TypeError):
         report_to_csv_text(42)
+
+
+# -- claims over shared orbit tables -----------------------------------
+# A wrong step is bound into ``verify``; each expected counterexample is
+# the first failing element in enumeration order, found by a direct loop
+# that steps elements one by one, without orbit tables or orbit_cycles.
+
+def identity(f, *args):
+    return f
+
+
+def skip_last_tau(f):
+    """Promotion without its last Bender-Knuth involution, a bijection."""
+    for k in range(1, f.q - 1):
+        f = bender_knuth_tau(k, f)
+    return f
+
+
+def grid(ell_max, q_max):
+    return [(ell, q) for ell in range(1, ell_max + 1)
+            for q in range(3, q_max + 1)]
+
+
+def ppartitions(ell, q):
+    return enumerate_ppartitions(product_with_chain(make_v(), q - 2), ell)
+
+
+def power(step, x, t):
+    for _ in range(t):
+        x = step(x)
+    return x
+
+
+def orbit(step, x):
+    out = [x]
+    y = step(x)
+    while y != x:
+        out.append(y)
+        y = step(y)
+    return out
+
+
+def orbit_sizes(step, elements):
+    seen, sizes = set(), []
+    for x in elements:
+        if x not in seen:
+            cycle = orbit(step, x)
+            seen.update(cycle)
+            sizes.append(len(cycle))
+    return sorted(sizes, reverse=True)
+
+
+def flip(f):
+    return apply_automorphism(flip_automorphism(f.poset), f)
+
+
+def failures(*reports):
+    return {c.id: c.counterexample for r in reports for c in r.claims
+            if not c.ok}
+
+
+def test_wrong_promotion_fails_both_main_claims(monkeypatch):
+    monkeypatch.setattr(verify, "promote_pstrict", skip_last_tau)
+    expected = {}
+    for ell, q in grid(2, 4):
+        for f in enumerate_labelings(ell, q):
+            size = len(orbit(skip_last_tau, f))
+            if (2 * q) % size:
+                expected.setdefault("pstrict-order-divides-2q", {
+                    "ell": ell, "q": q, "orbit_size": size,
+                    "labeling": f.to_json()})
+            pro_q = power(skip_last_tau, f, q)
+            if pro_q != swap_bc(f):
+                expected.setdefault("pstrict-pro-q-is-bc-swap", {
+                    "ell": ell, "q": q, "labeling": f.to_json(),
+                    "pro_q": pro_q.to_json(), "swapped": swap_bc(f).to_json()})
+    assert len(expected) == 2
+    assert failures(run_suite("main", ell_max=2, q_max=4)) == expected
+
+
+def test_wrong_word_promotion_fails_word_claims(monkeypatch):
+    monkeypatch.setattr(verify, "promote_word", identity)
+    expected = {}
+    for ell, q in grid(2, 4):
+        for w in enumerate_words(ell, q):
+            layerwise = promote_word_layerwise(w)
+            if w != layerwise:
+                expected.setdefault("content-rotation", {
+                    "ell": ell, "q": q, "word": w.to_text(),
+                    "promoted": w.to_text(), "layerwise": layerwise.to_text()})
+            if w != swap_bc_word(w):
+                expected.setdefault("word-pro-q-is-bc-swap", {
+                    "ell": ell, "q": q, "word": w.to_text(),
+                    "pro_q": w.to_text(),
+                    "swapped": swap_bc_word(w).to_text()})
+    found = failures(run_suite("layers", ell_max=2, q_max=4),
+                     run_suite("standardization", ell_max=2, q_max=4))
+    # std-pro-commutation standardizes Pro(w) too, so it fails as well
+    assert set(found) == set(expected) | {"std-pro-commutation"}
+    assert {cid: found[cid] for cid in expected} == expected
+
+
+def test_wrong_rowmotion_fails_order_flip_and_multiset_claims(monkeypatch):
+    monkeypatch.setattr(verify, "rowmotion", identity)
+    expected = {}
+    for ell, q in grid(2, 4):
+        partitions = list(ppartitions(ell, q))
+        order = lcm(*orbit_sizes(identity, partitions))
+        if ell == 1 and order != 2 * q:
+            expected.setdefault("row-order-exact-ell1", {
+                "ell": 1, "k": q - 2, "order": order, "expected": 2 * q})
+        for f in partitions:
+            if power(identity, f, q) != flip(f):
+                expected.setdefault("row-q-is-flip", {
+                    "ell": ell, "q": q, "partition": f.to_json(),
+                    "row_q": f.to_json(), "flipped": flip(f).to_json()})
+    assert len(expected) == 2
+    assert failures(run_suite("rowmotion", ell_max=2, q_max=4)) == expected
+    # the multiset claim compares rowmotion's orbits with the other two
+    found = failures(run_suite("equivariance", ell_max=1, q_max=4))
+    sizes = {"pro-pstrict": orbit_sizes(promote_pstrict,
+                                        enumerate_labelings(1, 3)),
+             "row": orbit_sizes(identity, ppartitions(1, 3)),
+             "togpro": orbit_sizes(lambda f: togpro(f, 3), ppartitions(1, 3))}
+    assert found == {"orbit-multisets-agree": {"ell": 1, "q": 3,
+                                               "sizes": sizes}}
+
+
+def test_wrong_togpro_fails_flip_and_multiset_claims(monkeypatch):
+    monkeypatch.setattr(verify, "togpro", identity)
+    expected = {}
+    for ell, q in grid(1, 4):
+        partitions = list(ppartitions(ell, q))
+        sizes = {"pro-pstrict": orbit_sizes(promote_pstrict,
+                                            enumerate_labelings(ell, q)),
+                 "row": orbit_sizes(rowmotion, partitions),
+                 "togpro": orbit_sizes(identity, partitions)}
+        if not sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]:
+            expected.setdefault("orbit-multisets-agree",
+                                {"ell": ell, "q": q, "sizes": sizes})
+        for f in partitions:
+            if power(identity, f, q) != flip(f):
+                expected.setdefault("togpro-q-is-flip", {
+                    "ell": ell, "q": q, "partition": f.to_json()})
+    assert len(expected) == 2
+    assert failures(run_suite("equivariance", ell_max=1, q_max=4)) == expected
+
+
+def test_each_step_runs_once_per_object(monkeypatch):
+    calls = Counter()
+
+    def count(name):
+        step = getattr(verify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(verify, name, counted)
+
+    count("promote_pstrict")
+    count("togpro")
+    assert run_suite("main", ell_max=2, q_max=5).passed
+    assert calls["promote_pstrict"] == sum(
+        1 for ell, q in grid(2, 5) for _ in enumerate_labelings(ell, q))
+    calls.clear()
+    assert run_suite("equivariance", ell_max=2, q_max=5).passed
+    assert calls["togpro"] == sum(
+        1 for ell, q in grid(2, 5) for _ in ppartitions(ell, q))
