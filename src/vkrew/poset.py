@@ -126,6 +126,14 @@ class Poset:
         return self._down[e]
 
     @property
+    def minimals(self) -> tuple[Element, ...]:
+        return tuple(e for e in self.elements if not self._down[e])
+
+    @property
+    def maximals(self) -> tuple[Element, ...]:
+        return tuple(e for e in self.elements if not self._up[e])
+
+    @property
     def is_graded(self) -> bool:
         return self._ranks is not None
 
@@ -223,6 +231,11 @@ class LinearExtension:
 
     def label_of(self, e: Element) -> int:
         return self.labels[self.poset.index(e)]
+
+    def element_of(self, label: int) -> Element:
+        if not 1 <= label <= self.m:
+            raise ValueError(f"label {label} out of range 1..{self.m}")
+        return self.order()[label - 1]
 
     def order(self) -> tuple[Element, ...]:
         """Elements listed by increasing label."""

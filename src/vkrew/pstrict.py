@@ -60,6 +60,10 @@ class RestrictionFunction:
     def interval(self, p: Element) -> tuple[int, int]:
         return self.intervals[self.poset.index(p)]
 
+    def allows(self, p: Element, label: int) -> bool:
+        lo, hi = self.interval(p)
+        return lo <= label <= hi
+
     def is_consistent(self, ell: int) -> bool:
         """Every allowed label k is achievable with the whole fiber at k.
 
@@ -128,6 +132,11 @@ class PStrictLabeling:
 
     def fiber(self, p: Element) -> tuple[int, ...]:
         return self.fibers[self.restriction.poset.index(p)]
+
+    def layer(self, i: int) -> tuple[int, ...]:
+        if not 1 <= i <= self.ell:
+            raise ValueError(f"layer {i} out of range 1..{self.ell}")
+        return tuple(f[i - 1] for f in self.fibers)
 
     def value(self, p: Element, i: int) -> int:
         if not 1 <= i <= self.ell:

@@ -3,15 +3,14 @@ checked exhaustively over desk-scale parameter grids, with the first
 counterexample reported on failure.
 
 Claims on an action are predicates over orbit tables: one action's
-elements at one grid point in enumeration order, with its cycles as lists
-of positions.  run_suite is point-major: it walks the (point, action)
-keys of all its claims in grid order, builds each table once for every
-claim whose grid holds the point, and drops it before the next, so each
-object is stepped once per run and one table is alive at a time.
-Predicates read step^q of an element q places along its cycle and compare
-raw forms with the B/C mirror image; word laws take Pro(w) from the
-table.  A claim reports its first failing element in enumeration order.
-orbit_report_for_action shares the tables and predicates.
+elements at one grid point in enumeration order, and its cycles as arrays
+of positions.  run_suite is point-major: it builds the table of each
+(point, action) its claims read once, in grid order, hands it to each of
+them and drops it, so each object is stepped once per run and one table
+is alive at a time.  Predicates read step^q of an element q places along
+its cycle and compare raw forms with the B/C mirror image; word laws take
+Pro(w) from the table.  A claim reports its first failing element in
+enumeration order.  orbit_report_for_action shares tables and predicates.
 """
 
 from __future__ import annotations
@@ -22,16 +21,16 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable, Iterable, Iterator
 
 from . import golden
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
-from .orbits import OrbitReport, orbit_cycles
+from .orbits import ActionError, OrbitReport, orbit_cycles
 from .poset import linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
@@ -59,9 +58,7 @@ class CeilingExceeded(RuntimeError):
 
 
 def _capped(iterable: Iterable, ceiling: int, what: str) -> Iterator:
-    count = 0
-    for x in iterable:
-        count += 1
+    for count, x in enumerate(iterable, 1):
         if count > ceiling:
             raise CeilingExceeded(
                 f"{what} exceeds the ceiling of {ceiling} elements")
@@ -117,11 +114,6 @@ def _word_grid(ell_max: int, q_max: int,
     return [(ell, q) for ell in range(1, ell_max + 1)
             for q in range(3, q_max + 1)
             if sum_max is None or ell + q <= sum_max]
-
-
-def _labelings(ell: int, q: int, ceiling: int) -> list:
-    return list(_capped(enumerate_labelings(ell, q), ceiling,
-                        f"labelings ell={ell} q={q}"))
 
 
 def _extensions(n: int, ceiling: int) -> list:
@@ -200,7 +192,8 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
         elements = _ppartitions(ell, q - 2, ceiling)
         step = rowmotion if action == "row" else (lambda f: togpro(f, q))
     else:
-        elements = _labelings(ell, q, ceiling)
+        elements = list(_capped(enumerate_labelings(ell, q), ceiling,
+                                f"labelings ell={ell} q={q}"))
         step = promote_pstrict
         if action == "pro-word":
             elements = [word_of_labeling(f) for f in elements]
@@ -209,22 +202,41 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
                   orbit_cycles(step, elements, indices=True))
 
 
-def _misfit_orbit(t: _Table, period: int):
-    """(size, earliest element) of the first orbit whose size does not
-    divide ``period``, or None."""
-    for cycle in t.cycles:
-        if period % len(cycle):
-            return len(cycle), t.elements[cycle[0]]
-    return None
+def _flip_of_values(q: int):
+    """Values of a partition of V x [q - 2] -> those of its flip."""
+    poset = product_with_chain(make_v(), q - 2)
+    return itemgetter(*map(poset.index, flip_automorphism(poset).mapping))
+
+
+def _at(t: _Table) -> dict:
+    return {"ell": t.ell, "q": t.q}
 
 
 _SWAP = itemgetter(0, 2, 1)
-_SWAP_BC = str.maketrans("BC", "CB")
-# The raw form of an element, and the raw form of its B/C mirror image.
+_SWAP_BC = methodcaller("translate", str.maketrans("BC", "CB"))
+# Per action: the raw form of an element; q -> the map from a raw form to
+# that of its B/C mirror image; and the counterexample (t, x, step^q(x)).
 _MIRRORS = {
-    "pro-kreweras": (attrgetter("letters"), lambda s: s.translate(_SWAP_BC)),
-    "pro-pstrict": (attrgetter("fibers"), _SWAP),
-    "pro-word": (attrgetter("blocks"), lambda b: tuple(map(_SWAP, b))),
+    "pro-kreweras": (
+        attrgetter("letters"), lambda q: _SWAP_BC,
+        lambda t, x, y: {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
+                         "swapped": swap_bc_letters(x).letters}),
+    "pro-pstrict": (
+        attrgetter("fibers"), lambda q: _SWAP,
+        lambda t, x, y: {**_at(t), "labeling": x.to_json(),
+                         "pro_q": y.to_json(),
+                         "swapped": swap_bc(x).to_json()}),
+    "pro-word": (
+        attrgetter("blocks"), lambda q: lambda b: tuple(map(_SWAP, b)),
+        lambda t, x, y: {**_at(t), "word": x.to_text(), "pro_q": y.to_text(),
+                         "swapped": swap_bc_word(x).to_text()}),
+    "row": (
+        attrgetter("values"), _flip_of_values,
+        lambda t, x, y: {**_at(t), "partition": x.to_json(),
+                         "row_q": y.to_json(), "flipped": apply_automorphism(
+                             flip_automorphism(x.poset), x).to_json()}),
+    "togpro": (attrgetter("values"), _flip_of_values,
+               lambda t, x, y: {**_at(t), "partition": x.to_json()}),
 }
 
 
@@ -232,12 +244,8 @@ def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
     is not its B/C mirror image, or None.  Compares raw letters, fibers,
     block counts or values."""
-    if t.action in _MIRRORS:
-        raw, mirror = _MIRRORS[t.action]
-    else:  # a partition is read through the flip automorphism
-        poset = product_with_chain(make_v(), t.q - 2)
-        flip = map(poset.index, flip_automorphism(poset).mapping)
-        raw, mirror = attrgetter("values"), itemgetter(*flip)
+    raw, mirror_at, _ = _MIRRORS[t.action]
+    mirror = mirror_at(t.q)
     for x, y in zip(t.elements, t.power(t.q)):
         if raw(y) != mirror(raw(x)):
             return x, y
@@ -246,16 +254,30 @@ def _unmirrored(t: _Table):
 
 # -- claim predicates over a table ------------------------------------
 
-def _order_divides(t: _Table):
-    """Every orbit size divides 2q, which is 2(k + 2) on V x [k]."""
-    bad = _misfit_orbit(t, 2 * t.q)
-    if bad is None:
-        return None
-    if t.action == "pro-pstrict":
-        return {"ell": t.ell, "q": t.q, "orbit_size": bad[0],
-                "labeling": bad[1].to_json()}
-    return {"ell": t.ell, "k": t.q - 2, "orbit_size": bad[0],
-            "partition": bad[1].to_json()}
+def _q_is_mirror(t: _Table):
+    """step^q is the B/C swap of a labeling or word, or the flip of a
+    partition."""
+    bad = _unmirrored(t)
+    return bad and _MIRRORS[t.action][2](t, *bad)
+
+
+def _pstrict_order(t: _Table):
+    """Every orbit size divides 2q; names the earliest element of the
+    first orbit that does not."""
+    for cycle in t.cycles:
+        if (2 * t.q) % len(cycle):
+            return {**_at(t), "orbit_size": len(cycle),
+                    "labeling": t.elements[cycle[0]].to_json()}
+    return None
+
+
+def _row_order(t: _Table):
+    """Every orbit size divides 2(k + 2) on V x [k]."""
+    for cycle in t.cycles:
+        if (2 * t.q) % len(cycle):
+            return {"ell": t.ell, "k": t.q - 2, "orbit_size": len(cycle),
+                    "partition": t.elements[cycle[0]].to_json()}
+    return None
 
 
 def _linext_order(t: _Table):
@@ -283,8 +305,7 @@ def _kreweras_intertwines(t: _Table):
 def _kreweras_roundtrip(t: _Table):
     for ext in t.elements:
         word = to_kreweras(ext)
-        if from_kreweras(word) != ext \
-                or to_kreweras(from_kreweras(word)) != word:
+        if from_kreweras(word) != ext:  # then word is to_kreweras of it too
             return {"n": t.ell, "word": word.letters}
     return None
 
@@ -297,46 +318,31 @@ def _row_exact(t: _Table):
     return None
 
 
-def _q_is_mirror(t: _Table):
-    """step^q is the B/C swap of a labeling or word, or the flip of a
-    partition."""
-    bad = _unmirrored(t)
-    if bad is None:
+def _kreweras_orbits_match():
+    """Kreweras words have the orbit sizes of their extensions, whose
+    table comes first at each n."""
+    linext: list = []
+
+    def check(t: _Table):
+        if t.action == "pro-linext":
+            linext[:] = t.sizes()
+        elif linext != t.sizes():
+            return {"n": t.ell, "extension_orbits": sorted(linext),
+                    "word_orbits": sorted(t.sizes())}
         return None
-    x, y = bad
-    point = {"ell": t.ell, "q": t.q}
-    if t.action == "pro-kreweras":
-        return {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
-                "swapped": swap_bc_letters(x).letters}
-    if t.action == "pro-pstrict":
-        return {**point, "labeling": x.to_json(), "pro_q": y.to_json(),
-                "swapped": swap_bc(x).to_json()}
-    if t.action == "pro-word":
-        return {**point, "word": x.to_text(), "pro_q": y.to_text(),
-                "swapped": swap_bc_word(x).to_text()}
-    if t.action == "togpro":
-        return {**point, "partition": x.to_json()}
-    flipped = apply_automorphism(flip_automorphism(x.poset), x)
-    return {**point, "partition": x.to_json(), "row_q": y.to_json(),
-            "flipped": flipped.to_json()}
+    return check
 
 
-def _sizes_agree():
-    """A predicate keeping the sorted orbit sizes of each action at a point
-    until the last action read there comes in: pro-kreweras for
-    kreweras-orbits-match-linext, togpro for orbit-multisets-agree."""
+def _orbit_multisets_agree():
+    """P-strict promotion, rowmotion and toggle-promotion have the same
+    orbit sizes; the togpro table comes last at each point."""
     sizes: dict = {}
 
     def check(t: _Table):
         sizes[t.action] = t.sizes()
-        if t.action == "pro-kreweras" \
-                and sizes["pro-linext"] != sizes["pro-kreweras"]:
-            return {"n": t.ell,
-                    "extension_orbits": sorted(sizes["pro-linext"]),
-                    "word_orbits": sorted(sizes["pro-kreweras"])}
         if t.action == "togpro" and not (
                 sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]):
-            return {"ell": t.ell, "q": t.q, "sizes": dict(sizes)}
+            return {**_at(t), "sizes": dict(sizes)}
         return None
     return check
 
@@ -383,20 +389,18 @@ def _double_arc_rotation(w, promoted, q):
 def _double_arc_deletion(t: _Table):
     """Pro of each deleted word, an (ell - 1, q) word, is computed once
     per table.  A rotated arc missing from Pro(w) fails the claim."""
-    promoted_of: dict = {}
+    promote = cache(promote_word)
 
     def check(w, promoted, q):
         for arc in sorted(set(double_arcs(w))):
-            deleted = delete_double_arc(w, arc)
-            if deleted not in promoted_of:
-                promoted_of[deleted] = promote_word(deleted)
+            delete_then_promote = promote(delete_double_arc(w, arc))
             rotated = rotate_double_arc(arc, q)
             promoted_then_deleted = (delete_double_arc(promoted, rotated)
                                      if rotated in double_arcs(promoted)
                                      else None)
-            if promoted_of[deleted] != promoted_then_deleted:
+            if delete_then_promote != promoted_then_deleted:
                 return {"arc": list(arc),
-                        "delete_then_promote": promoted_of[deleted].to_text(),
+                        "delete_then_promote": delete_then_promote.to_text(),
                         "promote_then_delete": promoted_then_deleted
                         and promoted_then_deleted.to_text()}
         return None
@@ -446,18 +450,15 @@ def _std_order_unique(w, promoted, q):
     """Any adjacent transposition of same-block closers makes two arcs
     ending in that block cross, so the nesting order is forced."""
     std, sizes = standardize(w)
-    block_start = [0]
-    for size in sizes:
-        block_start.append(block_start[-1] + size)
-    std_diagram = bump_diagram(std)
-    std_opener = {c: o for o, c in std_diagram.arcs_b}
-    std_opener.update({c: o for o, c in std_diagram.arcs_c})
-    for bi in range(len(sizes)):
-        closers = [pos for pos in range(block_start[bi] + 1,
-                                        block_start[bi + 1] + 1)
+    diagram = bump_diagram(std)
+    opener = {c: o for o, c in (*diagram.arcs_b, *diagram.arcs_c)}
+    end = 0
+    for bi, size in enumerate(sizes):
+        start, end = end, end + size
+        closers = [pos for pos in range(start + 1, end + 1)
                    if std.letters[pos - 1] != "A"]
         for x, y in zip(closers, closers[1:]):
-            if not is_crossing((std_opener[x], y), (std_opener[y], x)):
+            if not is_crossing((opener[x], y), (opener[y], x)):
                 return {"block": bi + 1, "positions": [x, y]}
     return None
 
@@ -611,18 +612,18 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
                    ("pro-linext",), grid),
             _Claim("classical-pro-3n-swaps-bc", params, _q_is_mirror,
                    ("pro-kreweras",), grid),
-            _Claim("kreweras-orbits-match-linext", params, _sizes_agree(),
+            _Claim("kreweras-orbits-match-linext", params,
+                   _kreweras_orbits_match(),
                    ("pro-linext", "pro-kreweras"), grid),
             _Claim("kreweras-intertwines", params, _kreweras_intertwines,
                    ("pro-linext",), grid),
             _Claim("kreweras-roundtrip", params, _kreweras_roundtrip,
                    ("pro-linext",), grid)]
     if name == "main":
-        em, qm = _given(ell_max, 3), _given(q_max, 7)
-        sm = _given(sum_max, 10)
+        em, qm, sm = _given(ell_max, 3), _given(q_max, 7), _given(sum_max, 10)
         params = {"ell_max": em, "q_max": qm, "sum_max": sm}
         grid = _word_grid(em, qm, sm)
-        return [_Claim("pstrict-order-divides-2q", params, _order_divides,
+        return [_Claim("pstrict-order-divides-2q", params, _pstrict_order,
                        ("pro-pstrict",), grid),
                 _Claim("pstrict-pro-q-is-bc-swap", params, _q_is_mirror,
                        ("pro-pstrict",), grid)]
@@ -637,7 +638,7 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         fm, fq = _given(ell_max, 2), _given(q_max, 6)
         return [
             _Claim("row-order-divides", {"ell_max": em, "k_max": qm - 2},
-                   _order_divides, ("row",), _word_grid(em, qm)),
+                   _row_order, ("row",), _word_grid(em, qm)),
             _Claim("row-order-exact-ell1", {"k_max": qm - 2}, _row_exact,
                    ("row",), _word_grid(1, qm)),
             _Claim("row-q-is-flip", {"ell_max": fm, "q_max": fq}, _q_is_mirror,
@@ -648,7 +649,8 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         em, qm = _given(ell_max, 2), _given(q_max, 6)
         params = {"ell_max": em, "q_max": qm}
         grid = _word_grid(em, qm)
-        return [_Claim("orbit-multisets-agree", params, _sizes_agree(),
+        return [_Claim("orbit-multisets-agree", params,
+                       _orbit_multisets_agree(),
                        ("pro-pstrict", "row", "togpro"), grid),
                 _Claim("togpro-q-is-flip", params, _q_is_mirror,
                        ("togpro",), grid)]
@@ -702,12 +704,18 @@ def run_suite(suite: str, ell_max: int | None = None,
         live = [i for i in readers[key] if i not in failed]
         if live:
             ell, q, action = key
-            table = _table(_ACTIONS[action], ell, q, ceiling)
-            for i in live:
-                counterexample = claims[i].check(table)
-                if counterexample is not None:
-                    failed[i] = counterexample
-            del table  # one table alive at a time
+            try:
+                table = _table(_ACTIONS[action], ell, q, ceiling)
+            except ActionError as exc:  # the step is not a bijection here
+                failed.update(dict.fromkeys(live, {
+                    "ell": ell, "q": q, "action": _ACTIONS[action],
+                    "error": str(exc)}))
+            else:
+                for i in live:
+                    counterexample = claims[i].check(table)
+                    if counterexample is not None:
+                        failed[i] = counterexample
+                del table  # one table alive at a time
         for i in readers[key]:
             if last[i] == key:
                 settle(i, failed.get(i))
@@ -720,36 +728,30 @@ def run_suite(suite: str, ell_max: int | None = None,
 def orbit_report_for_action(action: str, ell: int, q: int | None = None,
                             ceiling: int = DEFAULT_CEILING) -> OrbitReport:
     """Orbit statistics plus the applicable order/symmetry checks."""
-    checks: dict[str, bool] = {}
+    classical = action in ("pro-linext", "pro-kreweras")
+    if classical:
+        q = 3 * ell  # the orders are read as divisors of 6n = 2q
+    elif action not in ("pro-pstrict", "row", "togpro"):
+        raise ValueError(f"unknown action {action!r}")
+    elif q is None:
+        raise ValueError(f"{action} needs q")
+    table = _table(action, ell, q, ceiling)
+    sizes = tuple(table.sizes())
+    order = lcm(*sizes)
     counterexamples: dict = {}
-
-    if action in ("pro-linext", "pro-kreweras"):
-        n, table = ell, _table(action, ell, 3 * ell, ceiling)
-        params = {"ell": n, "q": 3 * n}
-        order = lcm(*table.sizes())
-        checks["order_divides_6n"] = (6 * n) % order == 0
-        checks["order_equals_6n"] = order == 6 * n
-        checks["count_matches_formula"] = \
-            len(table.elements) == kreweras_number(n)
-    elif action in ("pro-pstrict", "row", "togpro"):
-        if q is None:
-            raise ValueError(f"{action} needs q")
-        table = _table(action, ell, q, ceiling)
-        params = {"ell": ell, "q": q}
-        checks["order_divides_2q"] = _misfit_orbit(table, 2 * q) is None
+    if classical:
+        checks = {"order_divides_6n": (2 * q) % order == 0,
+                  "order_equals_6n": order == 2 * q,
+                  "count_matches_formula": sum(sizes) == kreweras_number(ell)}
+    else:
         law = ("pro_q_is_bc_swap" if action == "pro-pstrict"
                else f"{action}_q_is_flip")
         bad = _unmirrored(table)
-        checks[law] = bad is None
+        checks = {"order_divides_2q": (2 * q) % order == 0, law: bad is None}
         if bad is not None:
             counterexamples[law] = bad[0].to_json()
-    else:
-        raise ValueError(f"unknown action {action!r}")
-
-    sizes = tuple(table.sizes())
-    return OrbitReport(action=action, params=params, count=sum(sizes),
-                       orbit_sizes=sizes,
-                       order=lcm(*sizes) if sizes else 1,
+    return OrbitReport(action=action, params={"ell": ell, "q": q},
+                       count=sum(sizes), orbit_sizes=sizes, order=order,
                        checks=checks, counterexamples=counterexamples)
 
 

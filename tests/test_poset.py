@@ -14,6 +14,8 @@ def test_make_v_shape():
     assert not v.comparable("B", "C")
     assert v.leq("A", "B") and v.leq("A", "C")
     assert v.is_graded and v.rank_max == 1
+    assert v.minimals == ("A",)
+    assert v.maximals == ("B", "C")
 
 
 def test_product_with_chain_sizes():
@@ -110,7 +112,10 @@ def test_linear_extension_accessors():
     v = make_v()
     ext = LinearExtension(v, (1, 3, 2))
     assert ext.order() == ("A", "C", "B")
+    assert ext.element_of(3) == "B"
     assert ext.label_of("C") == 2
+    with pytest.raises(ValueError):
+        ext.element_of(4)
 
 
 def test_leq_unknown_element():

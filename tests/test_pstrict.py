@@ -87,6 +87,7 @@ def test_restriction_function_rejects_bad_intervals():
 def test_labeling_validation():
     good = labeling(2, 4, (1, 2), (2, 3), (3, 3))
     assert good.value("B", 2) == 3
+    assert good.layer(1) == (1, 2, 3)
     with pytest.raises(ValueError):
         labeling(1, 4, (2,), (2,), (3,))  # layer not strict at A < B
     with pytest.raises(ValueError):
@@ -272,5 +273,7 @@ def test_enumeration_requires_topological_element_order():
 
 def test_accessor_layer_bounds():
     f = labeling(2, 4, (1, 2), (2, 3), (3, 3))
+    with pytest.raises(ValueError):
+        f.layer(0)
     with pytest.raises(ValueError):
         f.value("A", 3)

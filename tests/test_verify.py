@@ -5,7 +5,8 @@ from math import lcm
 
 import pytest
 
-from vkrew import verify
+from vkrew import cli, verify
+from vkrew.orbits import ActionError, orbit_cycles
 from vkrew.poset import make_v, product_with_chain
 from vkrew.pstrict import bender_knuth_tau, enumerate_labelings, \
     promote_pstrict, swap_bc
@@ -301,6 +302,28 @@ def test_wrong_togpro_fails_flip_and_multiset_claims(monkeypatch):
                     "ell": ell, "q": q, "partition": f.to_json()})
     assert len(expected) == 2
     assert failures(run_suite("equivariance", ell_max=1, q_max=4)) == expected
+
+
+def test_non_bijective_step_fails_every_reader(monkeypatch, capsys):
+    words = list(enumerate_words(1, 3))
+
+    def merged(w):
+        """Identity, except that the first word goes to the second."""
+        return words[1] if w == words[0] else w
+
+    monkeypatch.setattr(verify, "promote_word", merged)
+    with pytest.raises(ActionError) as info:
+        orbit_cycles(merged, words)
+    # no table at (1, 3), so each claim reading one fails there, the claims
+    # that never look at Pro(w) included
+    error = {"ell": 1, "q": 3, "action": "pro-word", "error": str(info.value)}
+    for suite in ("layers", "doublearcs", "standardization"):
+        report = run_suite(suite, ell_max=1, q_max=4)
+        assert [c.counterexample for c in report.claims] \
+            == [error] * len(report.claims), suite
+    assert cli.main(["verify", "--suite", "standardization",
+                     "--ell-max", "1", "--q-max", "4"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_each_step_runs_once_per_object(monkeypatch):
