@@ -75,9 +75,14 @@ def _require(parser, condition, message):
 
 
 def _cmd_enumerate(args, parser) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
     if args.object == "linext":
         _require(parser, args.k is not None or args.ell is not None,
                  "linext needs --k (layers of V x [k])")
+        if None not in (args.k, args.ell) and args.k != args.ell:
+            raise ValueError(f"linext reads --ell as --k; got --ell "
+                             f"{args.ell} and --k {args.k}")
         n = args.k if args.k is not None else args.ell
         items = (json.dumps({"n": n, "word": to_kreweras(e).letters,
                              "labels": list(e.labels)})

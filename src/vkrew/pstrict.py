@@ -6,12 +6,19 @@ and confined to a per-element interval.  Bender-Knuth involutions tau_k
 exchange the freely movable k's and (k+1)'s inside each fiber; promotion
 composes tau_1 through tau_{q-1}.
 
-Both step raw fiber tuples: in each fiber tau_k rewrites the one slice
-where the run of k's meets the run of (k+1)'s.  bender_knuth_tau
+Both step raw fiber tuples, by one rule (_tau_one): in a fiber tau_k
+rewrites the one slice where the run of k's meets the run of (k+1)'s,
+given the layerwise min of the fibers above and max of those below.
+On V, promote_pstrict interns fibers to ints once per restriction and
+runs tau_1 .. tau_{q-1} as lookups: A moves by (A, layerwise min of B
+and C), B by (A, B) and C by (A, C), each move computed once by
+_tau_one.  Other posets, and bender_knuth_tau, apply _tau_one to every
+fiber (_tau_fibers), the reference for the lookups.  bender_knuth_tau
 validates the labeling it returns, and promote_pstrict validates once
-per promotion, never the states between its steps.  free_labels finds
-the free labels layer by layer; it is the reference the tests hold the
-kernel to.
+per promotion, never the states between its steps.  Validation checks
+each distinct fiber against its interval once, and the layers across
+covers for every labeling.  free_labels finds the free labels layer by
+layer; it is the reference the tests hold the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -21,7 +28,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import gt, lt
 from typing import Iterator
 
 from .poset import Element, Poset, _cover_indices, make_v
@@ -105,26 +114,23 @@ class PStrictLabeling:
         poset = rf.poset
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
-        if len(self.fibers) != len(poset):
+        fibers = self.fibers
+        if len(fibers) != len(poset):
             raise ValueError("one fiber per element required")
-        for e, fiber, (lo, hi) in zip(poset.elements, self.fibers,
-                                      rf.intervals):
-            if len(fiber) != self.ell:
-                raise ValueError(f"fiber of {e!r} has wrong length")
-            for a, b in zip(fiber, fiber[1:]):
-                if a > b:
-                    raise ValueError(f"fiber of {e!r} decreases")
-            if not (lo <= fiber[0] and fiber[-1] <= hi):
-                raise ValueError(f"fiber of {e!r} leaves its interval")
+        for e, fiber, (lo, hi) in zip(poset.elements, fibers, rf.intervals):
+            fault = _fiber_fault(fiber, self.ell, lo, hi)
+            if fault is not None:
+                raise ValueError(f"fiber of {e!r} {fault}")
         up, _ = _cover_indices(poset)
-        for ai, fa in enumerate(self.fibers):
-            for bi in up[ai]:
-                fb = self.fibers[bi]
-                for i in range(self.ell):
-                    if fa[i] >= fb[i]:
-                        raise ValueError(
-                            f"layer {i + 1} not strict across "
-                            f"{poset.elements[ai]!r} < {poset.elements[bi]!r}")
+        for ai, ups in enumerate(up):
+            fa = fibers[ai]
+            for bi in ups:
+                if not all(map(lt, fa, fibers[bi])):
+                    i = next(i for i, (a, b) in enumerate(zip(fa, fibers[bi]))
+                             if a >= b)
+                    raise ValueError(
+                        f"layer {i + 1} not strict across "
+                        f"{poset.elements[ai]!r} < {poset.elements[bi]!r}")
 
     @property
     def q(self) -> int:
@@ -162,6 +168,20 @@ class PStrictLabeling:
         return f"PStrictLabeling({body})"
 
 
+@lru_cache(maxsize=1 << 16)
+def _fiber_fault(fiber: tuple[int, ...], ell: int, lo: int,
+                 hi: int) -> str | None:
+    """Why ``fiber`` is not a weakly increasing fiber of length ell inside
+    lo..hi, or None.  Memoized: the same fibers recur in many labelings."""
+    if len(fiber) != ell:
+        return "has wrong length"
+    if any(map(gt, fiber, fiber[1:])):
+        return "decreases"
+    if not (lo <= fiber[0] and fiber[-1] <= hi):
+        return "leaves its interval"
+    return None
+
+
 def _weakly_increasing(lo: int, hi: int, length: int,
                        floor: tuple[int, ...] | None = None) -> Iterator[tuple[int, ...]]:
     """Weakly increasing tuples over lo..hi, optionally strictly above a
@@ -186,6 +206,7 @@ def enumerate_restricted_labelings(
         raise ValueError("element order is not topological")
     pinned = pinned_fibers or {}
     fibers: list[tuple[int, ...]] = [()] * len(elems)
+    candidates: dict = {}  # (element index, floor) -> fibers, in order
 
     def rec(i: int) -> Iterator[PStrictLabeling]:
         if i == len(elems):
@@ -193,9 +214,7 @@ def enumerate_restricted_labelings(
             return
         e = elems[i]
         lo, hi = rf.intervals[i]
-        down = lower[i]
-        floor = tuple(max((fibers[d][j] for d in down), default=0)
-                      for j in range(ell)) if down else None
+        floor = _layerwise(max, [fibers[d] for d in lower[i]])
         if e in pinned:
             t = pinned[e]
             ok = (len(t) == ell and all(a <= b for a, b in zip(t, t[1:]))
@@ -205,7 +224,11 @@ def enumerate_restricted_labelings(
                 fibers[i] = t
                 yield from rec(i + 1)
             return
-        for t in _weakly_increasing(lo, hi, ell, floor):
+        options = candidates.get((i, floor))
+        if options is None:
+            options = candidates[i, floor] = list(
+                _weakly_increasing(lo, hi, ell, floor))
+        for t in options:
             fibers[i] = t
             yield from rec(i + 1)
 
@@ -300,8 +323,16 @@ def _fiber_fits(f: PStrictLabeling, ei: int, fiber: tuple[int, ...]) -> bool:
     return True
 
 
-def _tau_fibers(fibers, k, up, down, intervals):
-    """tau_k on raw fibers; returns ``fibers`` itself when nothing moves.
+def _layerwise(pick, fibers):
+    """The layerwise ``pick`` (min or max) of some fibers; None if none."""
+    return tuple(map(pick, zip(*fibers))) if fibers else None
+
+
+def _tau_one(fiber, k, lo, hi, above, below):
+    """tau_k on one fiber with labels in lo..hi, given the layerwise min of
+    its upper covers' fibers (``above``) and the layerwise max of its lower
+    covers' (``below``), each None when there are no such covers.  Returns
+    ``fiber`` itself when nothing moves.
 
     Fibers of covers increase weakly too, so in the run of k's the free
     ones (every upper cover already above k+1) form a suffix, and in the
@@ -309,29 +340,85 @@ def _tau_fibers(fibers, k, up, down, intervals):
     The two runs meet, so one slice is rewritten.  The free labels are
     those _raisable_layers and _lowerable_layers find layer by layer.
     """
+    a = bisect_left(fiber, k)
+    c = bisect_right(fiber, k + 1, a)
+    if a == c:
+        return fiber
+    b = bisect_right(fiber, k, a, c)
+    s = b
+    if k < hi:
+        while s > a and (above is None or above[s - 1] > k + 1):
+            s -= 1
+    t = b
+    if k >= lo:
+        while t < c and (below is None or below[t] < k):
+            t += 1
+    if t - b == b - s:  # as many free k's as free (k+1)'s: no change
+        return fiber
+    return fiber[:s] + (k,) * (t - b) + (k + 1,) * (b - s) + fiber[t:]
+
+
+def _tau_fibers(fibers, k, up, down, intervals):
+    """tau_k on raw fibers of any graded poset; returns ``fibers`` itself
+    when nothing moves."""
     new = None
     for ei, fiber in enumerate(fibers):
-        a = bisect_left(fiber, k)
-        c = bisect_right(fiber, k + 1, a)
-        if a == c:
+        if k not in fiber and k + 1 not in fiber:  # before the cover bounds
             continue
-        b = bisect_right(fiber, k, a, c)
-        lo, hi = intervals[ei]
-        s = b
-        if k < hi:
-            while s > a and all(fibers[u][s - 1] > k + 1 for u in up[ei]):
-                s -= 1
-        t = b
-        if k >= lo:
-            while t < c and all(fibers[d][t] < k for d in down[ei]):
-                t += 1
-        if t - b == b - s:  # as many free k's as free (k+1)'s: no change
-            continue
-        if new is None:
-            new = list(fibers)
-        new[ei] = (fiber[:s] + (k,) * (t - b) + (k + 1,) * (b - s)
-                   + fiber[t:])
+        moved = _tau_one(fiber, k, *intervals[ei],
+                         _layerwise(min, [fibers[u] for u in up[ei]]),
+                         _layerwise(max, [fibers[d] for d in down[ei]]))
+        if moved is not fiber:
+            if new is None:
+                new = list(fibers)
+            new[ei] = moved
     return fibers if new is None else tuple(new)
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+@lru_cache(maxsize=1)
+def _v_moves(rf: RestrictionFunction):
+    """Lookup tables for promotion on V = {A < B, A < C}, or None for
+    another poset.  Fibers are interned to ints as they appear; tau_k
+    moves A by (A, layerwise min of B and C), B by (A, B) and C by (A, C),
+    and each of these moves, like each min, is computed once by _tau_one
+    and then looked up."""
+    if rf.poset != make_v():
+        return None
+    fibers: list = []  # id -> fiber
+
+    def intern(fiber):
+        fibers.append(fiber)
+        return len(fibers) - 1
+
+    ids = _Memo(intern)  # fiber -> id
+    low = _Memo(lambda bc: ids[tuple(map(min, fibers[bc[0]],
+                                         fibers[bc[1]]))])
+    (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = rf.intervals
+
+    def moves(k):
+        return (
+            _Memo(lambda al: ids[_tau_one(fibers[al[0]], k, lo_a, hi_a,
+                                          fibers[al[1]], None)]),
+            _Memo(lambda ab: ids[_tau_one(fibers[ab[1]], k, lo_b, hi_b,
+                                          None, fibers[ab[0]])]),
+            _Memo(lambda ac: ids[_tau_one(fibers[ac[1]], k, lo_c, hi_c,
+                                          None, fibers[ac[0]])]))
+
+    return fibers, ids, low, [moves(k) for k in range(1, rf.q)]
 
 
 def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
@@ -349,14 +436,27 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
 
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
-    the raw fibers and validating only the result."""
+    the raw fibers (by table lookups on V) and validating only the
+    result."""
     rf = f.restriction
-    up, down = _cover_indices(rf.poset)
-    fibers = f.fibers
-    for k in range(1, rf.q):
-        fibers = _tau_fibers(fibers, k, up, down, rf.intervals)
-    if fibers is f.fibers:
-        return f
+    tables = _v_moves(rf)
+    if tables is None:
+        up, down = _cover_indices(rf.poset)
+        fibers = f.fibers
+        for k in range(1, rf.q):
+            fibers = _tau_fibers(fibers, k, up, down, rf.intervals)
+        if fibers is f.fibers:
+            return f
+    else:
+        fiber_of, ids, low, moves = tables
+        fa, fb, fc = f.fibers
+        start = ia, ib, ic = ids[fa], ids[fb], ids[fc]
+        for move_a, move_b, move_c in moves:
+            ia, ib, ic = (move_a[ia, low[ib, ic]], move_b[ia, ib],
+                          move_c[ia, ic])
+        if (ia, ib, ic) == start:
+            return f
+        fibers = (fiber_of[ia], fiber_of[ib], fiber_of[ic])
     return PStrictLabeling(rf, f.ell, fibers)
 
 

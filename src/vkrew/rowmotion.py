@@ -80,23 +80,28 @@ class PPartition:
 
 def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     """All ell-bounded partitions, lexicographic on the value sequence
-    read in element order."""
+    read in element order.  Each value is bounded by its covers placed
+    before it: respecting every cover implies respecting the order."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    elems = poset.elements
-    m = len(elems)
-    below = [[j for j in range(i) if poset.leq(elems[j], elems[i])]
-             for i in range(m)]
-    above = [[j for j in range(i) if poset.leq(elems[i], elems[j])]
-             for i in range(m)]
+    m = len(poset.elements)
+    up, down = _cover_indices(poset)
+    below = [tuple(j for j in down[i] if j < i) for i in range(m)]
+    above = [tuple(j for j in up[i] if j < i) for i in range(m)]
     values = [0] * m
 
     def rec(i: int) -> Iterator[PPartition]:
         if i == m:
             yield PPartition(poset, ell, tuple(values))
             return
-        lo = max((values[j] for j in below[i]), default=0)
-        hi = min((values[j] for j in above[i]), default=ell)
+        lo = 0
+        for j in below[i]:
+            if values[j] > lo:
+                lo = values[j]
+        hi = ell
+        for j in above[i]:
+            if values[j] < hi:
+                hi = values[j]
         for v in range(lo, hi + 1):
             values[i] = v
             yield from rec(i + 1)

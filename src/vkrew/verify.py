@@ -600,6 +600,13 @@ _FIGURE_CLAIMS = (
 )
 
 
+# The grid flags each suite's claims read; the others have fixed grids.
+_GRID_FLAGS = {"main": ("ell_max", "q_max", "sum_max"),
+               **dict.fromkeys(("layers", "doublearcs", "standardization",
+                                "rowmotion", "equivariance"),
+                               ("ell_max", "q_max"))}
+
+
 def _build_suite(name: str, ell_max: int | None, q_max: int | None,
                  sum_max: int | None, ceiling: int) -> list[_Claim]:
     if name == "classical":
@@ -674,10 +681,16 @@ def run_suite(suite: str, ell_max: int | None = None,
     else:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(SUITE_NAMES + ('all',))}")
+    read = {flag for name in names for flag in _GRID_FLAGS.get(name, ())}
     # below these no grid point is left, and a claim would check nothing
     for flag, value, least in (("ell_max", ell_max, 1), ("q_max", q_max, 3),
                                ("sum_max", sum_max, 4)):
-        if value is not None and value < least:
+        if value is None:
+            continue
+        if flag not in read:
+            raise ValueError(f"no claim of suite {suite!r} reads {flag} "
+                             f"(--{flag.replace('_', '-')})")
+        if value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
     started = time.monotonic()
     claims = [claim for name in names
@@ -730,6 +743,9 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
     """Orbit statistics plus the applicable order/symmetry checks."""
     classical = action in ("pro-linext", "pro-kreweras")
     if classical:
+        if q is not None and q != 3 * ell:
+            raise ValueError(f"{action} reads q as 3 * ell = {3 * ell}, "
+                             f"got q={q}")
         q = 3 * ell  # the orders are read as divisors of 6n = 2q
     elif action not in ("pro-pstrict", "row", "togpro"):
         raise ValueError(f"unknown action {action!r}")

@@ -318,3 +318,34 @@ def test_every_subcommand_keeps_the_exit_code_contract(invocation):
                 code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("orbits", "--action", "pro-linext", "--ell", "2", "--q", "99"), "q=99"),
+    (("orbits", "--action", "pro-kreweras", "--ell", "1", "--q", "4"), "q=4"),
+    (("enumerate", "--object", "words", "--ell", "1", "--q", "3",
+      "--limit", "0"), "--limit"),
+    (("enumerate", "--object", "words", "--ell", "1", "--q", "3",
+      "--limit", "-1"), "--limit"),
+    (("enumerate", "--object", "linext", "--ell", "1", "--k", "2"), "--k 2"),
+    (("verify", "--suite", "classical", "--ell-max", "1", "--q-max", "3"),
+     "--ell-max"),
+    (("verify", "--suite", "figures", "--q-max", "4"), "--q-max"),
+    (("verify", "--suite", "rowmotion", "--sum-max", "4"), "--sum-max"),
+])
+def test_swapped_or_unread_flag_exit_2(capsys, argv, named):
+    # a flag is refused rather than swapped for a default or ignored
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_flags_that_agree_are_accepted(capsys):
+    code, out, _ = run(capsys, "orbits", "--action", "pro-kreweras",
+                       "--ell", "2", "--q", "6")
+    assert code == 0 and json.loads(out)["params"] == {"ell": 2, "q": 6}
+    code, out, _ = run(capsys, "enumerate", "--object", "linext",
+                       "--ell", "2", "--k", "2", "--limit", "1")
+    assert code == 0 and len(out.splitlines()) == 1

@@ -1,11 +1,12 @@
 import pytest
 
 from vkrew import golden
-from vkrew.poset import LinearExtension, Poset, make_v, product_with_chain
+from vkrew.poset import LinearExtension, Poset, _cover_indices, make_v, \
+    product_with_chain
 from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
-    bender_knuth_tau, enumerate_labelings, enumerate_restricted_labelings, \
-    free_labels, free_labels_bruteforce, promote_pstrict, restriction_rq, \
-    swap_bc
+    _tau_fibers, _v_moves, bender_knuth_tau, enumerate_labelings, \
+    enumerate_restricted_labelings, free_labels, free_labels_bruteforce, \
+    promote_pstrict, restriction_rq, swap_bc
 from vkrew.kreweras import promote_linext
 
 
@@ -277,3 +278,51 @@ def test_accessor_layer_bounds():
         f.layer(0)
     with pytest.raises(ValueError):
         f.value("A", 3)
+
+
+@pytest.mark.parametrize("fibers,message", [
+    (((1,), (2, 3), (3, 3)), "fiber of 'A' has wrong length"),
+    (((2, 1), (3, 3), (3, 3)), "fiber of 'A' decreases"),
+    (((1, 1), (2, 2), (3, 5)), "fiber of 'C' leaves its interval"),
+    (((1, 2), (2, 3), (2, 2)), "layer 2 not strict across 'A' < 'C'"),
+])
+def test_validation_messages(fibers, message):
+    with pytest.raises(ValueError) as info:
+        labeling(2, 4, *fibers)
+    assert str(info.value) == message
+
+
+def test_fiber_check_is_kept_per_interval():
+    # the same C fiber passes under the widest intervals and fails under a
+    # narrower C interval, in either order
+    fibers = ((1,), (3,), (4,))
+    wide = restriction_rq(make_v(), 5)
+    narrow = RestrictionFunction(make_v(), 5, ((1, 4), (2, 5), (2, 3)))
+    for _ in range(2):
+        PStrictLabeling(wide, 1, fibers)
+        with pytest.raises(ValueError, match="fiber of 'C' leaves"):
+            PStrictLabeling(narrow, 1, fibers)
+
+
+@pytest.mark.parametrize("ell,q", MAIN_GRID)
+def test_lookup_kernel_matches_generic_tau(ell, q):
+    """promote_pstrict on V is table lookups; on every labeling of the main
+    grid it is the composition of the generic tau_1 ... tau_{q-1}."""
+    rf = restriction_rq(make_v(), q)
+    assert _v_moves(rf) is not None
+    up, down = _cover_indices(rf.poset)
+    count = 0
+    for f in enumerate_labelings(ell, q):
+        fibers = f.fibers
+        for k in range(1, q):
+            fibers = _tau_fibers(fibers, k, up, down, rf.intervals)
+        assert promote_pstrict(f).fibers == fibers
+        count += 1
+    assert count > 0
+
+
+def test_lookup_kernel_serves_v_only():
+    assert _v_moves(RestrictionFunction(make_v(), 5, ((2, 3), (3, 5),
+                                                      (4, 5)))) is not None
+    for poset in (diamond(), chain(3), product_with_chain(make_v(), 2)):
+        assert _v_moves(restriction_rq(poset, 5)) is None

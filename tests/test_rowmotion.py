@@ -280,3 +280,43 @@ def test_package_attribute_is_the_rowmotion_module():
     assert vkrew.rowmotion is module
     assert module.PPartition is PPartition
     assert module.rowmotion is rowmotion
+
+
+def closure_ppartitions(poset, ell):
+    """Value tuples read off the order closure: each value lies between
+    those of every comparable element placed before it."""
+    elems = poset.elements
+    values = [0] * len(elems)
+
+    def rec(i):
+        if i == len(elems):
+            yield tuple(values)
+            return
+        lo = max((values[j] for j in range(i)
+                  if poset.leq(elems[j], elems[i])), default=0)
+        hi = min((values[j] for j in range(i)
+                  if poset.leq(elems[i], elems[j])), default=ell)
+        for v in range(lo, hi + 1):
+            values[i] = v
+            yield from rec(i + 1)
+
+    return list(rec(0))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_enumeration_by_covers_matches_closure_reading(ell):
+    for k in range(1, 6):
+        poset = product_with_chain(make_v(), k)
+        assert [f.values for f in enumerate_ppartitions(poset, ell)] \
+            == closure_ppartitions(poset, ell), k
+
+
+@pytest.mark.parametrize("poset", [
+    # x3 comes before x2, so no cover bounds x3 when it is placed
+    Poset(("x1", "x3", "x2"), (("x1", "x2"), ("x2", "x3"))),
+    Poset("dacb", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+], ids=["chain", "diamond"])
+def test_enumeration_on_non_topological_order(poset):
+    for ell in range(4):
+        got = [f.values for f in enumerate_ppartitions(poset, ell)]
+        assert got == closure_ppartitions(poset, ell) and got, ell

@@ -92,6 +92,28 @@ def test_orbit_report_requires_q():
         orbit_report_for_action("nonsense", 1, 3)
 
 
+@pytest.mark.parametrize("suite,flags,named", [
+    ("classical", {"ell_max": 1}, "ell_max"),
+    ("figures", {"q_max": 4}, "q_max"),
+    ("rowmotion", {"sum_max": 8}, "sum_max"),
+    ("layers", {"ell_max": 1, "q_max": 4, "sum_max": 5}, "sum_max"),
+])
+def test_grid_flag_no_claim_reads_is_refused(suite, flags, named):
+    with pytest.raises(ValueError, match=f"reads {named} "):
+        run_suite(suite, **flags)
+
+
+def test_suite_all_applies_each_flag_where_read():
+    report = run_suite("all", ell_max=1, q_max=4, sum_max=5)
+    assert report.passed
+    params = {c.id: c.params for c in report.claims}
+    assert params["pstrict-order-divides-2q"] == \
+        {"ell_max": 1, "q_max": 4, "sum_max": 5}
+    assert params["content-rotation"] == {"ell_max": 1, "q_max": 4}
+    assert params["row-order-divides"] == {"ell_max": 1, "k_max": 2}
+    assert params["classical-order-6n"] == {"n_max": 3}
+
+
 def test_export_json_roundtrip(tmp_path):
     report = orbit_report_for_action("pro-pstrict", 1, 3)
     path = tmp_path / "orbit.json"
