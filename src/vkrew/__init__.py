@@ -11,7 +11,7 @@ rotation, and commutation law exhaustively at desk scale.
 from .kreweras import BumpDiagram, KrewerasWord, bender_knuth, bump_diagram, \
     from_kreweras, kreweras_number, promote_kreweras, promote_linext, \
     to_kreweras
-from .orbits import OrbitReport, orbit_cycles, orbit_decomposition, power_map
+from .orbits import OrbitReport, orbit_cycles, power_map
 from .poset import LinearExtension, Poset, PosetError, linear_extensions, \
     make_v, product_with_chain, v_chain_layers
 from .pstrict import PStrictLabeling, RestrictionFunction, bender_knuth_tau, \
@@ -27,6 +27,6 @@ from .words import GeneralizedBumpDiagram, PartialMultiKrewerasWord, VLayer, \
     WordCountError, WordPrefixError, delete_double_arc, destandardize, \
     double_arcs, enumerate_words, generalized_bump_diagram, labeling_of_word, \
     layer_decomposition, promote_vlayer, promote_word, standardize, \
-    validate_word, word_of_labeling
+    word_of_labeling
 
 __version__ = "0.1.0"

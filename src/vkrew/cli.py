@@ -18,7 +18,7 @@ from .render import render_diagram
 from .rowmotion import enumerate_ppartitions
 from .verify import DEFAULT_CEILING, SUITE_NAMES, CeilingExceeded, \
     export_report, orbit_report_for_action, report_from_json, \
-    report_to_csv_text, report_to_json_text, run_suite
+    report_to_json_text, run_suite
 from .words import PartialMultiKrewerasWord, enumerate_words
 
 USAGE_ERROR = 2
@@ -74,9 +74,18 @@ def _require(parser, condition, message):
         parser.error(message)  # exits with code 2
 
 
+# The one size flag each object does not read (linext reads --ell as --k).
+_UNREAD_FLAG = {"linext": "q", "labelings": "k", "words": "k",
+                "ppartitions": "q"}
+
+
 def _cmd_enumerate(args, parser) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    unread = _UNREAD_FLAG[args.object]
+    if getattr(args, unread) is not None:
+        raise ValueError(f"enumerate --object {args.object} does not read "
+                         f"--{unread}")
     if args.object == "linext":
         _require(parser, args.k is not None or args.ell is not None,
                  "linext needs --k (layers of V x [k])")
@@ -175,12 +184,7 @@ def _cmd_render(args, parser) -> int:
 
 def _cmd_export(args, parser) -> int:
     report = _from_json(report_from_json, _read_json_object(args.input))
-    if args.format == "csv":
-        text = report_to_csv_text(report)
-    else:
-        text = report_to_json_text(report)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    export_report(report, args.out, args.format)
     return 0
 
 
@@ -192,10 +196,8 @@ def main(argv=None) -> int:
                 "export": _cmd_export}
     try:
         return commands[args.command](args, parser)
-    except CeilingExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CeilingExceeded, RecursionError, ValueError, OSError) as exc:
+        # RecursionError: a poset too deep to enumerate, or nested JSON
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

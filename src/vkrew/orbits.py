@@ -9,7 +9,7 @@ from typing import Callable, Iterable, TypeVar
 
 X = TypeVar("X")
 
-__all__ = ["OrbitReport", "orbit_cycles", "power_map", "orbit_decomposition"]
+__all__ = ["OrbitReport", "orbit_cycles", "power_map"]
 
 
 class ActionError(ValueError):
@@ -76,6 +76,9 @@ class OrbitReport:
     counterexamples: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if any(size < 1 for size in self.orbit_sizes):
+            raise ValueError(f"orbit sizes {list(self.orbit_sizes)} "
+                             f"include one below 1")
         if sum(self.orbit_sizes) != self.count:
             raise ValueError("orbit sizes do not sum to the element count")
         expected = lcm(*self.orbit_sizes) if self.orbit_sizes else 1
@@ -106,14 +109,3 @@ class OrbitReport:
                    orbit_sizes=tuple(data["orbit_sizes"]),
                    order=data["order"], checks=dict(data["checks"]),
                    counterexamples=dict(data.get("counterexamples", {})))
-
-
-def orbit_decomposition(action: str, step: Callable[[X], X],
-                        elements: Iterable[X],
-                        params: dict | None = None) -> OrbitReport:
-    """Partition a finite set into cycles of a named action."""
-    cycles = orbit_cycles(step, elements)
-    sizes = tuple(sorted((len(c) for c in cycles), reverse=True))
-    return OrbitReport(action=action, params=dict(params or {}),
-                       count=sum(sizes), orbit_sizes=sizes,
-                       order=lcm(*sizes) if sizes else 1)

@@ -66,31 +66,13 @@ class RestrictionFunction:
     def __hash__(self) -> int:
         return self._hash
 
-    def interval(self, p: Element) -> tuple[int, int]:
-        return self.intervals[self.poset.index(p)]
-
-    def allows(self, p: Element, label: int) -> bool:
-        lo, hi = self.interval(p)
-        return lo <= label <= hi
-
-    def is_consistent(self, ell: int) -> bool:
-        """Every allowed label k is achievable with the whole fiber at k.
-
-        Exhaustive witness search; intended for desk-scale parameters.
-        """
-        for p in self.poset.elements:
-            lo, hi = self.interval(p)
-            for k in range(lo, hi + 1):
-                witnesses = enumerate_restricted_labelings(
-                    self, ell, pinned_fibers={p: (k,) * ell})
-                if next(witnesses, None) is None:
-                    return False
-        return True
-
 
 def restriction_rq(poset: Poset, q: int) -> RestrictionFunction:
     """The widest consistent intervals inside 1..q for a graded poset:
-    element p may take labels rk(p)+1 through q-n+rk(p)."""
+    element p may take labels rk(p)+1 through q-n+rk(p).  Consistent
+    means that, for each ell, every label k in p's interval is met by
+    some labeling whose whole fiber of p is k; widening any endpoint
+    inside 1..q breaks that."""
     if not poset.is_graded:
         raise ValueError("restriction requires a graded poset")
     n = poset.rank_max
@@ -139,11 +121,6 @@ class PStrictLabeling:
     def fiber(self, p: Element) -> tuple[int, ...]:
         return self.fibers[self.restriction.poset.index(p)]
 
-    def layer(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= self.ell:
-            raise ValueError(f"layer {i} out of range 1..{self.ell}")
-        return tuple(f[i - 1] for f in self.fibers)
-
     def value(self, p: Element, i: int) -> int:
         if not 1 <= i <= self.ell:
             raise ValueError(f"layer {i} out of range 1..{self.ell}")
@@ -191,20 +168,17 @@ def _weakly_increasing(lo: int, hi: int, length: int,
             yield t
 
 
-def enumerate_restricted_labelings(
-        rf: RestrictionFunction, ell: int,
-        pinned_fibers: dict[Element, tuple[int, ...]] | None = None
-) -> Iterator[PStrictLabeling]:
+def enumerate_restricted_labelings(rf: RestrictionFunction,
+                                   ell: int) -> Iterator[PStrictLabeling]:
     """All labelings for ``rf``, lexicographic on the concatenated fibers.
 
     Requires poset.elements to be topologically sorted (all our posets
-    are).  A pinned fiber is emitted as given if it fits.
+    are).
     """
     elems = rf.poset.elements
     _, lower = _cover_indices(rf.poset)
     if any(d >= i for i, down in enumerate(lower) for d in down):
         raise ValueError("element order is not topological")
-    pinned = pinned_fibers or {}
     fibers: list[tuple[int, ...]] = [()] * len(elems)
     candidates: dict = {}  # (element index, floor) -> fibers, in order
 
@@ -212,22 +186,11 @@ def enumerate_restricted_labelings(
         if i == len(elems):
             yield PStrictLabeling(rf, ell, tuple(fibers))
             return
-        e = elems[i]
-        lo, hi = rf.intervals[i]
         floor = _layerwise(max, [fibers[d] for d in lower[i]])
-        if e in pinned:
-            t = pinned[e]
-            ok = (len(t) == ell and all(a <= b for a, b in zip(t, t[1:]))
-                  and lo <= t[0] and t[-1] <= hi
-                  and (floor is None or all(v > f for v, f in zip(t, floor))))
-            if ok:
-                fibers[i] = t
-                yield from rec(i + 1)
-            return
         options = candidates.get((i, floor))
         if options is None:
             options = candidates[i, floor] = list(
-                _weakly_increasing(lo, hi, ell, floor))
+                _weakly_increasing(*rf.intervals[i], ell, floor))
         for t in options:
             fibers[i] = t
             yield from rec(i + 1)

@@ -96,6 +96,10 @@ class VerificationReport:
     def from_json(cls, data: dict) -> "VerificationReport":
         claims = [ClaimResult(c["id"], dict(c["params"]), c["pass"],
                               c["counterexample"]) for c in data["claims"]]
+        for c in claims:
+            if not isinstance(c.ok, bool):
+                raise ValueError(f"claim {c.id!r} has pass {c.ok!r}, "
+                                 f"not true or false")
         return cls(data["suite"], claims, data["duration_ms"])
 
     def summary_lines(self) -> list[str]:

@@ -19,7 +19,7 @@ from .pstrict import PStrictLabeling, enumerate_labelings, promote_pstrict, \
 
 __all__ = [
     "WordCountError", "WordPrefixError", "PartialMultiKrewerasWord",
-    "VLayer", "GeneralizedBumpDiagram", "validate_word", "word_of_labeling",
+    "VLayer", "GeneralizedBumpDiagram", "word_of_labeling",
     "labeling_of_word", "enumerate_words", "generalized_bump_diagram",
     "layer_decomposition", "promote_word", "promote_vlayer",
     "promote_word_layerwise", "double_arcs", "rotate_double_arc",
@@ -109,12 +109,6 @@ class PartialMultiKrewerasWord:
 
     def __repr__(self) -> str:
         return f"PartialMultiKrewerasWord({self.to_text()!r})"
-
-
-def validate_word(blocks, ell: int, q: int) -> PartialMultiKrewerasWord:
-    """Build a word from block count triples, or raise WordCountError /
-    WordPrefixError describing what failed."""
-    return PartialMultiKrewerasWord(ell, q, tuple(tuple(b) for b in blocks))
 
 
 def word_of_labeling(f: PStrictLabeling) -> PartialMultiKrewerasWord:

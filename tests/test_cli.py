@@ -223,11 +223,31 @@ def test_verify_empty_grid_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--object", "ppartitions", "--ell", "0", "--k", "400",
+     "--limit", "1"),
+    ("enumerate", "--object", "linext", "--k", "400", "--limit", "1"),
+    ("orbits", "--action", "row", "--ell", "0", "--q", "402"),
+])
+def test_too_deep_a_poset_exit_2(capsys, argv):
+    # the recursive enumerations run out of stack on V x [400]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,payload", [
     ("render", 42),
     ("render", {"blocks": [[1, 0, 0]], "q": 1}),
     ("export", 42),
     ("export", {"claims": [{"id": "x"}]}),
+    ("export", {"action": "a", "params": {}, "count": 0, "orbit_sizes": [0],
+                "order": 0, "checks": {}}),
+    ("export", {"action": "a", "params": {}, "count": 0,
+                "orbit_sizes": [-1, 1], "order": 1, "checks": {}}),
+    ("export", {"suite": "s", "duration_ms": 0, "claims": [
+        {"id": "x", "params": {}, "pass": "no", "counterexample": None}]}),
 ])
 def test_wrong_json_shape_exit_2(capsys, tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -332,6 +352,13 @@ def test_every_subcommand_keeps_the_exit_code_contract(invocation):
      "--ell-max"),
     (("verify", "--suite", "figures", "--q-max", "4"), "--q-max"),
     (("verify", "--suite", "rowmotion", "--sum-max", "4"), "--sum-max"),
+    (("enumerate", "--object", "labelings", "--ell", "1", "--q", "3",
+      "--k", "9"), "--k"),
+    (("enumerate", "--object", "words", "--ell", "1", "--q", "3",
+      "--k", "2"), "--k"),
+    (("enumerate", "--object", "ppartitions", "--ell", "1", "--k", "2",
+      "--q", "4"), "--q"),
+    (("enumerate", "--object", "linext", "--k", "2", "--q", "6"), "--q"),
 ])
 def test_swapped_or_unread_flag_exit_2(capsys, argv, named):
     # a flag is refused rather than swapped for a default or ignored

@@ -1,28 +1,12 @@
 import pytest
 
-from vkrew.orbits import ActionError, OrbitReport, orbit_cycles, \
-    orbit_decomposition, power_map
-from vkrew.pstrict import enumerate_labelings, promote_pstrict
+from vkrew.orbits import ActionError, OrbitReport, orbit_cycles, power_map
 
 
-def test_orbit_decomposition_examples():
-    report = orbit_decomposition("pro-pstrict", promote_pstrict,
-                                 enumerate_labelings(1, 3),
-                                 {"ell": 1, "q": 3})
-    assert report.count == 5
-    assert report.orbit_sizes == (3, 2)
-    assert report.order == 6
-
-
-def test_orbit_decomposition_identity():
-    report = orbit_decomposition("id", lambda x: x, range(4))
-    assert report.orbit_sizes == (1, 1, 1, 1)
-    assert report.order == 1
-
-
-def test_orbit_decomposition_empty():
-    report = orbit_decomposition("id", lambda x: x, [])
-    assert report.count == 0 and report.order == 1
+def test_orbit_cycles_of_identity():
+    assert orbit_cycles(lambda x: x, range(4)) == [[0], [1], [2], [3]]
+    assert [list(c) for c in orbit_cycles(lambda x: x, "abc",
+                                          indices=True)] == [[0], [1], [2]]
 
 
 def test_orbit_cycles_detects_escape():
@@ -53,10 +37,14 @@ def test_power_map_matches_iteration():
 
 
 def test_orbit_report_invariants():
+    assert OrbitReport("id", {}, 0, (), 1).order == 1  # the empty set
     with pytest.raises(ValueError):
         OrbitReport("a", {}, 4, (3, 2), 6, {})
     with pytest.raises(ValueError):
         OrbitReport("a", {}, 5, (3, 2), 3, {})
+    for sizes, order in (((0,), 0), ((-1, 1), 1)):
+        with pytest.raises(ValueError, match="below 1"):
+            OrbitReport("a", {}, 0, sizes, order, {})
 
 
 def test_orbit_report_json_roundtrip():

@@ -21,18 +21,12 @@ def chain(n):
 
 
 def test_restriction_rq_intervals():
-    rf = restriction_rq(make_v(), 9)
-    assert rf.interval("A") == (1, 8)
-    assert rf.interval("B") == rf.interval("C") == (2, 9)
-    rf = restriction_rq(make_v(), 3)
-    assert rf.interval("A") == (1, 2)
-    assert rf.interval("B") == rf.interval("C") == (2, 3)
+    assert restriction_rq(make_v(), 9).intervals == ((1, 8), (2, 9), (2, 9))
+    assert restriction_rq(make_v(), 3).intervals == ((1, 2), (2, 3), (2, 3))
 
 
 def test_restriction_rq_chain_is_forced():
-    rf = restriction_rq(chain(2), 2)
-    assert rf.interval("x1") == (1, 1)
-    assert rf.interval("x2") == (2, 2)
+    assert restriction_rq(chain(2), 2).intervals == ((1, 1), (2, 2))
 
 
 def test_restriction_rq_rejects_small_q():
@@ -48,15 +42,24 @@ def test_restriction_rq_needs_grading():
         restriction_rq(bad, 5)
 
 
+def consistent(rf, ell):
+    """Whether every label k of every interval is met by a labeling whose
+    whole fiber of that element is k; scans every labeling."""
+    met = {(i, fiber[0]) for f in enumerate_restricted_labelings(rf, ell)
+           for i, fiber in enumerate(f.fibers) if fiber[0] == fiber[-1]}
+    return all((i, k) in met for i, (lo, hi) in enumerate(rf.intervals)
+               for k in range(lo, hi + 1))
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 @pytest.mark.parametrize("ell", [1, 2])
 def test_restriction_rq_is_consistent(ell, q):
-    assert restriction_rq(make_v(), q).is_consistent(ell)
+    assert consistent(restriction_rq(make_v(), q), ell)
 
 
 def test_inconsistent_restriction_detected():
     rf = RestrictionFunction(make_v(), 3, ((1, 1), (1, 3), (1, 3)))
-    assert not rf.is_consistent(1)
+    assert not consistent(rf, 1)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -71,7 +74,7 @@ def test_restriction_rq_intervals_are_maximal(q):
             intervals = list(rf.intervals)
             intervals[idx] = widened
             wider = RestrictionFunction(make_v(), q, tuple(intervals))
-            assert not wider.is_consistent(1), (idx, widened)
+            assert not consistent(wider, 1), (idx, widened)
 
 
 def test_restriction_function_rejects_bad_intervals():
@@ -88,7 +91,7 @@ def test_restriction_function_rejects_bad_intervals():
 def test_labeling_validation():
     good = labeling(2, 4, (1, 2), (2, 3), (3, 3))
     assert good.value("B", 2) == 3
-    assert good.layer(1) == (1, 2, 3)
+    assert tuple(good.value(p, 1) for p in "ABC") == (1, 2, 3)
     with pytest.raises(ValueError):
         labeling(1, 4, (2,), (2,), (3,))  # layer not strict at A < B
     with pytest.raises(ValueError):
@@ -275,7 +278,7 @@ def test_enumeration_requires_topological_element_order():
 def test_accessor_layer_bounds():
     f = labeling(2, 4, (1, 2), (2, 3), (3, 3))
     with pytest.raises(ValueError):
-        f.layer(0)
+        f.value("A", 0)
     with pytest.raises(ValueError):
         f.value("A", 3)
 

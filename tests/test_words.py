@@ -8,25 +8,25 @@ from vkrew.words import PartialMultiKrewerasWord, VLayer, WordCountError, \
     enumerate_words, generalized_bump_diagram, labeling_of_word, \
     layer_decomposition, promote_vlayer, promote_word, \
     promote_word_layerwise, rotate_double_arc, same_block_closers_nest, \
-    shortest_arc_triples, standardize, swap_bc_word, validate_word, \
-    word_of_labeling
+    shortest_arc_triples, standardize, swap_bc_word, word_of_labeling
 
 
 def word(text):
     return PartialMultiKrewerasWord.from_text(text)
 
 
-def test_validate_word_accepts_figure():
-    w = validate_word([(1, 0, 0), (1, 0, 1), (2, 2, 0), (1, 1, 2), (0, 0, 1),
-                       (1, 1, 0), (0, 1, 0), (0, 0, 2), (0, 1, 0)], 6, 9)
+def test_word_from_blocks_matches_figure():
+    w = PartialMultiKrewerasWord(6, 9, (
+        (1, 0, 0), (1, 0, 1), (2, 2, 0), (1, 1, 2), (0, 0, 1), (1, 1, 0),
+        (0, 1, 0), (0, 0, 2), (0, 1, 0)))
     assert w == golden.word69()
 
 
-def test_validate_word_distinct_errors():
+def test_word_errors_are_distinct():
     with pytest.raises(WordPrefixError):
-        validate_word([(0, 1, 1), (1, 0, 0), (0, 0, 0)], 1, 3)
+        PartialMultiKrewerasWord(1, 3, ((0, 1, 1), (1, 0, 0), (0, 0, 0)))
     with pytest.raises(WordCountError):
-        validate_word([(1, 0, 0), (0, 1, 0), (0, 0, 0)], 1, 3)
+        PartialMultiKrewerasWord(1, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     assert issubclass(WordPrefixError, ValueError)
     assert issubclass(WordCountError, ValueError)
 
