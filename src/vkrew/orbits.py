@@ -30,10 +30,11 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
     hit = [0] * len(items)
     for x in items:
         y = step(x)
-        if y not in index:
+        j = index.get(y)
+        if j is None:
             raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
-        image.append(index[y])
-        hit[index[y]] += 1
+        image.append(j)
+        hit[j] += 1
     for i, count in enumerate(hit):
         if count != 1:
             raise ActionError(f"{items[i]!r} has {count} preimages; not a bijection")

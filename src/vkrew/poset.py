@@ -167,6 +167,38 @@ def _cover_indices(poset: Poset) -> tuple[tuple[tuple[int, ...], ...],
 
 
 @lru_cache(maxsize=None)
+def _cover_pairs(poset: Poset) -> tuple[tuple[int, int], ...]:
+    """Every cover a < b as an index pair, in element order of a, then b."""
+    up, _ = _cover_indices(poset)
+    return tuple((a, b) for a, ups in enumerate(up) for b in ups)
+
+
+# The latest enumeration of labelings or partitions: its restriction or
+# poset, its ell, and the objects it built, by raw form, for steps to
+# return.  Each enumeration replaces it as it starts, so none reuses
+# another's objects.
+_members: list = [None, None, {}]
+
+
+def _recorded(cls, owner, ell: int, raws: Iterator) -> Iterator:
+    """``cls(owner, ell, raw)`` for each raw form of an enumeration, each
+    recorded in a fresh registry, started as the enumeration starts."""
+    _members[:] = owner, ell, {}
+    members = _members[2]
+    for raw in raws:
+        f = members[raw] = cls(owner, ell, raw)
+        yield f
+
+
+def _member(cls, owner, ell: int, raw):
+    """The latest enumeration's object for ``raw`` if it ran over this very
+    ``owner`` at ``ell``, else a new, validated ``cls(owner, ell, raw)``."""
+    latest, latest_ell, members = _members
+    f = members.get(raw) if latest is owner and latest_ell == ell else None
+    return cls(owner, ell, raw) if f is None else f
+
+
+@lru_cache(maxsize=None)
 def make_v() -> Poset:
     """The 3-element poset on A, B, C with A below both B and C."""
     return Poset(("A", "B", "C"), (("A", "B"), ("A", "C")))
@@ -209,20 +241,15 @@ class LinearExtension:
         if len(self.labels) != m or sorted(self.labels) != list(range(1, m + 1)):
             raise ValueError("labels must be a bijection onto 1..m")
         labels = self.labels
-        up, _ = _cover_indices(self.poset)
-        for ai, ups in enumerate(up):
-            for bi in ups:
-                if labels[ai] >= labels[bi]:
-                    elements = self.poset.elements
-                    raise ValueError(f"labels do not respect "
-                                     f"{elements[ai]!r} < {elements[bi]!r}")
+        for a, b in _cover_pairs(self.poset):
+            if labels[a] >= labels[b]:
+                elements = self.poset.elements
+                raise ValueError(f"labels do not respect "
+                                 f"{elements[a]!r} < {elements[b]!r}")
 
     @property
     def m(self) -> int:
         return len(self.labels)
-
-    def label_of(self, e: Element) -> int:
-        return self.labels[self.poset.index(e)]
 
     def order(self) -> tuple[Element, ...]:
         """Elements listed by increasing label."""

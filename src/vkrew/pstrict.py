@@ -14,11 +14,13 @@ runs tau_1 .. tau_{q-1} as lookups: A moves by (A, layerwise min of B
 and C), B by (A, B) and C by (A, C), each move computed once by
 _tau_one.  Other posets, and bender_knuth_tau, apply _tau_one to every
 fiber (_tau_fibers), the reference for the lookups.  bender_knuth_tau
-validates the labeling it returns, and promote_pstrict validates once
-per promotion, never the states between its steps.  Validation checks
-each distinct fiber against its interval once, and the layers across
-covers for every labeling.  free_labels finds the free labels layer by
-layer; it is the reference the tests hold the kernel to.
+validates the labeling it returns.  promote_pstrict returns the latest
+enumeration's labeling for its image if that enumeration ran at its
+restriction and ell, and else validates once, never the states between
+its steps.  Validation checks each distinct fiber against its interval
+once, and the layers across covers for every labeling.  free_labels
+finds the free labels layer by layer; it is the reference the tests
+hold the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -33,7 +35,8 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _cover_indices, make_v
+from .poset import Element, Poset, _cover_indices, _cover_pairs, _member, \
+    _recorded, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -83,7 +86,7 @@ def restriction_rq(poset: Poset, q: int) -> RestrictionFunction:
     return RestrictionFunction(poset, q, intervals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PStrictLabeling:
     """A labeling of P x [1..ell]; fibers aligned with poset.elements."""
 
@@ -97,22 +100,18 @@ class PStrictLabeling:
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
         fibers = self.fibers
-        if len(fibers) != len(poset):
+        if len(fibers) != len(rf.intervals):
             raise ValueError("one fiber per element required")
         for e, fiber, (lo, hi) in zip(poset.elements, fibers, rf.intervals):
             fault = _fiber_fault(fiber, self.ell, lo, hi)
             if fault is not None:
                 raise ValueError(f"fiber of {e!r} {fault}")
-        up, _ = _cover_indices(poset)
-        for ai, ups in enumerate(up):
-            fa = fibers[ai]
-            for bi in ups:
-                if not all(map(lt, fa, fibers[bi])):
-                    i = next(i for i, (a, b) in enumerate(zip(fa, fibers[bi]))
-                             if a >= b)
-                    raise ValueError(
-                        f"layer {i + 1} not strict across "
-                        f"{poset.elements[ai]!r} < {poset.elements[bi]!r}")
+        for a, b in _cover_pairs(poset):
+            if not all(map(lt, fibers[a], fibers[b])):
+                i = list(map(lt, fibers[a], fibers[b])).index(False)
+                raise ValueError(
+                    f"layer {i + 1} not strict across "
+                    f"{poset.elements[a]!r} < {poset.elements[b]!r}")
 
     @property
     def q(self) -> int:
@@ -175,16 +174,15 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
     Requires poset.elements to be topologically sorted (all our posets
     are).
     """
-    elems = rf.poset.elements
     _, lower = _cover_indices(rf.poset)
     if any(d >= i for i, down in enumerate(lower) for d in down):
         raise ValueError("element order is not topological")
-    fibers: list[tuple[int, ...]] = [()] * len(elems)
+    fibers: list[tuple[int, ...]] = [()] * len(lower)
     candidates: dict = {}  # (element index, floor) -> fibers, in order
 
-    def rec(i: int) -> Iterator[PStrictLabeling]:
-        if i == len(elems):
-            yield PStrictLabeling(rf, ell, tuple(fibers))
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == len(fibers):
+            yield tuple(fibers)
             return
         floor = _layerwise(max, [fibers[d] for d in lower[i]])
         options = candidates.get((i, floor))
@@ -195,7 +193,7 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
             fibers[i] = t
             yield from rec(i + 1)
 
-    return rec(0)
+    return _recorded(PStrictLabeling, rf, ell, rec(0))
 
 
 def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:
@@ -400,7 +398,7 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
     the raw fibers (by table lookups on V) and validating only the
-    result."""
+    result, unless the latest enumeration built it."""
     rf = f.restriction
     tables = _v_moves(rf)
     if tables is None:
@@ -420,7 +418,7 @@ def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
         if (ia, ib, ic) == start:
             return f
         fibers = (fiber_of[ia], fiber_of[ib], fiber_of[ic])
-    return PStrictLabeling(rf, f.ell, fibers)
+    return _member(PStrictLabeling, rf, f.ell, fibers)
 
 
 def swap_bc(f: PStrictLabeling) -> PStrictLabeling:

@@ -10,10 +10,12 @@ toggle-promotion groups toggles along diagonals of V x [q-2].
 toggle, rowmotion and togpro step a raw list of values: one sweep
 applies the toggles along a tuple of element indices, reading covers
 from the poset's cached cover-index table, and the index order of each
-action is cached per poset.  Each call validates once, on the partition
-it returns, never the states between its toggles.  The element-level
-reading (upper_covers, lower_covers, PPartition.value) is the reference
-the tests hold the sweep to.
+action is cached per poset.  rowmotion and togpro return the latest
+enumeration's partition for the image if it ran at the same poset and
+ell; else each call validates once, on the partition it returns, never
+the states between its toggles.  The element-level reading
+(upper_covers, lower_covers, PPartition.value) is the reference the
+tests hold the sweep to.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .poset import Element, LinearExtension, Poset, _cover_indices, \
-    linear_extensions, make_v, product_with_chain, v_chain_layers
+    _cover_pairs, _member, _recorded, linear_extensions, make_v, \
+    product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -31,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPartition:
     """An order-preserving map poset -> {0, ..., ell}."""
 
@@ -42,18 +45,16 @@ class PPartition:
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError("ell must be >= 0")
-        if len(self.values) != len(self.poset):
-            raise ValueError("one value per element required")
         values = self.values
+        if len(values) != len(self.poset.elements):
+            raise ValueError("one value per element required")
         if values and (min(values) < 0 or max(values) > self.ell):
             raise ValueError(f"values must lie in 0..{self.ell}")
-        up, _ = _cover_indices(self.poset)
-        for ai, ups in enumerate(up):
-            for bi in ups:
-                if values[ai] > values[bi]:
-                    elements = self.poset.elements
-                    raise ValueError(f"values decrease across "
-                                     f"{elements[ai]!r} < {elements[bi]!r}")
+        for a, b in _cover_pairs(self.poset):
+            if values[a] > values[b]:
+                elements = self.poset.elements
+                raise ValueError(f"values decrease across "
+                                 f"{elements[a]!r} < {elements[b]!r}")
 
     def value(self, p: Element) -> int:
         return self.values[self.poset.index(p)]
@@ -84,29 +85,42 @@ def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     before it: respecting every cover implies respecting the order."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    m = len(poset.elements)
     up, down = _cover_indices(poset)
-    below = [tuple(j for j in down[i] if j < i) for i in range(m)]
-    above = [tuple(j for j in up[i] if j < i) for i in range(m)]
-    values = [0] * m
+    below = [tuple(j for j in down[i] if j < i) for i in range(len(up))]
+    above = [tuple(j for j in up[i] if j < i) for i in range(len(up))]
+    return _recorded(PPartition, poset, ell, _value_tuples(ell, below, above))
 
-    def rec(i: int) -> Iterator[PPartition]:
-        if i == m:
-            yield PPartition(poset, ell, tuple(values))
+
+def _value_tuples(ell: int, below, above) -> Iterator[tuple[int, ...]]:
+    """The values of enumerate_ppartitions, walked on a stack of values
+    with the top each may reach."""
+    m = len(below)
+    values, tops = [0] * m, [0] * m
+    i = 0  # the next position to open, at its least value
+    while True:
+        if i < m:
+            lo = 0
+            for j in below[i]:
+                if values[j] > lo:
+                    lo = values[j]
+            hi = ell
+            for j in above[i]:
+                if values[j] < hi:
+                    hi = values[j]
+            values[i], tops[i] = lo, hi
+            if lo <= hi:
+                i += 1
+                continue
+        else:
+            yield tuple(values)
+        # back up to the last position below its top and raise it
+        i -= 1
+        while i >= 0 and values[i] >= tops[i]:
+            i -= 1
+        if i < 0:
             return
-        lo = 0
-        for j in below[i]:
-            if values[j] > lo:
-                lo = values[j]
-        hi = ell
-        for j in above[i]:
-            if values[j] < hi:
-                hi = values[j]
-        for v in range(lo, hi + 1):
-            values[i] = v
-            yield from rec(i + 1)
-
-    return rec(0)
+        values[i] += 1
+        i += 1
 
 
 def _sweep(values: list[int], order: tuple[int, ...], poset: Poset,
@@ -150,7 +164,7 @@ def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
         raise ValueError("linear extension belongs to a different poset")
     values = list(f.values)
     _sweep(values, _rowmotion_order(f.poset, ext), f.poset, f.ell)
-    return PPartition(f.poset, f.ell, tuple(values))
+    return _member(PPartition, f.poset, f.ell, tuple(values))
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +186,7 @@ def togpro(f: PPartition, q: int) -> PPartition:
     order = _togpro_order(f.poset, q)
     values = list(f.values)
     _sweep(values, order, f.poset, f.ell)
-    return PPartition(f.poset, f.ell, tuple(values))
+    return _member(PPartition, f.poset, f.ell, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,8 @@ def test_from_kreweras_examples():
     assert from_kreweras(KrewerasWord(golden.WORD18)) == golden.ext18()
     ext = from_kreweras(KrewerasWord("AABCBC"))
     poset = ext.poset
-    assert [ext.label_of(("A", i)) for i in (1, 2)] == [1, 2]
-    assert [ext.label_of(("B", i)) for i in (1, 2)] == [3, 5]
-    assert [ext.label_of(("C", i)) for i in (1, 2)] == [4, 6]
+    assert ext.order() == (("A", 1), ("A", 2), ("B", 1), ("C", 1),
+                           ("B", 2), ("C", 2))
     assert poset == product_with_chain(make_v(), 2)
 
 

@@ -329,3 +329,46 @@ def test_lookup_kernel_serves_v_only():
                                                       (4, 5)))) is not None
     for poset in (diamond(), chain(3), product_with_chain(make_v(), 2)):
         assert _v_moves(restriction_rq(poset, 5)) is None
+
+
+def promoted_by_tau_fibers(f):
+    """The fibers of Pro(f) by the generic tau_1 ... tau_{q-1}."""
+    rf = f.restriction
+    fibers = f.fibers
+    for k in range(1, rf.q):
+        fibers = _tau_fibers(fibers, k, *_cover_indices(rf.poset),
+                             rf.intervals)
+    return fibers
+
+
+def test_promotion_returns_the_enumerated_labeling():
+    elements = list(enumerate_labelings(2, 5))
+    members = {id(f) for f in elements}
+    assert all(id(promote_pstrict(f)) in members for f in elements)
+
+
+def test_promotion_outside_the_latest_enumeration_builds_its_image():
+    # a labeling read from JSON has a restriction of its own, and the
+    # labelings of an older enumeration are not the latest enumeration's
+    older = list(enumerate_labelings(2, 5))
+    read = [PStrictLabeling.from_json(f.to_json()) for f in older]
+    next(enumerate_labelings(2, 5))
+    members = {id(f) for f in older}
+    for f in older + read:
+        g = promote_pstrict(f)
+        assert g.fibers == promoted_by_tau_fibers(f)
+        assert g.restriction is f.restriction and g.ell == f.ell
+        assert id(g) not in members or g is f
+
+
+@pytest.mark.parametrize("fibers,message", [
+    (((2, 3), (3, 3), (2, 4)), "layer 2 not strict across 'A' < 'B'"),
+    (((1, 1), (2, 2), (3, 5)), "fiber of 'C' leaves its interval"),
+])
+def test_validation_messages_with_a_live_enumeration(fibers, message):
+    rf = restriction_rq(make_v(), 4)
+    members = enumerate_restricted_labelings(rf, 2)
+    next(members)
+    with pytest.raises(ValueError) as info:
+        PStrictLabeling(rf, 2, fibers)
+    assert str(info.value) == message

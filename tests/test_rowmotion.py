@@ -320,3 +320,36 @@ def test_enumeration_on_non_topological_order(poset):
     for ell in range(4):
         got = [f.values for f in enumerate_ppartitions(poset, ell)]
         assert got == closure_ppartitions(poset, ell) and got, ell
+
+
+def test_steps_return_the_enumerated_partition():
+    poset = product_with_chain(make_v(), 3)
+    elements = list(enumerate_ppartitions(poset, 2))
+    members = {id(f) for f in elements}
+    assert all(id(rowmotion(f)) in members and id(togpro(f, 5)) in members
+               for f in elements)
+
+
+def test_steps_at_another_ell_build_their_image():
+    poset = product_with_chain(make_v(), 3)
+    row_order = list(reversed(next(iter(linear_extensions(poset))).order()))
+    togpro_order = reference_togpro_elements(5)
+    older = list(enumerate_ppartitions(poset, 1))
+    newer = list(enumerate_ppartitions(poset, 2))
+    members = {id(f) for f in newer}
+    for f in older:
+        for g, order in ((rowmotion(f), row_order),
+                         (togpro(f, 5), togpro_order)):
+            assert g.values == reference_values(f, order)
+            assert g.poset is poset and g.ell == 1
+            assert id(g) not in members
+
+
+def test_validation_message_with_a_live_enumeration():
+    # the first cover that decreases, in element order, is named
+    poset = product_with_chain(make_v(), 2)
+    next(enumerate_ppartitions(poset, 1))
+    with pytest.raises(ValueError) as info:
+        PPartition(poset, 1, (1, 1, 0, 1, 1, 0))
+    assert str(info.value) \
+        == "values decrease across ('A', 1) < ('B', 1)"

@@ -8,10 +8,10 @@ import pytest
 from vkrew import cli, verify
 from vkrew.orbits import ActionError, orbit_cycles
 from vkrew.poset import make_v, product_with_chain
-from vkrew.pstrict import bender_knuth_tau, enumerate_labelings, \
-    promote_pstrict, swap_bc
-from vkrew.rowmotion import apply_automorphism, enumerate_ppartitions, \
-    flip_automorphism, rowmotion, togpro
+from vkrew.pstrict import PStrictLabeling, bender_knuth_tau, \
+    enumerate_labelings, promote_pstrict, swap_bc
+from vkrew.rowmotion import PPartition, apply_automorphism, \
+    enumerate_ppartitions, flip_automorphism, rowmotion, togpro
 from vkrew.verify import CeilingExceeded, VerificationReport, export_report, \
     orbit_report_for_action, report_from_json, report_to_csv_text, \
     report_to_json_text, run_suite
@@ -368,3 +368,25 @@ def test_each_step_runs_once_per_object(monkeypatch):
     assert run_suite("equivariance", ell_max=2, q_max=5).passed
     assert calls["togpro"] == sum(
         1 for ell, q in grid(2, 5) for _ in ppartitions(ell, q))
+
+
+@pytest.mark.parametrize("action,cls", [("pro-pstrict", PStrictLabeling),
+                                        ("row", PPartition),
+                                        ("togpro", PPartition)])
+def test_each_element_is_built_once_per_report(monkeypatch, action, cls):
+    # a step returns the object its table's enumeration built, so a report
+    # validates each element once; nothing is reused by the next report
+    expected = sum(1 for _ in (enumerate_labelings(2, 6)
+                               if action == "pro-pstrict"
+                               else ppartitions(2, 6)))
+    built = Counter()
+    post_init = cls.__post_init__
+
+    def counted(self):
+        built[action] += 1
+        post_init(self)
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    for _ in range(2):
+        built.clear()
+        assert orbit_report_for_action(action, 2, 6).count == expected
+        assert built[action] == expected
