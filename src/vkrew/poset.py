@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator
@@ -173,28 +174,25 @@ def _cover_pairs(poset: Poset) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, ups in enumerate(up) for b in ups)
 
 
-# The latest enumeration of labelings or partitions: its restriction or
-# poset, its ell, and the objects it built, by raw form, for steps to
-# return.  Each enumeration replaces it as it starts, so none reuses
-# another's objects.
-_members: list = [None, None, {}]
+_members: tuple = (None, None, {})  # owner, ell, members; see below
 
 
-def _recorded(cls, owner, ell: int, raws: Iterator) -> Iterator:
-    """``cls(owner, ell, raw)`` for each raw form of an enumeration, each
-    recorded in a fresh registry, started as the enumeration starts."""
-    _members[:] = owner, ell, {}
-    members = _members[2]
-    for raw in raws:
-        f = members[raw] = cls(owner, ell, raw)
-        yield f
+@contextmanager
+def _table_members(owner, ell: int, members: dict) -> Iterator[None]:
+    """While the block runs, let steps over ``owner`` at ``ell`` return
+    ``members``, a table's elements by raw form; nothing is kept after."""
+    global _members
+    _members = owner, ell, members
+    try:
+        yield
+    finally:
+        _members = None, None, {}
 
 
 def _member(cls, owner, ell: int, raw):
-    """The latest enumeration's object for ``raw`` if it ran over this very
-    ``owner`` at ``ell``, else a new, validated ``cls(owner, ell, raw)``."""
-    latest, latest_ell, members = _members
-    f = members.get(raw) if latest is owner and latest_ell == ell else None
+    """The stepped table's element for ``raw``, else a validated new one."""
+    at, at_ell, members = _members
+    f = members.get(raw) if at is owner and at_ell == ell else None
     return cls(owner, ell, raw) if f is None else f
 
 

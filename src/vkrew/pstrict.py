@@ -14,13 +14,12 @@ runs tau_1 .. tau_{q-1} as lookups: A moves by (A, layerwise min of B
 and C), B by (A, B) and C by (A, C), each move computed once by
 _tau_one.  Other posets, and bender_knuth_tau, apply _tau_one to every
 fiber (_tau_fibers), the reference for the lookups.  bender_knuth_tau
-validates the labeling it returns.  promote_pstrict returns the latest
-enumeration's labeling for its image if that enumeration ran at its
-restriction and ell, and else validates once, never the states between
-its steps.  Validation checks each distinct fiber against its interval
-once, and the layers across covers for every labeling.  free_labels
-finds the free labels layer by layer; it is the reference the tests
-hold the kernel to.
+validates the labeling it returns, and promote_pstrict validates once
+per promotion, never the states between its steps, and not at all when
+its image is an element of the orbit table being stepped.  Validation
+checks each distinct fiber against its interval once, and the layers
+across covers for every labeling.  free_labels finds the free labels
+layer by layer; it is the reference the tests hold the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -36,7 +35,7 @@ from operator import gt, lt
 from typing import Iterator
 
 from .poset import Element, Poset, _cover_indices, _cover_pairs, _member, \
-    _recorded, make_v
+    make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -180,9 +179,9 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
     fibers: list[tuple[int, ...]] = [()] * len(lower)
     candidates: dict = {}  # (element index, floor) -> fibers, in order
 
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(i: int) -> Iterator[PStrictLabeling]:
         if i == len(fibers):
-            yield tuple(fibers)
+            yield PStrictLabeling(rf, ell, tuple(fibers))
             return
         floor = _layerwise(max, [fibers[d] for d in lower[i]])
         options = candidates.get((i, floor))
@@ -193,7 +192,7 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
             fibers[i] = t
             yield from rec(i + 1)
 
-    return _recorded(PStrictLabeling, rf, ell, rec(0))
+    return rec(0)
 
 
 def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:
@@ -398,7 +397,7 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
     the raw fibers (by table lookups on V) and validating only the
-    result, unless the latest enumeration built it."""
+    result, unless the orbit table being stepped holds it."""
     rf = f.restriction
     tables = _v_moves(rf)
     if tables is None:

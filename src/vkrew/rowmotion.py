@@ -10,10 +10,9 @@ toggle-promotion groups toggles along diagonals of V x [q-2].
 toggle, rowmotion and togpro step a raw list of values: one sweep
 applies the toggles along a tuple of element indices, reading covers
 from the poset's cached cover-index table, and the index order of each
-action is cached per poset.  rowmotion and togpro return the latest
-enumeration's partition for the image if it ran at the same poset and
-ell; else each call validates once, on the partition it returns, never
-the states between its toggles.  The element-level reading
+action is cached per poset.  Each call validates once, on the partition
+it returns unless that is an element of the orbit table being stepped,
+never the states between its toggles.  The element-level reading
 (upper_covers, lower_covers, PPartition.value) is the reference the
 tests hold the sweep to.
 """
@@ -25,7 +24,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .poset import Element, LinearExtension, Poset, _cover_indices, \
-    _cover_pairs, _member, _recorded, linear_extensions, make_v, \
+    _cover_pairs, _member, linear_extensions, make_v, \
     product_with_chain, v_chain_layers
 
 __all__ = [
@@ -82,45 +81,42 @@ class PPartition:
 def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     """All ell-bounded partitions, lexicographic on the value sequence
     read in element order.  Each value is bounded by its covers placed
-    before it: respecting every cover implies respecting the order."""
+    before it: respecting every cover implies respecting the order.  The
+    values are walked on an explicit stack, so depth is no limit."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     up, down = _cover_indices(poset)
-    below = [tuple(j for j in down[i] if j < i) for i in range(len(up))]
-    above = [tuple(j for j in up[i] if j < i) for i in range(len(up))]
-    return _recorded(PPartition, poset, ell, _value_tuples(ell, below, above))
+    m = len(up)
+    below = [tuple(j for j in down[i] if j < i) for i in range(m)]
+    above = [tuple(j for j in up[i] if j < i) for i in range(m)]
 
-
-def _value_tuples(ell: int, below, above) -> Iterator[tuple[int, ...]]:
-    """The values of enumerate_ppartitions, walked on a stack of values
-    with the top each may reach."""
-    m = len(below)
-    values, tops = [0] * m, [0] * m
-    i = 0  # the next position to open, at its least value
-    while True:
-        if i < m:
-            lo = 0
-            for j in below[i]:
-                if values[j] > lo:
-                    lo = values[j]
-            hi = ell
-            for j in above[i]:
-                if values[j] < hi:
-                    hi = values[j]
-            values[i], tops[i] = lo, hi
-            if lo <= hi:
-                i += 1
-                continue
-        else:
-            yield tuple(values)
-        # back up to the last position below its top and raise it
-        i -= 1
-        while i >= 0 and values[i] >= tops[i]:
+    def walk() -> Iterator[PPartition]:
+        values, tops = [0] * m, [0] * m
+        i = 0  # the next position to open, at its least value
+        while i >= 0:
+            if i == m:
+                yield PPartition(poset, ell, tuple(values))
+            else:
+                lo, hi = 0, ell
+                for j in below[i]:
+                    if values[j] > lo:
+                        lo = values[j]
+                for j in above[i]:
+                    if values[j] < hi:
+                        hi = values[j]
+                values[i], tops[i] = lo, hi
+                if lo <= hi:
+                    i += 1
+                    continue
+            # back up to the last position below its top and raise it
             i -= 1
-        if i < 0:
-            return
-        values[i] += 1
-        i += 1
+            while i >= 0 and values[i] >= tops[i]:
+                i -= 1
+            if i >= 0:
+                values[i] += 1
+                i += 1
+
+    return walk()
 
 
 def _sweep(values: list[int], order: tuple[int, ...], poset: Poset,

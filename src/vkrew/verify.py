@@ -31,7 +31,8 @@ from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
 from .orbits import ActionError, OrbitReport, orbit_cycles
-from .poset import linear_extensions, make_v, product_with_chain
+from .poset import _table_members, linear_extensions, make_v, \
+    product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
@@ -187,6 +188,7 @@ class _Table:
 def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
     """Enumerate once and step each element once.  The step is looked up
     in this module as the table is built, so a rebound name is used."""
+    owner = raw = None
     if action in ("pro-linext", "pro-kreweras"):
         elements, step = _extensions(ell, ceiling), promote_linext
         if action == "pro-kreweras":
@@ -195,6 +197,7 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
     elif action in ("row", "togpro"):
         elements = _ppartitions(ell, q - 2, ceiling)
         step = rowmotion if action == "row" else (lambda f: togpro(f, q))
+        owner, raw = product_with_chain(make_v(), q - 2), attrgetter("values")
     else:
         elements = list(_capped(enumerate_labelings(ell, q), ceiling,
                                 f"labelings ell={ell} q={q}"))
@@ -202,8 +205,12 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
         if action == "pro-word":
             elements = [word_of_labeling(f) for f in elements]
             step = promote_word
-    return _Table(action, ell, q, elements,
-                  orbit_cycles(step, elements, indices=True))
+        elif elements:
+            owner, raw = elements[0].restriction, attrgetter("fibers")
+    with _table_members(owner, ell,
+                        {raw(f): f for f in elements} if raw else {}):
+        cycles = orbit_cycles(step, elements, indices=True)
+    return _Table(action, ell, q, elements, cycles)
 
 
 def _flip_of_values(q: int):

@@ -1,8 +1,8 @@
 import pytest
 
 from vkrew import golden
-from vkrew.poset import LinearExtension, Poset, _cover_indices, make_v, \
-    product_with_chain
+from vkrew.poset import LinearExtension, Poset, _cover_indices, _member, \
+    _table_members, make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
     _tau_fibers, _v_moves, bender_knuth_tau, enumerate_labelings, \
     enumerate_restricted_labelings, free_labels, free_labels_bruteforce, \
@@ -341,34 +341,48 @@ def promoted_by_tau_fibers(f):
     return fibers
 
 
-def test_promotion_returns_the_enumerated_labeling():
+def table_of(elements):
+    """The members of an orbit table of labelings, as verify steps it."""
+    return _table_members(elements[0].restriction, elements[0].ell,
+                          {f.fibers: f for f in elements})
+
+
+def test_promotion_in_a_table_returns_its_labeling():
     elements = list(enumerate_labelings(2, 5))
     members = {id(f) for f in elements}
-    assert all(id(promote_pstrict(f)) in members for f in elements)
-
-
-def test_promotion_outside_the_latest_enumeration_builds_its_image():
-    # a labeling read from JSON has a restriction of its own, and the
-    # labelings of an older enumeration are not the latest enumeration's
-    older = list(enumerate_labelings(2, 5))
-    read = [PStrictLabeling.from_json(f.to_json()) for f in older]
-    next(enumerate_labelings(2, 5))
-    members = {id(f) for f in older}
-    for f in older + read:
+    with table_of(elements):
+        assert all(id(promote_pstrict(f)) in members for f in elements)
+    # outside the table every image is built anew
+    for f in elements:
         g = promote_pstrict(f)
-        assert g.fibers == promoted_by_tau_fibers(f)
-        assert g.restriction is f.restriction and g.ell == f.ell
         assert id(g) not in members or g is f
+        assert g.fibers == promoted_by_tau_fibers(f)
+
+
+def test_promotion_off_the_table_builds_its_image():
+    # a labeling read from JSON, one of another enumeration and one at
+    # another ell each have a restriction or ell other than the table's
+    table = list(enumerate_labelings(2, 5))
+    rf = table[0].restriction
+    read = [PStrictLabeling.from_json(f.to_json()) for f in table]
+    other = list(enumerate_labelings(2, 5))
+    narrower = list(enumerate_restricted_labelings(rf, 1))
+    members = {id(f) for f in table}
+    with table_of(table):
+        for f in read + other + narrower:
+            g = promote_pstrict(f)
+            assert g.fibers == promoted_by_tau_fibers(f)
+            assert g.restriction is f.restriction and g.ell == f.ell
+            assert id(g) not in members
 
 
 @pytest.mark.parametrize("fibers,message", [
     (((2, 3), (3, 3), (2, 4)), "layer 2 not strict across 'A' < 'B'"),
     (((1, 1), (2, 2), (3, 5)), "fiber of 'C' leaves its interval"),
 ])
-def test_validation_messages_with_a_live_enumeration(fibers, message):
+def test_validation_messages_in_a_table(fibers, message):
     rf = restriction_rq(make_v(), 4)
-    members = enumerate_restricted_labelings(rf, 2)
-    next(members)
-    with pytest.raises(ValueError) as info:
-        PStrictLabeling(rf, 2, fibers)
+    with table_of(list(enumerate_restricted_labelings(rf, 2))):
+        with pytest.raises(ValueError) as info:
+            _member(PStrictLabeling, rf, 2, fibers)
     assert str(info.value) == message

@@ -4,7 +4,8 @@ from math import lcm
 import pytest
 
 from vkrew.orbits import orbit_cycles
-from vkrew.poset import Poset, linear_extensions, make_v, product_with_chain
+from vkrew.poset import Poset, _member, _table_members, linear_extensions, \
+    make_v, product_with_chain
 from vkrew.pstrict import enumerate_labelings, promote_pstrict
 from vkrew.rowmotion import PosetAutomorphism, PPartition, \
     apply_automorphism, enumerate_ppartitions, flip_automorphism, rowmotion, \
@@ -322,34 +323,45 @@ def test_enumeration_on_non_topological_order(poset):
         assert got == closure_ppartitions(poset, ell) and got, ell
 
 
-def test_steps_return_the_enumerated_partition():
+def table_of(elements):
+    """The members of an orbit table of partitions, as verify steps it."""
+    return _table_members(elements[0].poset, elements[0].ell,
+                          {f.values: f for f in elements})
+
+
+def test_steps_in_a_table_return_its_partition():
     poset = product_with_chain(make_v(), 3)
     elements = list(enumerate_ppartitions(poset, 2))
     members = {id(f) for f in elements}
-    assert all(id(rowmotion(f)) in members and id(togpro(f, 5)) in members
-               for f in elements)
+    with table_of(elements):
+        assert all(id(rowmotion(f)) in members and id(togpro(f, 5)) in members
+                   for f in elements)
+    # outside the table every image is built anew
+    assert not any(id(rowmotion(f)) in members or id(togpro(f, 5)) in members
+                   for f in elements)
 
 
 def test_steps_at_another_ell_build_their_image():
     poset = product_with_chain(make_v(), 3)
     row_order = list(reversed(next(iter(linear_extensions(poset))).order()))
     togpro_order = reference_togpro_elements(5)
-    older = list(enumerate_ppartitions(poset, 1))
-    newer = list(enumerate_ppartitions(poset, 2))
-    members = {id(f) for f in newer}
-    for f in older:
-        for g, order in ((rowmotion(f), row_order),
-                         (togpro(f, 5), togpro_order)):
-            assert g.values == reference_values(f, order)
-            assert g.poset is poset and g.ell == 1
-            assert id(g) not in members
+    narrower = list(enumerate_ppartitions(poset, 1))
+    table = list(enumerate_ppartitions(poset, 2))
+    members = {id(f) for f in table}
+    with table_of(table):
+        for f in narrower:
+            for g, order in ((rowmotion(f), row_order),
+                             (togpro(f, 5), togpro_order)):
+                assert g.values == reference_values(f, order)
+                assert g.poset is poset and g.ell == 1
+                assert id(g) not in members
 
 
-def test_validation_message_with_a_live_enumeration():
+def test_validation_message_in_a_table():
     # the first cover that decreases, in element order, is named
     poset = product_with_chain(make_v(), 2)
-    next(enumerate_ppartitions(poset, 1))
-    with pytest.raises(ValueError) as info:
-        PPartition(poset, 1, (1, 1, 0, 1, 1, 0))
+    with table_of(list(enumerate_ppartitions(poset, 1))):
+        with pytest.raises(ValueError) as info:
+            _member(PPartition, poset, 1, (1, 1, 0, 1, 1, 0))
     assert str(info.value) \
         == "values decrease across ('A', 1) < ('B', 1)"

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from vkrew import cli, verify
+from vkrew import cli, poset, verify
 from vkrew.orbits import ActionError, orbit_cycles
 from vkrew.poset import make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, bender_knuth_tau, \
@@ -368,6 +368,41 @@ def test_each_step_runs_once_per_object(monkeypatch):
     assert run_suite("equivariance", ell_max=2, q_max=5).passed
     assert calls["togpro"] == sum(
         1 for ell, q in grid(2, 5) for _ in ppartitions(ell, q))
+
+
+@pytest.mark.parametrize("action,name", [("pro-pstrict", "promote_pstrict"),
+                                         ("row", "rowmotion"),
+                                         ("togpro", "togpro")])
+def test_steps_in_a_table_return_its_elements(monkeypatch, action, name):
+    images = []
+    step = getattr(verify, name)
+
+    def recorded(*args):
+        images.append(step(*args))
+        return images[-1]
+    monkeypatch.setattr(verify, name, recorded)
+    table = verify._table(action, 2, 6, verify.DEFAULT_CEILING)
+    members = {id(x) for x in table.elements}
+    assert len(images) == len(table.elements)
+    assert all(id(g) in members for g in images)
+
+
+def test_no_members_outlive_their_table(monkeypatch, capsys):
+    # enumerations stream and hold nothing; a table's members go with it,
+    # also when its step fails
+    none = (None, None, {})
+    assert sum(1 for _ in enumerate_labelings(2, 5)) \
+        and sum(1 for _ in ppartitions(2, 5))
+    assert cli.main(["enumerate", "--object", "ppartitions", "--ell", "2",
+                     "--k", "3"]) == 0
+    assert poset._members == none
+    assert orbit_report_for_action("row", 2, 5).count
+    assert poset._members == none
+    monkeypatch.setattr(verify, "promote_pstrict", lambda f: None)
+    with pytest.raises(ActionError):
+        orbit_report_for_action("pro-pstrict", 2, 5)
+    assert poset._members == none
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("action,cls", [("pro-pstrict", PStrictLabeling),
