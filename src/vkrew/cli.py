@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     try:
         return commands[args.command](args, parser)
     except (CeilingExceeded, RecursionError, ValueError, OSError) as exc:
-        # RecursionError: a poset too deep to enumerate, or nested JSON
+        # RecursionError: JSON nested too deep to read
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -18,13 +18,14 @@ class Poset:
     """An immutable finite poset given by elements and cover relations.
 
     The full order relation (reflexive-transitive closure of the covers)
-    is computed eagerly at construction; posets in this library stay well
-    under ~30 elements and comparability queries dominate.  The element
-    tuple fixes the canonical order used by all enumerations.
+    is computed eagerly at construction.  The element tuple fixes the
+    canonical order used by all enumerations, and the covers are also kept
+    by element index (``_up``, ``_down``, ``_cover_pairs``), the form the
+    enumerations, validators and steps read.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_up", "_down", "_above",
-                 "_ranks", "_hash")
+    __slots__ = ("elements", "covers", "_index", "_up", "_down",
+                 "_cover_pairs", "_above", "_ranks", "_hash")
 
     def __init__(self, elements: Iterable[Element],
                  covers: Iterable[tuple[Element, Element]]):
@@ -33,31 +34,35 @@ class Poset:
             raise PosetError("duplicate elements")
         self.covers = frozenset((a, b) for a, b in covers)
         self._index = {e: i for i, e in enumerate(self.elements)}
+        up: list[list[int]] = [[] for _ in self.elements]
+        down: list[list[int]] = [[] for _ in self.elements]
         for a, b in self.covers:
             if a not in self._index or b not in self._index:
                 raise PosetError(f"cover ({a!r}, {b!r}) uses unknown elements")
             if a == b:
                 raise PosetError(f"cover loop at {a!r}")
-        self._up = {e: tuple(sorted((b for a, b in self.covers if a == e),
-                                    key=self._index.__getitem__))
-                    for e in self.elements}
-        self._down = {e: tuple(sorted((a for a, b in self.covers if b == e),
-                                      key=self._index.__getitem__))
-                      for e in self.elements}
+            up[self._index[a]].append(self._index[b])
+            down[self._index[b]].append(self._index[a])
+        # each element's covers ascending, and the pairs a < b in index
+        # order of a, then b
+        self._up = tuple(tuple(sorted(u)) for u in up)
+        self._down = tuple(tuple(sorted(d)) for d in down)
+        self._cover_pairs = tuple((a, b) for a, ups in enumerate(self._up)
+                                  for b in ups)
         topo = self._toposort()
         self._above = self._closure(topo)
         self._check_irredundant()
         self._ranks = self._grade(topo)
         self._hash = hash((self.elements, self.covers))
 
-    def _toposort(self) -> list[Element]:
-        indeg = {e: len(self._down[e]) for e in self.elements}
-        queue = [e for e in self.elements if indeg[e] == 0]
+    def _toposort(self) -> list[int]:
+        indeg = [len(d) for d in self._down]
+        queue = [i for i, n in enumerate(indeg) if n == 0]
         topo = []
         while queue:
-            e = queue.pop()
-            topo.append(e)
-            for u in self._up[e]:
+            i = queue.pop()
+            topo.append(i)
+            for u in self._up[i]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     queue.append(u)
@@ -65,33 +70,34 @@ class Poset:
             raise PosetError("cover relations contain a directed cycle")
         return topo
 
-    def _closure(self, topo: list[Element]) -> dict[Element, frozenset]:
-        above: dict[Element, frozenset] = {}
-        for e in reversed(topo):
-            acc: set = set()
-            for u in self._up[e]:
+    def _closure(self, topo: list[int]) -> list[frozenset[int]]:
+        above: list = [None] * len(topo)
+        for i in reversed(topo):
+            acc: set[int] = set()
+            for u in self._up[i]:
                 acc.add(u)
                 acc |= above[u]
-            above[e] = frozenset(acc)
+            above[i] = frozenset(acc)
         return above
 
     def _check_irredundant(self) -> None:
-        for a, b in self.covers:
+        for a, b in self._cover_pairs:
             for c in self._above[a]:
                 if c != b and b in self._above[c]:
+                    a, b, c = (self.elements[i] for i in (a, b, c))
                     raise PosetError(
                         f"cover ({a!r}, {b!r}) is redundant: {a!r} < {c!r} < {b!r}")
 
-    def _grade(self, topo: list[Element]) -> dict[Element, int] | None:
+    def _grade(self, topo: list[int]) -> list[int] | None:
         # longest path from a minimal element; graded iff every cover
         # raises it by exactly 1 and all maximal elements agree
-        rk = {}
-        for e in topo:
-            rk[e] = max((rk[d] + 1 for d in self._down[e]), default=0)
-        for a, b in self.covers:
+        rk = [0] * len(topo)
+        for i in topo:
+            rk[i] = max((rk[d] + 1 for d in self._down[i]), default=0)
+        for a, b in self._cover_pairs:
             if rk[b] != rk[a] + 1:
                 return None
-        tops = {rk[e] for e in self.elements if not self._up[e]}
+        tops = {r for r, ups in zip(rk, self._up) if not ups}
         if len(tops) > 1:
             return None
         return rk
@@ -111,20 +117,19 @@ class Poset:
             raise PosetError(f"unknown element {e!r}") from None
 
     def leq(self, a: Element, b: Element) -> bool:
-        if a not in self._index or b not in self._index:
+        i, j = self._index.get(a), self._index.get(b)
+        if i is None or j is None:
             raise PosetError(f"unknown element in leq({a!r}, {b!r})")
-        return a == b or b in self._above[a]
+        return i == j or j in self._above[i]
 
     def comparable(self, a: Element, b: Element) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def upper_covers(self, e: Element) -> tuple[Element, ...]:
-        self.index(e)
-        return self._up[e]
+        return tuple(map(self.elements.__getitem__, self._up[self.index(e)]))
 
     def lower_covers(self, e: Element) -> tuple[Element, ...]:
-        self.index(e)
-        return self._down[e]
+        return tuple(map(self.elements.__getitem__, self._down[self.index(e)]))
 
     @property
     def is_graded(self) -> bool:
@@ -133,15 +138,14 @@ class Poset:
     def rank(self, e: Element) -> int:
         if self._ranks is None:
             raise PosetError("poset is not graded")
-        self.index(e)
-        return self._ranks[e]
+        return self._ranks[self.index(e)]
 
     @property
     def rank_max(self) -> int:
         """Rank n of a graded poset (maximal chains have n+1 elements)."""
         if self._ranks is None:
             raise PosetError("poset is not graded")
-        return max(self._ranks.values(), default=0)
+        return max(self._ranks, default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
@@ -153,25 +157,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
-
-
-@lru_cache(maxsize=None)
-def _cover_indices(poset: Poset) -> tuple[tuple[tuple[int, ...], ...],
-                                          tuple[tuple[int, ...], ...]]:
-    """Upper- and lower-cover indices of each element, aligned with
-    poset.elements."""
-    up = tuple(tuple(poset.index(u) for u in poset.upper_covers(e))
-               for e in poset.elements)
-    down = tuple(tuple(poset.index(d) for d in poset.lower_covers(e))
-                 for e in poset.elements)
-    return up, down
-
-
-@lru_cache(maxsize=None)
-def _cover_pairs(poset: Poset) -> tuple[tuple[int, int], ...]:
-    """Every cover a < b as an index pair, in element order of a, then b."""
-    up, _ = _cover_indices(poset)
-    return tuple((a, b) for a, ups in enumerate(up) for b in ups)
 
 
 _members: tuple = (None, None, {})  # owner, ell, members; see below
@@ -239,7 +224,7 @@ class LinearExtension:
         if len(self.labels) != m or sorted(self.labels) != list(range(1, m + 1)):
             raise ValueError("labels must be a bijection onto 1..m")
         labels = self.labels
-        for a, b in _cover_pairs(self.poset):
+        for a, b in self.poset._cover_pairs:
             if labels[a] >= labels[b]:
                 elements = self.poset.elements
                 raise ValueError(f"labels do not respect "
@@ -260,31 +245,69 @@ class LinearExtension:
         return f"LinearExtension({self.labels})"
 
 
+def _order_preserving_maps(poset: Poset, bottom: int, top: int,
+                           used: list[bool] | None = None,
+                           ) -> Iterator[tuple[int, ...]]:
+    """Value tuples, aligned with poset.elements, of the maps into
+    bottom..top that weakly increase along every cover, lexicographic in
+    element order.  Given ``used``, a table False at every value in
+    bottom..top, the values are also distinct, so they increase strictly.
+    Without it the walk keeps no table indexed by value, so a large
+    ``top`` costs nothing.
+
+    Each value is bounded by its covers placed before it: respecting every
+    cover implies respecting the order.  The values are walked on an
+    explicit stack, so depth is no limit.
+    """
+    up, down = poset._up, poset._down
+    m = len(up)
+    below = [tuple(j for j in down[i] if j < i) for i in range(m)]
+    above = [tuple(j for j in up[i] if j < i) for i in range(m)]
+    values, tops = [0] * m, [0] * m
+    i = 0  # the next position to open, at its least free value
+    while i >= 0:
+        if i == m:
+            yield tuple(values)
+        else:
+            v, hi = bottom, top
+            for j in below[i]:
+                if values[j] > v:
+                    v = values[j]
+            for j in above[i]:
+                if values[j] < hi:
+                    hi = values[j]
+            if used:
+                while v <= hi and used[v]:
+                    v += 1
+            values[i], tops[i] = v, hi
+            if v <= hi:
+                if used:
+                    used[v] = True
+                i += 1
+                continue
+        # back up to the last position with a free value below its top,
+        # and raise it
+        i -= 1
+        while i >= 0:
+            v, hi = values[i] + 1, tops[i]
+            if used:
+                used[v - 1] = False
+                while v <= hi and used[v]:
+                    v += 1
+            if v <= hi:
+                if used:
+                    used[v] = True
+                values[i] = v
+                i += 1
+                break
+            i -= 1
+
+
 def linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
     """All linear extensions, lexicographic on the label sequence read in
-    element order.  Lazy: the first extension costs one backtracking walk.
+    element order: the order-preserving maps onto 1..m with distinct
+    values, walked by _order_preserving_maps.  Lazy, and no depth limit.
     """
-    elems = poset.elements
-    m = len(elems)
-    below = [[j for j in range(i) if poset.leq(elems[j], elems[i])]
-             for i in range(m)]
-    above = [[j for j in range(i) if poset.leq(elems[i], elems[j])]
-             for i in range(m)]
-    labels = [0] * m
-    used = [False] * (m + 2)
-
-    def assign(i: int) -> Iterator[LinearExtension]:
-        if i == m:
-            yield LinearExtension(poset, tuple(labels))
-            return
-        lo = max((labels[j] for j in below[i]), default=0)
-        hi = min((labels[j] for j in above[i]), default=m + 1)
-        for v in range(lo + 1, hi):
-            if not used[v]:
-                used[v] = True
-                labels[i] = v
-                yield from assign(i + 1)
-                used[v] = False
-        labels[i] = 0
-
-    return assign(0)
+    m = len(poset)
+    return (LinearExtension(poset, labels) for labels in
+            _order_preserving_maps(poset, 1, m, [False] * (m + 2)))

@@ -34,8 +34,7 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _cover_indices, _cover_pairs, _member, \
-    make_v
+from .poset import Element, Poset, _member, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -105,7 +104,7 @@ class PStrictLabeling:
             fault = _fiber_fault(fiber, self.ell, lo, hi)
             if fault is not None:
                 raise ValueError(f"fiber of {e!r} {fault}")
-        for a, b in _cover_pairs(poset):
+        for a, b in poset._cover_pairs:
             if not all(map(lt, fibers[a], fibers[b])):
                 i = list(map(lt, fibers[a], fibers[b])).index(False)
                 raise ValueError(
@@ -173,7 +172,7 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
     Requires poset.elements to be topologically sorted (all our posets
     are).
     """
-    _, lower = _cover_indices(rf.poset)
+    lower = rf.poset._down
     if any(d >= i for i, down in enumerate(lower) for d in down):
         raise ValueError("element order is not topological")
     fibers: list[tuple[int, ...]] = [()] * len(lower)
@@ -387,7 +386,7 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
     if not 1 <= k <= f.q - 1:
         raise ValueError(f"k={k} out of range 1..{f.q - 1}")
     rf = f.restriction
-    fibers = _tau_fibers(f.fibers, k, *_cover_indices(rf.poset),
+    fibers = _tau_fibers(f.fibers, k, rf.poset._up, rf.poset._down,
                          rf.intervals)
     if fibers is f.fibers:
         return f
@@ -401,7 +400,7 @@ def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     rf = f.restriction
     tables = _v_moves(rf)
     if tables is None:
-        up, down = _cover_indices(rf.poset)
+        up, down = rf.poset._up, rf.poset._down
         fibers = f.fibers
         for k in range(1, rf.q):
             fibers = _tau_fibers(fibers, k, up, down, rf.intervals)

@@ -7,14 +7,16 @@ contribute the virtual bounds 0 and ell.  Rowmotion composes all
 toggles along a linear extension, maximal elements first;
 toggle-promotion groups toggles along diagonals of V x [q-2].
 
-toggle, rowmotion and togpro step a raw list of values: one sweep
-applies the toggles along a tuple of element indices, reading covers
-from the poset's cached cover-index table, and the index order of each
-action is cached per poset.  Each call validates once, on the partition
-it returns unless that is an element of the orbit table being stepped,
-never the states between its toggles.  The element-level reading
-(upper_covers, lower_covers, PPartition.value) is the reference the
-tests hold the sweep to.
+The partitions are enumerated by the explicit-stack walk that also
+enumerates linear extensions (poset._order_preserving_maps), so depth is
+no limit.  toggle, rowmotion and togpro step a raw list of values: one
+sweep applies the toggles along a tuple of element indices, reading the
+poset's cover-index tables, and the index order of each action is cached
+per poset.  Each call validates once, on the partition it returns unless
+that is an element of the orbit table being stepped, never the states
+between its toggles.  The element-level reading (upper_covers,
+lower_covers, PPartition.value) is the reference the tests hold the
+sweep to.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .poset import Element, LinearExtension, Poset, _cover_indices, \
-    _cover_pairs, _member, linear_extensions, make_v, \
-    product_with_chain, v_chain_layers
+from .poset import Element, LinearExtension, Poset, _member, \
+    _order_preserving_maps, linear_extensions, make_v, product_with_chain, \
+    v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -49,7 +51,7 @@ class PPartition:
             raise ValueError("one value per element required")
         if values and (min(values) < 0 or max(values) > self.ell):
             raise ValueError(f"values must lie in 0..{self.ell}")
-        for a, b in _cover_pairs(self.poset):
+        for a, b in self.poset._cover_pairs:
             if values[a] > values[b]:
                 elements = self.poset.elements
                 raise ValueError(f"values decrease across "
@@ -80,49 +82,19 @@ class PPartition:
 
 def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     """All ell-bounded partitions, lexicographic on the value sequence
-    read in element order.  Each value is bounded by its covers placed
-    before it: respecting every cover implies respecting the order.  The
-    values are walked on an explicit stack, so depth is no limit."""
+    read in element order: the order-preserving maps into 0..ell, walked
+    by the explicit-stack walk linear_extensions shares.  Lazy, and no
+    depth limit."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    up, down = _cover_indices(poset)
-    m = len(up)
-    below = [tuple(j for j in down[i] if j < i) for i in range(m)]
-    above = [tuple(j for j in up[i] if j < i) for i in range(m)]
-
-    def walk() -> Iterator[PPartition]:
-        values, tops = [0] * m, [0] * m
-        i = 0  # the next position to open, at its least value
-        while i >= 0:
-            if i == m:
-                yield PPartition(poset, ell, tuple(values))
-            else:
-                lo, hi = 0, ell
-                for j in below[i]:
-                    if values[j] > lo:
-                        lo = values[j]
-                for j in above[i]:
-                    if values[j] < hi:
-                        hi = values[j]
-                values[i], tops[i] = lo, hi
-                if lo <= hi:
-                    i += 1
-                    continue
-            # back up to the last position below its top and raise it
-            i -= 1
-            while i >= 0 and values[i] >= tops[i]:
-                i -= 1
-            if i >= 0:
-                values[i] += 1
-                i += 1
-
-    return walk()
+    return (PPartition(poset, ell, values)
+            for values in _order_preserving_maps(poset, 0, ell))
 
 
 def _sweep(values: list[int], order: tuple[int, ...], poset: Poset,
            ell: int) -> None:
     """Toggle the elements with the given indices, in order, in place."""
-    up, down = _cover_indices(poset)
+    up, down = poset._up, poset._down
     for i in order:
         top = ell
         for u in up[i]:

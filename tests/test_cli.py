@@ -234,17 +234,26 @@ def test_deep_poset_enumerates_ppartitions(capsys):
     assert len(row["values"]) == 1200 and set(row["values"].values()) == {0}
 
 
-@pytest.mark.parametrize("argv", [
-    ("enumerate", "--object", "linext", "--k", "400", "--limit", "1"),
-    ("orbits", "--action", "row", "--ell", "0", "--q", "402"),
-])
-def test_too_deep_a_poset_exit_2(capsys, argv):
-    # linear extensions are enumerated recursively and run out of stack on
-    # V x [400]; rowmotion reads its first extension
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_deep_poset_enumerates_linear_extensions(capsys):
+    # extensions share the partitions' explicit-stack walk
+    code, out, err = run(capsys, "enumerate", "--object", "linext",
+                         "--k", "400", "--limit", "1")
+    assert code == 0
+    assert err == ""
+    (row,) = map(json.loads, out.splitlines())
+    assert row["n"] == 400
+    # A at 1..400, B at 401..800, C at 801..1200
+    assert row["labels"] == list(range(1, 1201))
+
+
+def test_deep_poset_row_orbits(capsys):
+    # rowmotion reads the first extension of V x [400]
+    code, out, err = run(capsys, "orbits", "--action", "row",
+                         "--ell", "0", "--q", "402")
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 1 and report["orbit_sizes"] == [1]
+    assert report["checks"] and all(report["checks"].values())
 
 
 @pytest.mark.parametrize("command,payload", [

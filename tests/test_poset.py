@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from vkrew.kreweras import kreweras_number
@@ -83,16 +85,24 @@ def test_extension_counts_match_formula(n, count):
     assert sum(1 for _ in linear_extensions(poset)) == count == kreweras_number(n)
 
 
-def test_extensions_canonical_order_and_validity():
-    poset = product_with_chain(make_v(), 2)
-    exts = list(linear_extensions(poset))
-    labels = [e.labels for e in exts]
-    assert labels == sorted(labels)
-    assert len(set(labels)) == len(labels)
-    for e in exts:
-        assert sorted(e.labels) == list(range(1, 7))
-        for a, b in poset.covers:
-            assert e.labels[poset.index(a)] < e.labels[poset.index(b)]
+@pytest.mark.parametrize("poset", [
+    product_with_chain(make_v(), 1),
+    product_with_chain(make_v(), 2),
+    product_with_chain(make_v(), 3),
+    # element orders that are not topological
+    Poset(("C", "A", "B"), (("A", "B"), ("A", "C"))),
+    Poset(("x1", "x3", "x2"), (("x1", "x2"), ("x2", "x3"))),
+    Poset("dacb", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+    Poset((), ()),
+], ids=["V1", "V2", "V3", "scrambled", "chain", "diamond", "empty"])
+def test_extensions_canonical_order_and_validity(poset):
+    m = len(poset)
+    brute = sorted(
+        labels for labels in permutations(range(1, m + 1))
+        if all(labels[poset.index(a)] < labels[poset.index(b)]
+               for a, b in poset.covers))
+    assert [e.labels for e in linear_extensions(poset)] == brute
+    assert brute
 
 
 def test_empty_poset_single_extension():

@@ -1,8 +1,8 @@
 import pytest
 
 from vkrew import golden
-from vkrew.poset import LinearExtension, Poset, _cover_indices, _member, \
-    _table_members, make_v, product_with_chain
+from vkrew.poset import LinearExtension, Poset, _member, _table_members, \
+    make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
     _tau_fibers, _v_moves, bender_knuth_tau, enumerate_labelings, \
     enumerate_restricted_labelings, free_labels, free_labels_bruteforce, \
@@ -313,7 +313,7 @@ def test_lookup_kernel_matches_generic_tau(ell, q):
     grid it is the composition of the generic tau_1 ... tau_{q-1}."""
     rf = restriction_rq(make_v(), q)
     assert _v_moves(rf) is not None
-    up, down = _cover_indices(rf.poset)
+    up, down = rf.poset._up, rf.poset._down
     count = 0
     for f in enumerate_labelings(ell, q):
         fibers = f.fibers
@@ -336,7 +336,7 @@ def promoted_by_tau_fibers(f):
     rf = f.restriction
     fibers = f.fibers
     for k in range(1, rf.q):
-        fibers = _tau_fibers(fibers, k, *_cover_indices(rf.poset),
+        fibers = _tau_fibers(fibers, k, rf.poset._up, rf.poset._down,
                              rf.intervals)
     return fibers
 

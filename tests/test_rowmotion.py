@@ -50,6 +50,7 @@ def test_enumerate_ppartitions_counts():
     assert sum(1 for _ in enumerate_ppartitions(
         product_with_chain(v, 2), 1)) == 14
     assert [f.values for f in enumerate_ppartitions(v, 0)] == [(0, 0, 0)]
+    assert next(enumerate_ppartitions(v, 10**8)).values == (0, 0, 0)
 
 
 def test_enumerate_ppartitions_canonical_order():
