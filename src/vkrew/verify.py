@@ -8,9 +8,12 @@ of positions.  run_suite is point-major: it builds the table of each
 (point, action) its claims read once, in grid order, hands it to each of
 them and drops it, so each object is stepped once per run and one table
 is alive at a time.  Predicates read step^q of an element q places along
-its cycle and compare raw forms with the B/C mirror image; word laws take
-Pro(w) from the table.  A claim reports its first failing element in
-enumeration order.  orbit_report_for_action shares tables and predicates.
+its cycle and compare raw forms with the B/C mirror image.  A word table
+also holds each word's arc data, built once with the table: its sorted
+layers and double arcs and, absent double arcs, its standardization.
+Every word law reads it, for w and for Pro(w), which is an element of the
+same table.  A claim reports its first failing element in enumeration
+order.  orbit_report_for_action shares tables and predicates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from math import lcm
 from operator import attrgetter, itemgetter, methodcaller
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import golden
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
@@ -36,11 +39,11 @@ from .poset import _table_members, linear_extensions, make_v, \
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
-from .words import PartialMultiKrewerasWord, delete_double_arc, \
-    destandardize, double_arcs, labeling_of_word, layer_decomposition, \
-    promote_vlayer, promote_word, promote_word_layerwise, rotate_double_arc, \
-    same_block_closers_nest, shortest_arc_triples, standardize, swap_bc_word, \
-    word_of_labeling
+from .words import PartialMultiKrewerasWord, _blocks_text, _deleted, \
+    _double_arcs, _layerwise_blocks, _restriction, _shortest_arcs, \
+    delete_double_arc, destandardize, double_arcs, labeling_of_word, \
+    layer_decomposition, promote_vlayer, promote_word, rotate_double_arc, \
+    same_block_closers_nest, standardize, swap_bc_word, word_of_labeling
 
 DEFAULT_CEILING = 5_000_000
 
@@ -161,24 +164,51 @@ _ACTIONS = ("pro-linext", "pro-kreweras", "pro-pstrict", "pro-word", "row",
            "togpro")
 
 
+class _Arcs(NamedTuple):
+    """A word's arc data: its sorted layers and double arcs and, when it
+    has no double arc, its standardization (std, sizes) or the ValueError
+    standardize raised."""
+
+    word: PartialMultiKrewerasWord
+    layers: tuple
+    arcs: list
+    std: tuple | ValueError | None
+
+
+def _arcs(w: PartialMultiKrewerasWord) -> _Arcs:
+    """Reads layer_decomposition and standardize as bound in this module."""
+    layers = layer_decomposition(w)
+    arcs, std = _double_arcs(layers), None
+    if not arcs:
+        try:
+            std = standardize(w)
+        except ValueError as exc:
+            std = exc
+    return _Arcs(w, layers, arcs, std)
+
+
 @dataclass
 class _Table:
     """The orbits of one action at one grid point: the elements in
-    enumeration order, and the cycles as arrays of their positions."""
+    enumeration order, and the cycles as arrays of their positions.  A
+    word table also holds the _Arcs of each word, in the same order."""
 
     action: str
     ell: int
     q: int
     elements: list
     cycles: list
+    arcs: list
 
-    def power(self, t: int) -> list:
-        """step^t of each element, in enumeration order."""
-        out = [None] * len(self.elements)
+    def power(self, t: int, of: list | None = None) -> list:
+        """step^t of each element, in enumeration order; given ``of``,
+        aligned with the elements, the entry of ``of`` at each step^t."""
+        of = self.elements if of is None else of
+        out = [None] * len(of)
         for cycle in self.cycles:
             size = len(cycle)
             for j, i in enumerate(cycle):
-                out[i] = self.elements[cycle[(j + t) % size]]
+                out[i] = of[cycle[(j + t) % size]]
         return out
 
     def sizes(self) -> list[int]:
@@ -186,9 +216,10 @@ class _Table:
 
 
 def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
-    """Enumerate once and step each element once.  The step is looked up
-    in this module as the table is built, so a rebound name is used."""
-    owner = raw = None
+    """Enumerate once and step each element once.  The step and the arc
+    data's functions are looked up in this module as the table is built,
+    so a rebound name is used."""
+    owner, members = None, {}
     if action in ("pro-linext", "pro-kreweras"):
         elements, step = _extensions(ell, ceiling), promote_linext
         if action == "pro-kreweras":
@@ -197,20 +228,20 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
     elif action in ("row", "togpro"):
         elements = _ppartitions(ell, q - 2, ceiling)
         step = rowmotion if action == "row" else (lambda f: togpro(f, q))
-        owner, raw = product_with_chain(make_v(), q - 2), attrgetter("values")
+        owner = product_with_chain(make_v(), q - 2)
+        members = {f.values: f for f in elements}
     else:
         elements = list(_capped(enumerate_labelings(ell, q), ceiling,
                                 f"labelings ell={ell} q={q}"))
-        step = promote_pstrict
-        if action == "pro-word":
+        step, owner = promote_pstrict, elements[0].restriction
+        members = {f.fibers: f for f in elements}
+        if action == "pro-word":  # it promotes labelings over _restriction
             elements = [word_of_labeling(f) for f in elements]
-            step = promote_word
-        elif elements:
-            owner, raw = elements[0].restriction, attrgetter("fibers")
-    with _table_members(owner, ell,
-                        {raw(f): f for f in elements} if raw else {}):
+            step, owner = promote_word, _restriction(q)
+    with _table_members(owner, ell, members):
         cycles = orbit_cycles(step, elements, indices=True)
-    return _Table(action, ell, q, elements, cycles)
+    arcs = list(map(_arcs, elements)) if action == "pro-word" else []
+    return _Table(action, ell, q, elements, cycles, arcs)
 
 
 def _flip_of_values(q: int):
@@ -359,41 +390,43 @@ def _orbit_multisets_agree():
 
 
 def _per_word(check, arcless: bool = False):
-    """A table predicate applying ``check(w, Pro(w), q)`` to every word,
-    or with ``arcless`` to every word without double arcs."""
+    """A table predicate applying ``check(x, y, q)`` to the _Arcs x of
+    every word and y of its Pro(w), or with ``arcless`` to every word
+    without double arcs, failing at a word whose standardization raised."""
     def predicate(t: _Table):
-        for w, promoted in zip(t.elements, t.power(1)):
-            if arcless and double_arcs(w):
+        for x, y in zip(t.arcs, t.power(1, t.arcs)):
+            if arcless and x.arcs:
                 continue
-            bad = check(w, promoted, t.q)
+            bad = ({"error": str(x.std)}
+                   if arcless and isinstance(x.std, ValueError)
+                   else check(x, y, t.q))
             if bad is not None:
-                return {"ell": t.ell, "q": t.q, "word": w.to_text(), **bad}
+                return {"ell": t.ell, "q": t.q, "word": x.word.to_text(),
+                        **bad}
         return None
     return predicate
 
 
-def _content_rotation(w, promoted, q):
+def _content_rotation(x, y, q):
     """Promoting the labeling equals promoting every layer of its word
     and regathering the block counts (fibers reorder, arcs may recouple)."""
-    layerwise = promote_word_layerwise(w)
-    if promoted != layerwise:
-        return {"promoted": promoted.to_text(),
-                "layerwise": layerwise.to_text()}
+    layerwise = _layerwise_blocks(x.layers, q)
+    if y.word.blocks != layerwise:
+        return {"promoted": y.word.to_text(),
+                "layerwise": _blocks_text(layerwise)}
     return None
 
 
-def _double_arc_count(w, promoted, q):
-    before, after = double_arcs(w), double_arcs(promoted)
-    if len(before) != len(after):
-        return {"before": before, "after": after}
+def _double_arc_count(x, y, q):
+    if len(x.arcs) != len(y.arcs):
+        return {"before": x.arcs, "after": y.arcs}
     return None
 
 
-def _double_arc_rotation(w, promoted, q):
-    expected = sorted(rotate_double_arc(d, q) for d in double_arcs(w))
-    actual = double_arcs(promoted)
-    if expected != actual:
-        return {"expected": expected, "actual": actual}
+def _double_arc_rotation(x, y, q):
+    expected = sorted(rotate_double_arc(d, q) for d in x.arcs)
+    if expected != y.arcs:
+        return {"expected": expected, "actual": y.arcs}
     return None
 
 
@@ -402,13 +435,12 @@ def _double_arc_deletion(t: _Table):
     per table.  A rotated arc missing from Pro(w) fails the claim."""
     promote = cache(promote_word)
 
-    def check(w, promoted, q):
-        for arc in sorted(set(double_arcs(w))):
-            delete_then_promote = promote(delete_double_arc(w, arc))
+    def check(x, y, q):
+        for arc in sorted(set(x.arcs)):
+            delete_then_promote = promote(_deleted(x.word, arc))
             rotated = rotate_double_arc(arc, q)
-            promoted_then_deleted = (delete_double_arc(promoted, rotated)
-                                     if rotated in double_arcs(promoted)
-                                     else None)
+            promoted_then_deleted = (_deleted(y.word, rotated)
+                                     if rotated in y.arcs else None)
             if delete_then_promote != promoted_then_deleted:
                 return {"arc": list(arc),
                         "delete_then_promote": delete_then_promote.to_text(),
@@ -418,19 +450,18 @@ def _double_arc_deletion(t: _Table):
     return _per_word(check)(t)
 
 
-def _shortest_arc_shift(w, promoted, q):
+def _shortest_arc_shift(x, y, q):
     shifted = Counter((color, a - 1, b - 1)
-                      for color, a, b in shortest_arc_triples(w) if a > 1)
-    missing = shifted - Counter(shortest_arc_triples(promoted))
+                      for color, a, b in _shortest_arcs(x.layers) if a > 1)
+    missing = shifted - Counter(_shortest_arcs(y.layers))
     if missing:
         return {"missing": sorted(missing.elements())}
     return None
 
 
-def _std_pro_commutation(w, promoted, q):
-    std, _ = standardize(w)
-    std_promoted, _ = standardize(promoted)
-    k = w.block_size(1)
+def _std_pro_commutation(x, y, q):
+    (std, _), (std_promoted, _) = x.std, y.std
+    k = x.word.block_size(1)
     iterated = std
     for _ in range(k):
         iterated = promote_kreweras(iterated)
@@ -440,27 +471,24 @@ def _std_pro_commutation(w, promoted, q):
     return None
 
 
-def _std_valid(w, promoted, q):
-    try:
-        std, sizes = standardize(w)
-    except ValueError as exc:
-        return {"error": str(exc)}
+def _std_valid(x, y, q):
+    std, sizes = x.std
     if not same_block_closers_nest(std, sizes):
         return {"std": std.letters, "error": "same-block arcs cross"}
     return None
 
 
-def _destandardize_roundtrip(w, promoted, q):
-    std, sizes = standardize(w)
-    if destandardize(std, sizes) != w:
+def _destandardize_roundtrip(x, y, q):
+    std, sizes = x.std
+    if destandardize(std, sizes) != x.word:
         return {"std": std.letters, "sizes": list(sizes)}
     return None
 
 
-def _std_order_unique(w, promoted, q):
+def _std_order_unique(x, y, q):
     """Any adjacent transposition of same-block closers makes two arcs
     ending in that block cross, so the nesting order is forced."""
-    std, sizes = standardize(w)
+    std, sizes = x.std
     diagram = bump_diagram(std)
     opener = {c: o for o, c in (*diagram.arcs_b, *diagram.arcs_c)}
     end = 0
@@ -468,9 +496,9 @@ def _std_order_unique(w, promoted, q):
         start, end = end, end + size
         closers = [pos for pos in range(start + 1, end + 1)
                    if std.letters[pos - 1] != "A"]
-        for x, y in zip(closers, closers[1:]):
-            if not is_crossing((opener[x], y), (opener[y], x)):
-                return {"block": bi + 1, "positions": [x, y]}
+        for u, v in zip(closers, closers[1:]):
+            if not is_crossing((opener[u], v), (opener[v], u)):
+                return {"block": bi + 1, "positions": [u, v]}
     return None
 
 

@@ -11,6 +11,7 @@ tolerate several closers per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .kreweras import KrewerasWord, is_crossing
 from .poset import make_v
@@ -78,11 +79,7 @@ class PartialMultiKrewerasWord:
 
     def to_text(self) -> str:
         """Blocks joined by '|'; within a block B's, then C's, then A's."""
-        parts = []
-        for na, nb, nc in self.blocks:
-            s = "B" * nb + "C" * nc + "A" * na
-            parts.append(s if s else EMPTY_BLOCK)
-        return "|".join(parts)
+        return _blocks_text(self.blocks)
 
     @classmethod
     def from_text(cls, text: str) -> "PartialMultiKrewerasWord":
@@ -111,20 +108,33 @@ class PartialMultiKrewerasWord:
         return f"PartialMultiKrewerasWord({self.to_text()!r})"
 
 
+def _blocks_text(blocks) -> str:
+    """to_text of any block counts, those of a word or not."""
+    return "|".join("B" * nb + "C" * nc + "A" * na or EMPTY_BLOCK
+                    for na, nb, nc in blocks)
+
+
 def word_of_labeling(f: PStrictLabeling) -> PartialMultiKrewerasWord:
     """Block i collects one letter p for every fiber entry f(p, .) = i."""
     if f.restriction.poset != make_v():
         raise ValueError("words model labelings of V only")
-    blocks = []
-    for i in range(1, f.q + 1):
-        na, nb, nc = (f.fiber(p).count(i) for p in ("A", "B", "C"))
-        blocks.append((na, nb, nc))
-    return PartialMultiKrewerasWord(f.ell, f.q, tuple(blocks))
+    blocks = [[0, 0, 0] for _ in range(f.q)]
+    for letter, fiber in enumerate(f.fibers):
+        for i in fiber:
+            blocks[i - 1][letter] += 1
+    return PartialMultiKrewerasWord(f.ell, f.q, tuple(map(tuple, blocks)))
+
+
+@lru_cache(maxsize=None)
+def _restriction(q: int):
+    """The restriction of the labeling of every word at q: one object per
+    q, by which an orbit table of words registers its labelings."""
+    return restriction_rq(make_v(), q)
 
 
 def labeling_of_word(w: PartialMultiKrewerasWord) -> PStrictLabeling:
     """Inverse of word_of_labeling: fibers list block indices in order."""
-    rf = restriction_rq(make_v(), w.q)
+    rf = _restriction(w.q)
     fibers = []
     for idx in range(3):
         fiber = []
@@ -188,28 +198,21 @@ class GeneralizedBumpDiagram:
     def slot_block(self, pos: int) -> int:
         return self.slots[pos - 1][0]
 
-    def opener_slots(self) -> tuple[int, ...]:
-        """A slots in diagram order; the i-th is the opener of layer i."""
-        return tuple(p for p, (_, ch) in enumerate(self.slots, start=1)
-                     if ch == "A")
-
     def arcs_by_opener(self) -> dict[int, tuple[int, int]]:
-        """opener slot -> (B closer slot, C closer slot)."""
-        by_b = dict(self.arcs_b)
+        """opener slot -> (B closer slot, C closer slot), in slot order:
+        every A opens one arc of each color."""
         by_c = dict(self.arcs_c)
-        return {p: (by_b[p], by_c[p]) for p in self.opener_slots()}
+        return {p: (cb, by_c[p]) for p, cb in self.arcs_b}
 
     def layers(self) -> tuple[VLayer, ...]:
         """One layer per A, in diagram order of the A's."""
-        out = []
-        for p, (cb, cc) in sorted(self.arcs_by_opener().items()):
-            out.append(VLayer(self.slot_block(p), self.slot_block(cb),
-                              self.slot_block(cc)))
-        return tuple(out)
+        return tuple(VLayer(self.slot_block(p), self.slot_block(cb),
+                            self.slot_block(cc))
+                     for p, (cb, cc) in self.arcs_by_opener().items())
 
     def double_arc_openers(self) -> tuple[int, ...]:
         """A slots whose B and C closers land in the same block."""
-        return tuple(p for p, (cb, cc) in sorted(self.arcs_by_opener().items())
+        return tuple(p for p, (cb, cc) in self.arcs_by_opener().items()
                      if self.slot_block(cb) == self.slot_block(cc))
 
 
@@ -246,26 +249,33 @@ def promote_word(w: PartialMultiKrewerasWord) -> PartialMultiKrewerasWord:
     return word_of_labeling(promote_pstrict(labeling_of_word(w)))
 
 
+def _layerwise_blocks(layers, q: int) -> tuple[tuple[int, int, int], ...]:
+    """The block counts of the layers, each promoted on its own."""
+    blocks = [[0, 0, 0] for _ in range(q)]
+    for layer in layers:
+        a, b, c = promote_vlayer(layer, q).as_tuple()
+        blocks[a - 1][0] += 1
+        blocks[b - 1][1] += 1
+        blocks[c - 1][2] += 1
+    return tuple(map(tuple, blocks))
+
+
 def promote_word_layerwise(w: PartialMultiKrewerasWord) -> PartialMultiKrewerasWord:
     """Independent route: promote every layer and reassemble the blocks."""
-    promoted = [promote_vlayer(layer, w.q) for layer in layer_decomposition(w)]
-    blocks = [[0, 0, 0] for _ in range(w.q)]
-    for layer in promoted:
-        blocks[layer.a - 1][0] += 1
-        blocks[layer.b - 1][1] += 1
-        blocks[layer.c - 1][2] += 1
-    return PartialMultiKrewerasWord(w.ell, w.q, tuple(tuple(b) for b in blocks))
+    return PartialMultiKrewerasWord(
+        w.ell, w.q, _layerwise_blocks(layer_decomposition(w), w.q))
+
+
+def _double_arcs(layers) -> list[tuple[int, int]]:
+    """(a, b) of every layer whose closers share a block (b == c): its
+    double arc.  Sorted layers give sorted arcs."""
+    return [(layer.a, layer.b) for layer in layers if layer.b == layer.c]
 
 
 def double_arcs(w: PartialMultiKrewerasWord) -> list[tuple[int, int]]:
     """Block pairs (opener block, closer block) of the double arcs, sorted,
     with multiplicity."""
-    diagram = generalized_bump_diagram(w)
-    by_opener = diagram.arcs_by_opener()
-    pairs = [(diagram.slot_block(p), diagram.slot_block(cb))
-             for p, (cb, cc) in by_opener.items()
-             if diagram.slot_block(cb) == diagram.slot_block(cc)]
-    return sorted(pairs)
+    return _double_arcs(layer_decomposition(w))
 
 
 def rotate_double_arc(arc: tuple[int, int], q: int) -> tuple[int, int]:
@@ -281,29 +291,30 @@ def delete_double_arc(w: PartialMultiKrewerasWord,
                       arc: tuple[int, int]) -> PartialMultiKrewerasWord:
     """Remove a double arc (one A from block k, one B and one C from
     block j), yielding an (ell-1, q) word."""
-    k, j = arc
     if arc not in double_arcs(w):
         raise ValueError(f"no double arc {arc} in this word")
-    blocks = [list(b) for b in w.blocks]
-    blocks[k - 1][0] -= 1
-    blocks[j - 1][1] -= 1
-    blocks[j - 1][2] -= 1
-    return PartialMultiKrewerasWord(w.ell - 1, w.q,
-                                    tuple(tuple(b) for b in blocks))
+    return _deleted(w, arc)
+
+
+def _deleted(w: PartialMultiKrewerasWord,
+             arc: tuple[int, int]) -> PartialMultiKrewerasWord:
+    """delete_double_arc for an arc known to be a double arc of w."""
+    k, j = arc
+    return PartialMultiKrewerasWord(w.ell - 1, w.q, tuple(
+        (na - (i == k), nb - (i == j), nc - (i == j))
+        for i, (na, nb, nc) in enumerate(w.blocks, start=1)))
 
 
 def shortest_arc_triples(w: PartialMultiKrewerasWord) -> tuple[tuple[str, int, int], ...]:
     """Per A: the color and blocks of its shorter arc ('=' on a tie),
     as a canonically sorted multiset of (color, opener block, closer block)."""
-    triples = []
-    for layer in layer_decomposition(w):
-        if layer.b < layer.c:
-            triples.append(("B", layer.a, layer.b))
-        elif layer.c < layer.b:
-            triples.append(("C", layer.a, layer.c))
-        else:
-            triples.append(("=", layer.a, layer.b))
-    return tuple(sorted(triples))
+    return _shortest_arcs(layer_decomposition(w))
+
+
+def _shortest_arcs(layers) -> tuple[tuple[str, int, int], ...]:
+    return tuple(sorted(
+        ("B" if layer.b < layer.c else "C" if layer.c < layer.b else "=",
+         layer.a, min(layer.b, layer.c)) for layer in layers))
 
 
 def standardize(w: PartialMultiKrewerasWord) -> tuple[KrewerasWord, tuple[int, ...]]:

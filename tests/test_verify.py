@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import json
 from collections import Counter
 from math import lcm
 
 import pytest
 
-from vkrew import cli, poset, verify
+from vkrew import cli, poset, verify, words
 from vkrew.orbits import ActionError, orbit_cycles
 from vkrew.poset import make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, bender_knuth_tau, \
@@ -15,7 +16,9 @@ from vkrew.rowmotion import PPartition, apply_automorphism, \
 from vkrew.verify import CeilingExceeded, VerificationReport, export_report, \
     orbit_report_for_action, report_from_json, report_to_csv_text, \
     report_to_json_text, run_suite
-from vkrew.words import enumerate_words, promote_word_layerwise, swap_bc_word
+from vkrew.words import double_arcs, enumerate_words, \
+    generalized_bump_diagram, layer_decomposition, promote_vlayer, \
+    promote_word, promote_word_layerwise, standardize, swap_bc_word
 
 
 def normalized(report: VerificationReport) -> VerificationReport:
@@ -398,9 +401,14 @@ def test_no_members_outlive_their_table(monkeypatch, capsys):
     assert poset._members == none
     assert orbit_report_for_action("row", 2, 5).count
     assert poset._members == none
+    assert run_suite("layers", ell_max=1, q_max=4).passed
+    assert poset._members == none
     monkeypatch.setattr(verify, "promote_pstrict", lambda f: None)
     with pytest.raises(ActionError):
         orbit_report_for_action("pro-pstrict", 2, 5)
+    assert poset._members == none
+    monkeypatch.setattr(verify, "promote_word", lambda w: None)
+    assert not run_suite("layers", ell_max=1, q_max=4).passed
     assert poset._members == none
     capsys.readouterr()
 
@@ -425,3 +433,122 @@ def test_each_element_is_built_once_per_report(monkeypatch, action, cls):
         built.clear()
         assert orbit_report_for_action(action, 2, 6).count == expected
         assert built[action] == expected
+
+
+def test_word_steps_promote_the_tables_labelings():
+    # promote_pstrict inside promote_word returns an enumerated labeling,
+    # so a word table builds each labeling twice: by the enumeration and
+    # by labeling_of_word, never as a promoted image
+    built = Counter()
+    post_init = PStrictLabeling.__post_init__
+
+    def counted(self):
+        built["labelings"] += 1
+        post_init(self)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(PStrictLabeling, "__post_init__", counted)
+        table = verify._table("pro-word", 2, 6, verify.DEFAULT_CEILING)
+    assert built["labelings"] == 2 * len(table.elements)
+
+
+# -- arc data of the word tables ---------------------------------------
+
+def test_word_tables_arc_data_matches_the_words_functions():
+    for ell, q in verify._word_grid(2, 6):
+        table = verify._table("pro-word", ell, q, verify.DEFAULT_CEILING)
+        assert [x.word for x in table.arcs] == table.elements
+        assert [y.word for y in table.power(1, table.arcs)] == table.power(1)
+        for x in table.arcs:
+            w = x.word
+            assert x.layers == layer_decomposition(w)
+            assert x.arcs == double_arcs(w)
+            assert len(x.arcs) == len(
+                generalized_bump_diagram(w).double_arc_openers())
+            assert x.std == (None if x.arcs else standardize(w))
+
+
+def test_suite_all_builds_two_bump_diagrams_per_word_at_most(monkeypatch):
+    calls = Counter()
+    build = words.generalized_bump_diagram
+
+    def counted(w):
+        calls["diagram"] += 1
+        return build(w)
+    monkeypatch.setattr(words, "generalized_bump_diagram", counted)
+    assert run_suite("all").passed
+    # 1,533 words on the default word grid, 24,848 diagrams when each
+    # word law built its own
+    count = sum(1 for ell, q in grid(2, 6) for _ in enumerate_words(ell, q))
+    assert count == 1533
+    assert 0 < calls["diagram"] <= 2 * count
+
+
+def live_tables():
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, (verify._Table, verify._Arcs)))
+
+
+def test_no_arc_data_outlives_its_table(monkeypatch):
+    before = live_tables()
+    assert run_suite("doublearcs", ell_max=2, q_max=4).passed
+    assert live_tables() == before
+    # a word step that is not a bijection builds no table
+    monkeypatch.setattr(verify, "promote_word", lambda w: None)
+    assert not run_suite("standardization", ell_max=2, q_max=4).passed
+    assert live_tables() == before
+
+
+def blocks_text(blocks):
+    return "|".join("B" * nb + "C" * nc + "A" * na or "∅"
+                    for na, nb, nc in blocks)
+
+
+def shortest(layers):
+    return Counter(("B" if b < c else "C" if c < b else "=", a, min(b, c))
+                   for a, b, c in (layer.as_tuple() for layer in layers))
+
+
+def test_a_dropped_layer_fails_content_rotation_and_shortest_arcs(
+        monkeypatch):
+    def dropped(w):
+        return layer_decomposition(w)[1:]
+    monkeypatch.setattr(verify, "layer_decomposition", dropped)
+    expected = {}
+    for ell, q in grid(2, 4):
+        for w in enumerate_words(ell, q):
+            promoted = promote_word(w)
+            blocks = [[0, 0, 0] for _ in range(q)]
+            for layer in dropped(w):
+                for letter, block in enumerate(
+                        promote_vlayer(layer, q).as_tuple()):
+                    blocks[block - 1][letter] += 1
+            if [list(b) for b in promoted.blocks] != blocks:
+                expected.setdefault("content-rotation", {
+                    "ell": ell, "q": q, "word": w.to_text(),
+                    "promoted": promoted.to_text(),
+                    "layerwise": blocks_text(blocks)})
+            shifted = Counter({(color, a - 1, b - 1): n for (color, a, b), n
+                               in shortest(dropped(w)).items() if a > 1})
+            missing = shifted - shortest(dropped(promoted))
+            if missing:
+                expected.setdefault("shortest-arc-shift", {
+                    "ell": ell, "q": q, "word": w.to_text(),
+                    "missing": sorted(missing.elements())})
+    assert len(expected) == 2
+    found = failures(run_suite("layers", ell_max=2, q_max=4),
+                     run_suite("doublearcs", ell_max=2, q_max=4))
+    assert {cid: found.get(cid) for cid in expected} == expected
+
+
+def test_a_raising_standardization_fails_the_arcless_claims(monkeypatch):
+    def raising(w):
+        raise ValueError("no standardization")
+    monkeypatch.setattr(verify, "standardize", raising)
+    first = next(w for w in enumerate_words(1, 3) if not double_arcs(w))
+    report = run_suite("standardization", ell_max=1, q_max=4)
+    error = {"ell": 1, "q": 3, "word": first.to_text(),
+             "error": "no standardization"}
+    assert failures(report) == {
+        cid: error for cid in ("std-pro-commutation", "std-valid-kreweras",
+                               "destandardize-roundtrip", "std-order-unique")}
