@@ -181,6 +181,20 @@ def _member(cls, owner, ell: int, raw):
     return cls(owner, ell, raw) if f is None else f
 
 
+class _Memo(dict):
+    """A dict that fills a missing entry with ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @lru_cache(maxsize=None)
 def make_v() -> Poset:
     """The 3-element poset on A, B, C with A below both B and C."""

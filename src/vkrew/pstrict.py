@@ -34,7 +34,7 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _member, make_v
+from .poset import Element, Poset, _Memo, _member, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -332,20 +332,6 @@ def _tau_fibers(fibers, k, up, down, intervals):
                 new = list(fibers)
             new[ei] = moved
     return fibers if new is None else tuple(new)
-
-
-class _Memo(dict):
-    """A dict that fills a missing entry with ``fill(key)``."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 @lru_cache(maxsize=1)

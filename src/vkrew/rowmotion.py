@@ -9,23 +9,23 @@ toggle-promotion groups toggles along diagonals of V x [q-2].
 
 The partitions are enumerated by the explicit-stack walk that also
 enumerates linear extensions (poset._order_preserving_maps), so depth is
-no limit.  toggle, rowmotion and togpro step a raw list of values: one
-sweep applies the toggles along a tuple of element indices, reading the
-poset's cover-index tables, and the index order of each action is cached
-per poset.  Each call validates once, on the partition it returns unless
-that is an element of the orbit table being stepped, never the states
-between its toggles.  The element-level reading (upper_covers,
-lower_covers, PPartition.value) is the reference the tests hold the
-sweep to.
+no limit.  One sweep toggles raw values along element indices, reading
+the poset's cover-index tables.  On V x [k], rowmotion moves the B and C
+columns, then A, by lookups the sweep fills once each; togpro is the
+same moves in the other order.  Each call validates once, on the
+partition it returns unless that is an element of the orbit table being
+stepped, never the states between its toggles.  The element-level
+reading (upper_covers, lower_covers, PPartition.value) is the reference
+the tests hold the sweep to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .poset import Element, LinearExtension, Poset, _member, \
+from .poset import Element, LinearExtension, Poset, _Memo, _member, \
     _order_preserving_maps, linear_extensions, make_v, product_with_chain, \
     v_chain_layers
 
@@ -56,6 +56,9 @@ class PPartition:
                 elements = self.poset.elements
                 raise ValueError(f"values decrease across "
                                  f"{elements[a]!r} < {elements[b]!r}")
+
+    def __hash__(self) -> int:  # equal partitions have equal values
+        return hash(self.values)
 
     def value(self, p: Element) -> int:
         return self.values[self.poset.index(p)]
@@ -91,7 +94,7 @@ def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
             for values in _order_preserving_maps(poset, 0, ell))
 
 
-def _sweep(values: list[int], order: tuple[int, ...], poset: Poset,
+def _sweep(values: list[int], order: Iterable[int], poset: Poset,
            ell: int) -> None:
     """Toggle the elements with the given indices, in order, in place."""
     up, down = poset._up, poset._down
@@ -124,15 +127,53 @@ def _rowmotion_order(poset: Poset,
     return tuple(poset.index(e) for e in reversed(ext.order()))
 
 
+@lru_cache(maxsize=1)
+def _v_moves(poset: Poset, ell: int):
+    """Tables for rowmotion and togpro on V x [k], else None: split gives
+    the A, B and C column ids, move_b[a, x] sweeps B or C column x over A
+    column a, move_a[a, m] column a under m = min(B, C); each filled once."""
+    k = v_chain_layers(poset)
+    if k is None:
+        return None
+    columns: list = []  # id -> column
+
+    def intern(column):
+        columns.append(column)
+        return len(columns) - 1
+
+    ids = _Memo(intern)  # column -> id
+    low = _Memo(lambda bc: ids[tuple(map(min, columns[bc[0]],
+                                         columns[bc[1]]))])
+
+    def split(v):
+        return ids[v[:k]], ids[v[k:-k]], ids[v[-k:]]
+
+    def move(start):  # sweeps the column at start of the values (a, x, x)
+        def fill(ax):
+            values = [*columns[ax[0]], *columns[ax[1]] * 2]
+            _sweep(values, range(start + k - 1, start - 1, -1), poset, ell)
+            return ids[tuple(values[start:start + k])]
+        return _Memo(fill)
+
+    return columns, split, low, move(0), move(k)
+
+
 def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
     """Toggle every element once, from maximal down to minimal along a
     linear extension.  The result does not depend on the extension; the
-    default is the canonical first one."""
+    default is the canonical first one, by column moves on V x [k]."""
     if ext is not None and ext.poset != f.poset:
         raise ValueError("linear extension belongs to a different poset")
-    values = list(f.values)
-    _sweep(values, _rowmotion_order(f.poset, ext), f.poset, f.ell)
-    return _member(PPartition, f.poset, f.ell, tuple(values))
+    if ext is not None or (tables := _v_moves(f.poset, f.ell)) is None:
+        values = list(f.values)
+        _sweep(values, _rowmotion_order(f.poset, ext), f.poset, f.ell)
+        return _member(PPartition, f.poset, f.ell, tuple(values))
+    columns, split, low, move_a, move_b = tables
+    a, b, c = split(f.values)
+    b, c = move_b[a, b], move_b[a, c]
+    a = move_a[a, low[b, c]]
+    return _member(PPartition, f.poset, f.ell,
+                   columns[a] + columns[b] + columns[c])
 
 
 @lru_cache(maxsize=None)
@@ -150,11 +191,15 @@ def _togpro_order(poset: Poset, q: int) -> tuple[int, ...]:
 
 def togpro(f: PPartition, q: int) -> PPartition:
     """Toggle-promotion on V x [q-2]: sweep k = 1, 2, ... toggling the
-    diagonal {(p, i) : i = q - 1 + rk(p) - k} at each step."""
-    order = _togpro_order(f.poset, q)
-    values = list(f.values)
-    _sweep(values, order, f.poset, f.ell)
-    return _member(PPartition, f.poset, f.ell, tuple(values))
+    diagonal {(p, i) : i = q - 1 + rk(p) - k} at each step.  Only toggles
+    along a cover fail to commute: this is A top-down, then B and C."""
+    _togpro_order(f.poset, q)  # raises unless the poset is V x [q - 2]
+    columns, split, low, move_a, move_b = _v_moves(f.poset, f.ell)
+    a, b, c = split(f.values)
+    a = move_a[a, low[b, c]]
+    b, c = move_b[a, b], move_b[a, c]
+    return _member(PPartition, f.poset, f.ell,
+                   columns[a] + columns[b] + columns[c])
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def _claim_row_extension_independent(ceiling: int):
     for ell, k in ((1, 2), (2, 1)):
         exts = _extensions(k, ceiling)
         for f in _ppartitions(ell, k, ceiling):
-            images = {rowmotion(f, ext) for ext in exts}
+            images = {rowmotion(f), *(rowmotion(f, ext) for ext in exts)}
             if len(images) != 1:
                 return {"ell": ell, "k": k, "partition": f.to_json(),
                         "distinct_images": len(images)}

@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+import vkrew.rowmotion as module
 from vkrew.orbits import orbit_cycles
 from vkrew.poset import Poset, _member, _table_members, linear_extensions, \
     make_v, product_with_chain
@@ -10,6 +11,7 @@ from vkrew.pstrict import enumerate_labelings, promote_pstrict
 from vkrew.rowmotion import PosetAutomorphism, PPartition, \
     apply_automorphism, enumerate_ppartitions, flip_automorphism, rowmotion, \
     toggle, togpro
+from vkrew.verify import orbit_report_for_action
 
 
 def pp(values, ell=1, poset=None):
@@ -51,6 +53,18 @@ def test_enumerate_ppartitions_counts():
         product_with_chain(v, 2), 1)) == 14
     assert [f.values for f in enumerate_ppartitions(v, 0)] == [(0, 0, 0)]
     assert next(enumerate_ppartitions(v, 10**8)).values == (0, 0, 0)
+
+
+def test_partitions_hash_by_their_values():
+    poset = product_with_chain(make_v(), 2)
+    f = PPartition(poset, 2, (0, 1, 1, 2, 0, 1))
+    g = PPartition(product_with_chain(make_v(), 2), 2, (0, 1, 1, 2, 0, 1))
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    # the same values at another ell, or over another poset (here the
+    # antichain on six elements), stay unequal
+    for other in (PPartition(poset, 3, f.values),
+                  PPartition(Poset("abcdef", ()), 2, f.values)):
+        assert other != f and len({f, other}) == 2
 
 
 def test_enumerate_ppartitions_canonical_order():
@@ -366,3 +380,64 @@ def test_validation_message_in_a_table():
             _member(PPartition, poset, 1, (1, 1, 0, 1, 1, 0))
     assert str(info.value) \
         == "values decrease across ('A', 1) < ('B', 1)"
+
+
+# -- column moves on V x [k] against the sweep ---------------------------
+
+def test_column_moves_match_the_sweep_up_to_k5():
+    """rowmotion and togpro on V x [k] step columns by table lookups; on
+    every partition with k <= 5 and ell <= 3 they equal _sweep along the
+    reversed canonical extension and the diagonals."""
+    checked = 0
+    for k in range(1, 6):
+        poset = product_with_chain(make_v(), k)
+        row_order = module._rowmotion_order(poset, None)
+        togpro_order = module._togpro_order(poset, k + 2)
+        for ell in range(4):
+            assert module._v_moves(poset, ell) is not None
+            for f in enumerate_ppartitions(poset, ell):
+                for g, order in ((rowmotion(f), row_order),
+                                 (togpro(f, k + 2), togpro_order)):
+                    values = list(f.values)
+                    module._sweep(values, order, poset, ell)
+                    assert g.values == tuple(values), f
+                checked += 1
+    assert checked == 53820
+
+
+def counted_sweeps(monkeypatch):
+    calls = []
+    sweep = module._sweep
+
+    def counted(values, order, poset, ell):
+        calls.append(order)
+        sweep(values, order, poset, ell)
+
+    monkeypatch.setattr(module, "_sweep", counted)
+    return calls
+
+
+def test_row_and_togpro_reports_share_the_column_tables(monkeypatch):
+    module._v_moves.cache_clear()
+    calls = counted_sweeps(monkeypatch)
+    orbit_report_for_action("row", 3, 7)
+    filled = len(calls)
+    orbit_report_for_action("togpro", 3, 7)
+    # each move is swept once, for 37,128 partitions stepped twice
+    assert 0 < filled == len(calls) <= 2400
+
+
+@pytest.mark.parametrize("poset", [
+    diamond(),
+    Poset(("x1", "x2", "x3"), (("x1", "x2"), ("x2", "x3"))),
+    make_v(),
+], ids=["diamond", "chain", "v"])
+def test_steps_off_v_times_k_sweep_the_whole_partition(monkeypatch, poset):
+    calls = counted_sweeps(monkeypatch)
+    order = module._rowmotion_order(poset, None)
+    partitions = list(enumerate_ppartitions(poset, 2))
+    assert module._v_moves(poset, 2) is None
+    for f in partitions:
+        assert rowmotion(f).values == reference_values(
+            f, [poset.elements[i] for i in order])
+    assert calls == [order] * len(partitions)

@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+import vkrew.rowmotion as rowmotion_module
 from vkrew import cli, poset, verify, words
 from vkrew.orbits import ActionError, orbit_cycles
 from vkrew.poset import make_v, product_with_chain
@@ -327,6 +328,23 @@ def test_wrong_togpro_fails_flip_and_multiset_claims(monkeypatch):
                     "ell": ell, "q": q, "partition": f.to_json()})
     assert len(expected) == 2
     assert failures(run_suite("equivariance", ell_max=1, q_max=4)) == expected
+
+
+def test_a_wrong_column_move_fails_extension_independence(monkeypatch):
+    # B and C columns stay put on rowmotion's default path, the tables
+    tables = rowmotion_module._v_moves
+
+    def wrong(owner, ell):
+        found = tables(owner, ell)
+        if found is None:
+            return None
+        return (*found[:4], poset._Memo(lambda ax: ax[1]))
+
+    monkeypatch.setattr(rowmotion_module, "_v_moves", wrong)
+    zeros = next(ppartitions(1, 4))
+    assert failures(run_suite("rowmotion"))["row-extension-independent"] \
+        == {"ell": 1, "k": 2, "partition": zeros.to_json(),
+            "distinct_images": 2}
 
 
 def test_non_bijective_step_fails_every_reader(monkeypatch, capsys):
