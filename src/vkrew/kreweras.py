@@ -62,27 +62,29 @@ def bender_knuth(i: int, ext: LinearExtension) -> LinearExtension:
     """Swap labels i and i+1 when their elements are incomparable."""
     if not 1 <= i <= ext.m - 1:
         raise ValueError(f"index {i} out of range 1..{ext.m - 1}")
-    order = ext.order()
-    x, y = order[i - 1], order[i]
-    if ext.poset.comparable(x, y):
+    x, y = ext.labels.index(i), ext.labels.index(i + 1)
+    # adjacent labels are comparable only if the second covers the first
+    if y in ext.poset._up[x]:
         return ext
     labels = list(ext.labels)
-    xi, yi = ext.poset.index(x), ext.poset.index(y)
-    labels[xi], labels[yi] = labels[yi], labels[xi]
+    labels[x], labels[y] = i + 1, i
     return LinearExtension(ext.poset, tuple(labels))
 
 
 def promote_linext(ext: LinearExtension) -> LinearExtension:
-    """Apply the Bender-Knuth involutions t_1, t_2, ..., t_{m-1} in order."""
-    poset = ext.poset
-    order = list(ext.order())
+    """Apply the Bender-Knuth involutions t_1, t_2, ..., t_{m-1} in order
+    to the element indices listed by label, as bender_knuth tests them."""
+    up = ext.poset._up
+    order = [0] * ext.m
+    for x, label in enumerate(ext.labels):
+        order[label - 1] = x
     for i in range(len(order) - 1):
-        if not poset.comparable(order[i], order[i + 1]):
+        if order[i + 1] not in up[order[i]]:
             order[i], order[i + 1] = order[i + 1], order[i]
     labels = [0] * len(order)
-    for pos, e in enumerate(order, start=1):
-        labels[poset.index(e)] = pos
-    return LinearExtension(poset, tuple(labels))
+    for label, x in enumerate(order, start=1):
+        labels[x] = label
+    return LinearExtension(ext.poset, tuple(labels))
 
 
 def _require_v_chain(poset: Poset) -> int:

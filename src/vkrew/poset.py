@@ -17,15 +17,14 @@ class PosetError(ValueError):
 class Poset:
     """An immutable finite poset given by elements and cover relations.
 
-    The full order relation (reflexive-transitive closure of the covers)
-    is computed eagerly at construction.  The element tuple fixes the
-    canonical order used by all enumerations, and the covers are also kept
-    by element index (``_up``, ``_down``, ``_cover_pairs``), the form the
-    enumerations, validators and steps read.
+    Only the covers are kept, not the order relation.  The element tuple
+    fixes the canonical order used by all enumerations, and the covers are
+    also kept by element index (``_up``, ``_down``, ``_cover_pairs``), the
+    form the enumerations, validators and steps read.
     """
 
     __slots__ = ("elements", "covers", "_index", "_up", "_down",
-                 "_cover_pairs", "_above", "_ranks", "_hash")
+                 "_cover_pairs", "_ranks", "_hash")
 
     def __init__(self, elements: Iterable[Element],
                  covers: Iterable[tuple[Element, Element]]):
@@ -50,8 +49,7 @@ class Poset:
         self._cover_pairs = tuple((a, b) for a, ups in enumerate(self._up)
                                   for b in ups)
         topo = self._toposort()
-        self._above = self._closure(topo)
-        self._check_irredundant()
+        self._check_irredundant(topo)
         self._ranks = self._grade(topo)
         self._hash = hash((self.elements, self.covers))
 
@@ -70,23 +68,19 @@ class Poset:
             raise PosetError("cover relations contain a directed cycle")
         return topo
 
-    def _closure(self, topo: list[int]) -> list[frozenset[int]]:
-        above: list = [None] * len(topo)
-        for i in reversed(topo):
-            acc: set[int] = set()
-            for u in self._up[i]:
-                acc.add(u)
-                acc |= above[u]
-            above[i] = frozenset(acc)
-        return above
-
-    def _check_irredundant(self) -> None:
-        for a, b in self._cover_pairs:
-            for c in self._above[a]:
-                if c != b and b in self._above[c]:
-                    a, b, c = (self.elements[i] for i in (a, b, c))
-                    raise PosetError(
-                        f"cover ({a!r}, {b!r}) is redundant: {a!r} < {c!r} < {b!r}")
+    def _check_irredundant(self, topo: list[int]) -> None:
+        # cover (a, b) is redundant when b lies above another upper cover
+        # c of a; what lies above each element is an int bitset, kept here
+        above = [0] * len(topo)
+        for a in reversed(topo):
+            ups = self._up[a]
+            for b in ups:
+                for c in ups:
+                    if above[c] >> b & 1:
+                        a, b, c = (self.elements[i] for i in (a, b, c))
+                        raise PosetError(
+                            f"cover ({a!r}, {b!r}) is redundant: {a!r} < {c!r} < {b!r}")
+                above[a] |= 1 << b | above[b]
 
     def _grade(self, topo: list[int]) -> list[int] | None:
         # longest path from a minimal element; graded iff every cover
@@ -117,13 +111,17 @@ class Poset:
             raise PosetError(f"unknown element {e!r}") from None
 
     def leq(self, a: Element, b: Element) -> bool:
+        """Whether a <= b, by a search up the covers from a."""
         i, j = self._index.get(a), self._index.get(b)
         if i is None or j is None:
             raise PosetError(f"unknown element in leq({a!r}, {b!r})")
-        return i == j or j in self._above[i]
-
-    def comparable(self, a: Element, b: Element) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
+        seen, stack = set(), [i]
+        while stack and j not in seen:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(self._up[x])
+        return j in seen
 
     def upper_covers(self, e: Element) -> tuple[Element, ...]:
         return tuple(map(self.elements.__getitem__, self._up[self.index(e)]))
@@ -193,6 +191,21 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+def _interned():
+    """For the kernels on V: values by id, the memo from a tuple value to
+    its id, and the memo from two ids to the id of their entrywise min."""
+    values: list = []  # id -> value
+
+    def intern(value):
+        values.append(value)
+        return len(values) - 1
+
+    ids = _Memo(intern)  # value -> id
+    low = _Memo(lambda xy: ids[tuple(map(min, values[xy[0]],
+                                         values[xy[1]]))])
+    return values, ids, low
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _Memo, _member, make_v
+from .poset import Element, Poset, _Memo, _interned, _member, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -343,15 +343,7 @@ def _v_moves(rf: RestrictionFunction):
     and then looked up."""
     if rf.poset != make_v():
         return None
-    fibers: list = []  # id -> fiber
-
-    def intern(fiber):
-        fibers.append(fiber)
-        return len(fibers) - 1
-
-    ids = _Memo(intern)  # fiber -> id
-    low = _Memo(lambda bc: ids[tuple(map(min, fibers[bc[0]],
-                                         fibers[bc[1]]))])
+    fibers, ids, low = _interned()  # id -> fiber, fiber -> id, min
     (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = rf.intervals
 
     def moves(k):

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .poset import Element, LinearExtension, Poset, _Memo, _member, \
-    _order_preserving_maps, linear_extensions, make_v, product_with_chain, \
-    v_chain_layers
+from .poset import Element, LinearExtension, Poset, _Memo, _interned, \
+    _member, _order_preserving_maps, linear_extensions, make_v, \
+    product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -135,15 +135,7 @@ def _v_moves(poset: Poset, ell: int):
     k = v_chain_layers(poset)
     if k is None:
         return None
-    columns: list = []  # id -> column
-
-    def intern(column):
-        columns.append(column)
-        return len(columns) - 1
-
-    ids = _Memo(intern)  # column -> id
-    low = _Memo(lambda bc: ids[tuple(map(min, columns[bc[0]],
-                                         columns[bc[1]]))])
+    columns, ids, low = _interned()  # id -> column, column -> id, min
 
     def split(v):
         return ids[v[:k]], ids[v[k:-k]], ids[v[-k:]]

@@ -24,8 +24,7 @@ __all__ = [
     "labeling_of_word", "enumerate_words", "generalized_bump_diagram",
     "layer_decomposition", "promote_word", "promote_vlayer",
     "promote_word_layerwise", "double_arcs", "rotate_double_arc",
-    "delete_double_arc", "shortest_arc_triples", "standardize",
-    "destandardize", "swap_bc_word",
+    "delete_double_arc", "standardize", "destandardize", "swap_bc_word",
 ]
 
 EMPTY_BLOCK = "∅"  # printed for a block with no letters
@@ -305,13 +304,10 @@ def _deleted(w: PartialMultiKrewerasWord,
         for i, (na, nb, nc) in enumerate(w.blocks, start=1)))
 
 
-def shortest_arc_triples(w: PartialMultiKrewerasWord) -> tuple[tuple[str, int, int], ...]:
-    """Per A: the color and blocks of its shorter arc ('=' on a tie),
-    as a canonically sorted multiset of (color, opener block, closer block)."""
-    return _shortest_arcs(layer_decomposition(w))
-
-
 def _shortest_arcs(layers) -> tuple[tuple[str, int, int], ...]:
+    """Per A of the layers: the color and blocks of its shorter arc ('='
+    on a tie), as a canonically sorted multiset of (color, opener block,
+    closer block)."""
     return tuple(sorted(
         ("B" if layer.b < layer.c else "C" if layer.c < layer.b else "=",
          layer.a, min(layer.b, layer.c)) for layer in layers))

@@ -4,7 +4,7 @@ from vkrew import golden
 from vkrew.kreweras import KrewerasWord, bender_knuth, bump_diagram, \
     from_kreweras, is_crossing, is_noncrossing, kreweras_number, \
     promote_kreweras, promote_linext, swap_bc_letters, to_kreweras
-from vkrew.poset import LinearExtension, make_v, product_with_chain, \
+from vkrew.poset import LinearExtension, Poset, make_v, product_with_chain, \
     linear_extensions
 
 
@@ -56,6 +56,51 @@ def test_promotion_equals_bender_knuth_composition():
         for i in range(1, 6):
             composed = bender_knuth(i, composed)
         assert promote_linext(ext) == composed
+
+
+def by_closure(ext):
+    """The elements of ``ext`` by label and a comparability test that
+    reads the order through ``leq``."""
+    poset = ext.poset
+    return list(ext.order()), \
+        lambda x, y: poset.leq(x, y) or poset.leq(y, x)
+
+
+def reference_bender_knuth(i, ext):
+    order, comparable = by_closure(ext)
+    if comparable(order[i - 1], order[i]):
+        return ext
+    order[i - 1], order[i] = order[i], order[i - 1]
+    return reference_labeling(ext.poset, order)
+
+
+def reference_promote(ext):
+    order, comparable = by_closure(ext)
+    for i in range(len(order) - 1):
+        if not comparable(order[i], order[i + 1]):
+            order[i], order[i + 1] = order[i + 1], order[i]
+    return reference_labeling(ext.poset, order)
+
+
+def reference_labeling(poset, order):
+    labels = [0] * len(order)
+    for label, e in enumerate(order, start=1):
+        labels[poset.index(e)] = label
+    return LinearExtension(poset, tuple(labels))
+
+
+def test_cover_test_matches_comparability_by_closure():
+    posets = [product_with_chain(make_v(), n) for n in range(1, 5)]
+    posets += [Poset("dacb", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+               Poset("abcd", (("a", "c"), ("b", "c"), ("b", "d")))]
+    checked = 0
+    for poset in posets:
+        for ext in linear_extensions(poset):
+            assert promote_linext(ext) == reference_promote(ext)
+            for i in range(1, ext.m):
+                assert bender_knuth(i, ext) == reference_bender_knuth(i, ext)
+            checked += 1
+    assert checked == 3033
 
 
 def test_promotion_figure_pair():

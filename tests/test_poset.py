@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -6,6 +7,18 @@ from vkrew.kreweras import kreweras_number
 from vkrew.poset import LinearExtension, Poset, PosetError, \
     linear_extensions, make_v, product_with_chain, v_chain_layers
 
+SMALL = {
+    "V1": product_with_chain(make_v(), 1),
+    "V2": product_with_chain(make_v(), 2),
+    "V3": product_with_chain(make_v(), 3),
+    "N": Poset("abcd", (("a", "c"), ("b", "c"), ("b", "d"))),
+    # element orders that are not topological
+    "scrambled": Poset(("C", "A", "B"), (("A", "B"), ("A", "C"))),
+    "chain": Poset(("x1", "x3", "x2"), (("x1", "x2"), ("x2", "x3"))),
+    "diamond": Poset("dacb", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+    "empty": Poset((), ()),
+}
+
 
 def test_make_v_shape():
     v = make_v()
@@ -13,7 +26,7 @@ def test_make_v_shape():
     assert len(v.covers) == 2
     assert v.rank("A") == 0
     assert v.rank("B") == v.rank("C") == 1
-    assert not v.comparable("B", "C")
+    assert not v.leq("B", "C") and not v.leq("C", "B")
     assert v.leq("A", "B") and v.leq("A", "C")
     assert v.is_graded and v.rank_max == 1
     assert [e for e in v.elements if not v.lower_covers(e)] == ["A"]
@@ -67,6 +80,58 @@ def test_poset_rejects_redundant_cover():
         Poset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 
 
+@pytest.mark.parametrize("elements,covers,message", [
+    # found at depth: a < b < c < d makes (a, d) redundant
+    ("abcd", (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")),
+     r"cover \('a', 'd'\) is redundant: 'a' < 'b' < 'd'"),
+    # an element order that is not topological
+    ("dcba", (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")),
+     r"cover \('a', 'd'\) is redundant: 'a' < 'b' < 'd'"),
+    (product_with_chain(make_v(), 3).elements,
+     tuple(product_with_chain(make_v(), 3).covers) + ((("A", 1), ("B", 2)),),
+     r"cover \(\('A', 1\), \('B', 2\)\) is redundant: "
+     r"\('A', 1\) < \('[AB]', [12]\) < \('B', 2\)"),
+], ids=["depth", "non-topological", "V3-plus-diagonal"])
+def test_poset_rejects_redundant_cover_anywhere(elements, covers, message):
+    with pytest.raises(PosetError, match=f"^{message}$"):
+        Poset(elements, covers)
+
+
+def closure_by_brute_force(poset):
+    """Pairs (a, b) with a <= b: the covers closed up by Warshall's
+    algorithm, reflexive."""
+    elems = poset.elements
+    below = {(a, b) for a in elems for b in elems if a == b} | set(poset.covers)
+    for c in elems:
+        below |= {(a, b) for a in elems for b in elems
+                  if (a, c) in below and (c, b) in below}
+    return below
+
+
+@pytest.mark.parametrize("poset", SMALL.values(), ids=SMALL.keys())
+def test_leq_is_the_closure_of_the_covers(poset):
+    closure = closure_by_brute_force(poset)
+    assert {(a, b) for a in poset.elements for b in poset.elements
+            if poset.leq(a, b)} == closure
+
+
+def test_a_large_poset_keeps_only_its_covers():
+    k = 400
+    elements = [(p, i) for p in "ABC" for i in range(1, k + 1)]
+    covers = [((a, i), (b, i)) for a, b in (("A", "B"), ("A", "C"))
+              for i in range(1, k + 1)]
+    covers += [((p, i), (p, i + 1)) for p in "ABC" for i in range(1, k)]
+    tracemalloc.start()
+    try:
+        poset = Poset(elements, covers)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poset == product_with_chain(make_v(), k)
+    # the order relation of V x [400] alone has 399,800 pairs
+    assert size < 3_000_000
+
+
 def test_poset_rejects_unknown_cover_endpoint():
     with pytest.raises(PosetError):
         Poset(("a",), (("a", "b"),))
@@ -85,16 +150,7 @@ def test_extension_counts_match_formula(n, count):
     assert sum(1 for _ in linear_extensions(poset)) == count == kreweras_number(n)
 
 
-@pytest.mark.parametrize("poset", [
-    product_with_chain(make_v(), 1),
-    product_with_chain(make_v(), 2),
-    product_with_chain(make_v(), 3),
-    # element orders that are not topological
-    Poset(("C", "A", "B"), (("A", "B"), ("A", "C"))),
-    Poset(("x1", "x3", "x2"), (("x1", "x2"), ("x2", "x3"))),
-    Poset("dacb", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
-    Poset((), ()),
-], ids=["V1", "V2", "V3", "scrambled", "chain", "diamond", "empty"])
+@pytest.mark.parametrize("poset", SMALL.values(), ids=SMALL.keys())
 def test_extensions_canonical_order_and_validity(poset):
     m = len(poset)
     brute = sorted(

@@ -1,0 +1,63 @@
+"""Every public name is used: a name in a module's ``__all__`` must be
+referenced somewhere in the package or the benchmark outside its own
+definition, or be one of the references kept for the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vkrew"
+BENCH = ROOT / "perfbench"
+
+# Readable references that the fast paths are checked against.
+KEPT = {"free_labels", "free_labels_bruteforce", "toggle", "bender_knuth",
+        "promote_word_layerwise"}
+
+
+def public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def references(tree, with_strings):
+    """(name of the enclosing top-level definition or None, name read)
+    for every Name and Attribute in ``tree``, and with ``with_strings``
+    every dotted part of a string constant."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif with_strings and isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                for part in node.value.split("."):
+                    yield owner, part
+
+
+def unused_public_names():
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    used = {}  # name read -> the (file, owner) pairs that read it
+    for path, tree in trees.items():
+        for owner, name in references(tree, path.parent == BENCH):
+            used.setdefault(name, set()).add((path, owner))
+    return sorted(
+        f"{path.stem}.{name}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for name in public_names(tree)
+        if not used.get(name, set()) - {(path, name)})
+
+
+def test_every_public_name_has_a_caller():
+    assert [name for name in unused_public_names()
+            if name.split(".")[1] not in KEPT] == []
+
+
+def test_every_kept_reference_is_public_and_otherwise_unused():
+    assert {name.split(".")[1] for name in unused_public_names()} == KEPT

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -298,20 +299,26 @@ def test_package_attribute_is_the_rowmotion_module():
     assert module.rowmotion is rowmotion
 
 
+@lru_cache(maxsize=None)
+def leq_table(poset):
+    """``poset.leq`` read once per ordered pair of element indices."""
+    elems = poset.elements
+    return tuple(tuple(poset.leq(a, b) for b in elems) for a in elems)
+
+
 def closure_ppartitions(poset, ell):
     """Value tuples read off the order closure: each value lies between
     those of every comparable element placed before it."""
     elems = poset.elements
+    leq = leq_table(poset)
     values = [0] * len(elems)
 
     def rec(i):
         if i == len(elems):
             yield tuple(values)
             return
-        lo = max((values[j] for j in range(i)
-                  if poset.leq(elems[j], elems[i])), default=0)
-        hi = min((values[j] for j in range(i)
-                  if poset.leq(elems[i], elems[j])), default=ell)
+        lo = max((values[j] for j in range(i) if leq[j][i]), default=0)
+        hi = min((values[j] for j in range(i) if leq[i][j]), default=ell)
         for v in range(lo, hi + 1):
             values[i] = v
             yield from rec(i + 1)

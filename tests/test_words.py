@@ -4,11 +4,11 @@ from vkrew import golden
 from vkrew.kreweras import KrewerasWord
 from vkrew.pstrict import enumerate_labelings
 from vkrew.words import PartialMultiKrewerasWord, VLayer, WordCountError, \
-    WordPrefixError, delete_double_arc, destandardize, double_arcs, \
-    enumerate_words, generalized_bump_diagram, labeling_of_word, \
-    layer_decomposition, promote_vlayer, promote_word, \
+    WordPrefixError, _shortest_arcs, delete_double_arc, destandardize, \
+    double_arcs, enumerate_words, generalized_bump_diagram, \
+    labeling_of_word, layer_decomposition, promote_vlayer, promote_word, \
     promote_word_layerwise, rotate_double_arc, same_block_closers_nest, \
-    shortest_arc_triples, standardize, swap_bc_word, word_of_labeling
+    standardize, swap_bc_word, word_of_labeling
 
 
 def word(text):
@@ -188,7 +188,7 @@ def test_delete_to_empty_word():
 
 
 def test_shortest_arc_triples_figure():
-    assert shortest_arc_triples(golden.word69()) == (
+    assert _shortest_arcs(layer_decomposition(golden.word69())) == (
         ("=", 3, 4), ("B", 2, 3), ("B", 6, 7), ("C", 1, 2), ("C", 3, 4),
         ("C", 4, 5))
 
