@@ -8,11 +8,11 @@ of positions.  run_suite is point-major: it builds the table of each
 (point, action) its claims read once, in grid order, hands it to each of
 them and drops it, so each object is stepped once per run and one table
 is alive at a time.  Predicates read step^q of an element q places along
-its cycle and compare raw forms with the B/C mirror image.  A word table
-also holds each word's arc data, built once with the table: its sorted
-layers and double arcs and, absent double arcs, its standardization.
-Every word law reads it, for w and for Pro(w), which is an element of the
-same table.  A claim reports its first failing element in enumeration
+its cycle and compare raw forms with the B/C mirror image.  A block word
+is a labeling read by label, so the word laws read the labeling table,
+which builds each word's arc data on first read: its sorted layers and
+double arcs and, absent double arcs, its standardization, for w and for
+Pro(w) alike.  A claim reports its first failing element in enumeration
 order.  orbit_report_for_action shares tables and predicates.
 """
 
@@ -24,7 +24,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import lcm
 from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -40,7 +40,7 @@ from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
 from .words import PartialMultiKrewerasWord, _blocks_text, _deleted, \
-    _double_arcs, _layerwise_blocks, _restriction, _shortest_arcs, \
+    _double_arcs, _layerwise_blocks, _shortest_arcs, \
     delete_double_arc, destandardize, double_arcs, labeling_of_word, \
     layer_decomposition, promote_vlayer, promote_word, rotate_double_arc, \
     same_block_closers_nest, standardize, swap_bc_word, word_of_labeling
@@ -159,9 +159,9 @@ def _claim_row_extension_independent(ceiling: int):
 # -- orbit tables ------------------------------------------------------
 
 # The actions with tables, in the order they are built at a grid point.
-# Extensions and Kreweras words of V x [n] sit at the point (n, 3n).
-_ACTIONS = ("pro-linext", "pro-kreweras", "pro-pstrict", "pro-word", "row",
-           "togpro")
+# Extensions and Kreweras words of V x [n] sit at the point (n, 3n), and
+# block words of V x [ell] are the pro-pstrict labelings at (ell, q).
+_ACTIONS = ("pro-linext", "pro-kreweras", "pro-pstrict", "row", "togpro")
 
 
 class _Arcs(NamedTuple):
@@ -191,14 +191,21 @@ def _arcs(w: PartialMultiKrewerasWord) -> _Arcs:
 class _Table:
     """The orbits of one action at one grid point: the elements in
     enumeration order, and the cycles as arrays of their positions.  A
-    word table also holds the _Arcs of each word, in the same order."""
+    labeling table builds its words and their _Arcs on first read."""
 
     action: str
     ell: int
     q: int
     elements: list
     cycles: list
-    arcs: list
+
+    @cached_property
+    def words(self) -> list:
+        return list(map(word_of_labeling, self.elements))
+
+    @cached_property
+    def arcs(self) -> list:
+        return list(map(_arcs, self.words))
 
     def power(self, t: int, of: list | None = None) -> list:
         """step^t of each element, in enumeration order; given ``of``,
@@ -216,9 +223,9 @@ class _Table:
 
 
 def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
-    """Enumerate once and step each element once.  The step and the arc
-    data's functions are looked up in this module as the table is built,
-    so a rebound name is used."""
+    """Enumerate once and step each element once.  The step, and the arc
+    data's functions when first read, are looked up in this module, so a
+    rebound name is used."""
     owner, members = None, {}
     if action in ("pro-linext", "pro-kreweras"):
         elements, step = _extensions(ell, ceiling), promote_linext
@@ -235,13 +242,9 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
                                 f"labelings ell={ell} q={q}"))
         step, owner = promote_pstrict, elements[0].restriction
         members = {f.fibers: f for f in elements}
-        if action == "pro-word":  # it promotes labelings over _restriction
-            elements = [word_of_labeling(f) for f in elements]
-            step, owner = promote_word, _restriction(q)
     with _table_members(owner, ell, members):
         cycles = orbit_cycles(step, elements, indices=True)
-    arcs = list(map(_arcs, elements)) if action == "pro-word" else []
-    return _Table(action, ell, q, elements, cycles, arcs)
+    return _Table(action, ell, q, elements, cycles)
 
 
 def _flip_of_values(q: int):
@@ -254,7 +257,6 @@ def _at(t: _Table) -> dict:
     return {"ell": t.ell, "q": t.q}
 
 
-_SWAP = itemgetter(0, 2, 1)
 _SWAP_BC = methodcaller("translate", str.maketrans("BC", "CB"))
 # Per action: the raw form of an element; q -> the map from a raw form to
 # that of its B/C mirror image; and the counterexample (t, x, step^q(x)).
@@ -264,14 +266,10 @@ _MIRRORS = {
         lambda t, x, y: {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
                          "swapped": swap_bc_letters(x).letters}),
     "pro-pstrict": (
-        attrgetter("fibers"), lambda q: _SWAP,
+        attrgetter("fibers"), lambda q: itemgetter(0, 2, 1),
         lambda t, x, y: {**_at(t), "labeling": x.to_json(),
                          "pro_q": y.to_json(),
                          "swapped": swap_bc(x).to_json()}),
-    "pro-word": (
-        attrgetter("blocks"), lambda q: lambda b: tuple(map(_SWAP, b)),
-        lambda t, x, y: {**_at(t), "word": x.to_text(), "pro_q": y.to_text(),
-                         "swapped": swap_bc_word(x).to_text()}),
     "row": (
         attrgetter("values"), _flip_of_values,
         lambda t, x, y: {**_at(t), "partition": x.to_json(),
@@ -284,8 +282,8 @@ _MIRRORS = {
 
 def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
-    is not its B/C mirror image, or None.  Compares raw letters, fibers,
-    block counts or values."""
+    is not its B/C mirror image, or None.  Compares raw letters, fibers or
+    values."""
     raw, mirror_at, _ = _MIRRORS[t.action]
     mirror = mirror_at(t.q)
     for x, y in zip(t.elements, t.power(t.q)):
@@ -296,11 +294,19 @@ def _unmirrored(t: _Table):
 
 # -- claim predicates over a table ------------------------------------
 
-def _q_is_mirror(t: _Table):
+def _q_is_mirror(t: _Table, report=None):
     """step^q is the B/C swap of a labeling or word, or the flip of a
-    partition."""
+    partition; ``report`` builds the counterexample in the action's place."""
     bad = _unmirrored(t)
-    return bad and _MIRRORS[t.action][2](t, *bad)
+    return bad and (report or _MIRRORS[t.action][2])(t, *bad)
+
+
+def _in_words(t: _Table, f, g):
+    """A labeling's fibers list its word's block indices, so the fiber swap
+    is the block swap: the swap law's counterexample read in words."""
+    x, y = word_of_labeling(f), word_of_labeling(g)
+    return {**_at(t), "word": x.to_text(), "pro_q": y.to_text(),
+            "swapped": swap_bc_word(x).to_text()}
 
 
 def _pstrict_order(t: _Table):
@@ -623,7 +629,7 @@ _WORD_CLAIMS = {
         ("std-valid-kreweras", _per_word(_std_valid, True)),
         ("destandardize-roundtrip", _per_word(_destandardize_roundtrip, True)),
         ("std-order-unique", _per_word(_std_order_unique, True)),
-        ("word-pro-q-is-bc-swap", _q_is_mirror)),
+        ("word-pro-q-is-bc-swap", partial(_q_is_mirror, report=_in_words))),
 }
 
 _FIGURE_CLAIMS = (
@@ -676,7 +682,8 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
     if name in _WORD_CLAIMS:
         em, qm = _given(ell_max, 2), _given(q_max, 6)
         params = {"ell_max": em, "q_max": qm}
-        return [_Claim(cid, params, check, ("pro-word",), _word_grid(em, qm))
+        grid = _word_grid(em, qm)
+        return [_Claim(cid, params, check, ("pro-pstrict",), grid)
                 for cid, check in _WORD_CLAIMS[name]]
     if name == "rowmotion":
         em = _given(ell_max, 3)

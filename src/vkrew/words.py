@@ -11,7 +11,6 @@ tolerate several closers per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .kreweras import KrewerasWord, is_crossing
 from .poset import make_v
@@ -124,16 +123,9 @@ def word_of_labeling(f: PStrictLabeling) -> PartialMultiKrewerasWord:
     return PartialMultiKrewerasWord(f.ell, f.q, tuple(map(tuple, blocks)))
 
 
-@lru_cache(maxsize=None)
-def _restriction(q: int):
-    """The restriction of the labeling of every word at q: one object per
-    q, by which an orbit table of words registers its labelings."""
-    return restriction_rq(make_v(), q)
-
-
 def labeling_of_word(w: PartialMultiKrewerasWord) -> PStrictLabeling:
     """Inverse of word_of_labeling: fibers list block indices in order."""
-    rf = _restriction(w.q)
+    rf = restriction_rq(make_v(), w.q)
     fibers = []
     for idx in range(3):
         fiber = []

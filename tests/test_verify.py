@@ -263,7 +263,8 @@ def test_wrong_promotion_fails_both_main_claims(monkeypatch):
 
 
 def test_wrong_word_promotion_fails_word_claims(monkeypatch):
-    monkeypatch.setattr(verify, "promote_word", identity)
+    # the word laws read the labeling table, so its step is the words' too
+    monkeypatch.setattr(verify, "promote_pstrict", identity)
     expected = {}
     for ell, q in grid(2, 4):
         for w in enumerate_words(ell, q):
@@ -348,18 +349,19 @@ def test_a_wrong_column_move_fails_extension_independence(monkeypatch):
 
 
 def test_non_bijective_step_fails_every_reader(monkeypatch, capsys):
-    words = list(enumerate_words(1, 3))
+    labelings = list(enumerate_labelings(1, 3))
 
-    def merged(w):
-        """Identity, except that the first word goes to the second."""
-        return words[1] if w == words[0] else w
+    def merged(f):
+        """Identity, except that the first labeling goes to the second."""
+        return labelings[1] if f == labelings[0] else f
 
-    monkeypatch.setattr(verify, "promote_word", merged)
+    monkeypatch.setattr(verify, "promote_pstrict", merged)
     with pytest.raises(ActionError) as info:
-        orbit_cycles(merged, words)
-    # no table at (1, 3), so each claim reading one fails there, the claims
-    # that never look at Pro(w) included
-    error = {"ell": 1, "q": 3, "action": "pro-word", "error": str(info.value)}
+        orbit_cycles(merged, labelings)
+    # no table at (1, 3), so each word claim reading one fails there, the
+    # claims that never look at Pro(w) included
+    error = {"ell": 1, "q": 3, "action": "pro-pstrict",
+             "error": str(info.value)}
     for suite in ("layers", "doublearcs", "standardization"):
         report = run_suite(suite, ell_max=1, q_max=4)
         assert [c.counterexample for c in report.claims] \
@@ -425,7 +427,6 @@ def test_no_members_outlive_their_table(monkeypatch, capsys):
     with pytest.raises(ActionError):
         orbit_report_for_action("pro-pstrict", 2, 5)
     assert poset._members == none
-    monkeypatch.setattr(verify, "promote_word", lambda w: None)
     assert not run_suite("layers", ell_max=1, q_max=4).passed
     assert poset._members == none
     capsys.readouterr()
@@ -453,29 +454,61 @@ def test_each_element_is_built_once_per_report(monkeypatch, action, cls):
         assert built[action] == expected
 
 
-def test_word_steps_promote_the_tables_labelings():
-    # promote_pstrict inside promote_word returns an enumerated labeling,
-    # so a word table builds each labeling twice: by the enumeration and
-    # by labeling_of_word, never as a promoted image
+def test_word_steps_promote_the_tables_labelings(monkeypatch):
+    # the word laws read the words of the labeling table, so each labeling
+    # of a word point is built once, by the enumeration: never again by
+    # labeling_of_word, nor as a promoted image
+    expected = {(ell, q): sum(1 for _ in enumerate_labelings(ell, q))
+                for ell, q in grid(2, 6)}
     built = Counter()
     post_init = PStrictLabeling.__post_init__
 
     def counted(self):
-        built["labelings"] += 1
+        built[self.ell, self.q] += 1
         post_init(self)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(PStrictLabeling, "__post_init__", counted)
-        table = verify._table("pro-word", 2, 6, verify.DEFAULT_CEILING)
-    assert built["labelings"] == 2 * len(table.elements)
+    monkeypatch.setattr(PStrictLabeling, "__post_init__", counted)
+    for suite in ("layers", "standardization"):
+        built.clear()
+        assert run_suite(suite).passed
+        assert built == expected, suite
+
+
+def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
+    # the word laws share the labeling table of their points with main and
+    # equivariance, and no word law transports a word back to a labeling
+    points = []
+    enumerate_at = verify.enumerate_labelings
+
+    def recorded(ell, q):
+        points.append((ell, q))
+        return enumerate_at(ell, q)
+    monkeypatch.setattr(verify, "enumerate_labelings", recorded)
+    assert run_suite("all").passed
+    assert sorted(points) == sorted(set(points)) == verify._word_grid(3, 7, 10)
+    assert len(points) == 15
+    calls = Counter()
+    to_labeling = words.labeling_of_word
+
+    def counted(w):
+        calls["labeling_of_word"] += 1
+        return to_labeling(w)
+    monkeypatch.setattr(words, "labeling_of_word", counted)
+    assert run_suite("layers").passed
+    assert calls["labeling_of_word"] == 0
 
 
 # -- arc data of the word tables ---------------------------------------
 
 def test_word_tables_arc_data_matches_the_words_functions():
+    count = 0
     for ell, q in verify._word_grid(2, 6):
-        table = verify._table("pro-word", ell, q, verify.DEFAULT_CEILING)
-        assert [x.word for x in table.arcs] == table.elements
-        assert [y.word for y in table.power(1, table.arcs)] == table.power(1)
+        table = verify._table("pro-pstrict", ell, q, verify.DEFAULT_CEILING)
+        assert table.words == list(enumerate_words(ell, q))
+        assert [x.word for x in table.arcs] == table.words
+        # word_of_labeling conjugates the table's step to promote_word
+        assert [y.word for y in table.power(1, table.arcs)] \
+            == [promote_word(w) for w in table.words]
+        count += len(table.words)
         for x in table.arcs:
             w = x.word
             assert x.layers == layer_decomposition(w)
@@ -483,6 +516,7 @@ def test_word_tables_arc_data_matches_the_words_functions():
             assert len(x.arcs) == len(
                 generalized_bump_diagram(w).double_arc_openers())
             assert x.std == (None if x.arcs else standardize(w))
+    assert count == 1533
 
 
 def test_suite_all_builds_two_bump_diagrams_per_word_at_most(monkeypatch):
@@ -511,8 +545,8 @@ def test_no_arc_data_outlives_its_table(monkeypatch):
     before = live_tables()
     assert run_suite("doublearcs", ell_max=2, q_max=4).passed
     assert live_tables() == before
-    # a word step that is not a bijection builds no table
-    monkeypatch.setattr(verify, "promote_word", lambda w: None)
+    # a step that is not a bijection builds no table
+    monkeypatch.setattr(verify, "promote_pstrict", lambda f: None)
     assert not run_suite("standardization", ell_max=2, q_max=4).passed
     assert live_tables() == before
 
