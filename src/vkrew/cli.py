@@ -195,6 +195,8 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "render": _cmd_render,
                 "export": _cmd_export}
     try:
+        if getattr(args, "ceiling", 1) < 1:
+            raise ValueError(f"--ceiling must be >= 1, got {args.ceiling}")
         return commands[args.command](args, parser)
     except (CeilingExceeded, RecursionError, ValueError, OSError) as exc:
         # RecursionError: JSON nested too deep to read

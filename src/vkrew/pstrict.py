@@ -8,18 +8,18 @@ composes tau_1 through tau_{q-1}.
 
 Both step raw fiber tuples, by one rule (_tau_one): in a fiber tau_k
 rewrites the one slice where the run of k's meets the run of (k+1)'s,
-given the layerwise min of the fibers above and max of those below.
-On V, promote_pstrict interns fibers to ints once per restriction and
-runs tau_1 .. tau_{q-1} as lookups: A moves by (A, layerwise min of B
-and C), B by (A, B) and C by (A, C), each move computed once by
-_tau_one.  Other posets, and bender_knuth_tau, apply _tau_one to every
-fiber (_tau_fibers), the reference for the lookups.  bender_knuth_tau
-validates the labeling it returns, and promote_pstrict validates once
-per promotion, never the states between its steps, and not at all when
-its image is an element of the orbit table being stepped.  Validation
-checks each distinct fiber against its interval once, and the layers
-across covers for every labeling.  free_labels finds the free labels
-layer by layer; it is the reference the tests hold the kernel to.
+given the layerwise min of the fibers above and max of those below.  On
+V, promote_pstrict interns fibers to ints once per restriction and
+composes three memoized moves: A under the min of B and C, then B and C
+over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
+_tau_one to every fiber (_tau_fibers), the reference for the moves.
+bender_knuth_tau validates the labeling it returns, and promote_pstrict
+validates once per promotion, never the states between its steps, and
+not at all when its image is an element of the orbit table being
+stepped.  Validation checks each distinct fiber against its interval
+once, and the layers across covers for every labeling.  free_labels
+finds the free labels layer by layer; it is the reference the tests hold
+the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -207,26 +207,20 @@ def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:
 def _raisable_layers(f: PStrictLabeling, ei: int, k: int) -> list[int]:
     """0-based layers of fiber ``ei`` holding a k that can move up to k+1:
     every upper cover's label in that layer must already exceed k+1."""
-    rf = f.restriction
-    lo, hi = rf.intervals[ei]
-    if k + 1 > hi:
+    if k + 1 > f.restriction.intervals[ei][1]:
         return []
-    up = [rf.poset.index(u) for u in rf.poset.upper_covers(rf.poset.elements[ei])]
-    fiber = f.fibers[ei]
-    return [i for i, v in enumerate(fiber)
+    up = f.restriction.poset._up[ei]
+    return [i for i, v in enumerate(f.fibers[ei])
             if v == k and all(f.fibers[u][i] >= k + 2 for u in up)]
 
 
 def _lowerable_layers(f: PStrictLabeling, ei: int, k: int) -> list[int]:
     """0-based layers of fiber ``ei`` holding a k+1 that can move down to k:
     every lower cover's label in that layer must stay below k."""
-    rf = f.restriction
-    lo, hi = rf.intervals[ei]
-    if k < lo:
+    if k < f.restriction.intervals[ei][0]:
         return []
-    down = [rf.poset.index(d) for d in rf.poset.lower_covers(rf.poset.elements[ei])]
-    fiber = f.fibers[ei]
-    return [i for i, v in enumerate(fiber)
+    down = f.restriction.poset._down[ei]
+    return [i for i, v in enumerate(f.fibers[ei])
             if v == k + 1 and all(f.fibers[d][i] <= k - 1 for d in down)]
 
 
@@ -270,16 +264,9 @@ def free_labels_bruteforce(k: int, f: PStrictLabeling):
 
 def _fiber_fits(f: PStrictLabeling, ei: int, fiber: tuple[int, ...]) -> bool:
     poset = f.restriction.poset
-    e = poset.elements[ei]
-    for u in poset.upper_covers(e):
-        fu = f.fiber(u)
-        if any(fiber[i] >= fu[i] for i in range(f.ell)):
-            return False
-    for d in poset.lower_covers(e):
-        fd = f.fiber(d)
-        if any(fd[i] >= fiber[i] for i in range(f.ell)):
-            return False
-    return True
+    return (all(all(map(lt, fiber, f.fibers[u])) for u in poset._up[ei])
+            and all(all(map(lt, f.fibers[d], fiber))
+                    for d in poset._down[ei]))
 
 
 def _layerwise(pick, fibers):
@@ -336,26 +323,30 @@ def _tau_fibers(fibers, k, up, down, intervals):
 
 @lru_cache(maxsize=1)
 def _v_moves(rf: RestrictionFunction):
-    """Lookup tables for promotion on V = {A < B, A < C}, or None for
-    another poset.  Fibers are interned to ints as they appear; tau_k
-    moves A by (A, layerwise min of B and C), B by (A, B) and C by (A, C),
-    and each of these moves, like each min, is computed once by _tau_one
-    and then looked up."""
+    """Tables for promotion on V = {A < B, A < C}, or None for another
+    poset: A' = move_a[A, min(B, C)], then move_b[A', B] and move_c[A', C],
+    on fibers interned to ints.  Each entry runs tau_1 .. tau_{q-1} by
+    _tau_one against a fixed bound, once.  That is exact: A's tau_k reads
+    only which labels of min(B, C) are >= k+2, which tau_j (j < k) keeps;
+    B's and C's read only which labels of A are < k, which tau_j (j > k)
+    keeps.  move_c is move_b when the B and C intervals agree."""
     if rf.poset != make_v():
         return None
     fibers, ids, low = _interned()  # id -> fiber, fiber -> id, min
-    (lo_a, hi_a), (lo_b, hi_b), (lo_c, hi_c) = rf.intervals
 
-    def moves(k):
-        return (
-            _Memo(lambda al: ids[_tau_one(fibers[al[0]], k, lo_a, hi_a,
-                                          fibers[al[1]], None)]),
-            _Memo(lambda ab: ids[_tau_one(fibers[ab[1]], k, lo_b, hi_b,
-                                          None, fibers[ab[0]])]),
-            _Memo(lambda ac: ids[_tau_one(fibers[ac[1]], k, lo_c, hi_c,
-                                          None, fibers[ac[0]])]))
+    def moves(lo, hi, over_a):
+        def fill(key):  # (A, min(B, C)) for A, (A', B or C) for B and C
+            a, x = fibers[key[0]], fibers[key[1]]
+            fiber, above, below = (x, None, a) if over_a else (a, x, None)
+            for k in range(1, rf.q):
+                fiber = _tau_one(fiber, k, lo, hi, above, below)
+            return ids[fiber]
+        return _Memo(fill)
 
-    return fibers, ids, low, [moves(k) for k in range(1, rf.q)]
+    (lo_a, hi_a), b, c = rf.intervals
+    move_b = moves(*b, True)
+    return (fibers, ids, low, moves(lo_a, hi_a, False), move_b,
+            move_b if c == b else moves(*c, True))
 
 
 def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
@@ -373,8 +364,8 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
 
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
-    the raw fibers (by table lookups on V) and validating only the
-    result, unless the orbit table being stepped holds it."""
+    the raw fibers (on V by three composed moves) and validating only
+    the result, unless the orbit table being stepped holds it."""
     rf = f.restriction
     tables = _v_moves(rf)
     if tables is None:
@@ -385,15 +376,14 @@ def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
         if fibers is f.fibers:
             return f
     else:
-        fiber_of, ids, low, moves = tables
+        fiber_of, ids, low, move_a, move_b, move_c = tables
         fa, fb, fc = f.fibers
-        start = ia, ib, ic = ids[fa], ids[fb], ids[fc]
-        for move_a, move_b, move_c in moves:
-            ia, ib, ic = (move_a[ia, low[ib, ic]], move_b[ia, ib],
-                          move_c[ia, ic])
-        if (ia, ib, ic) == start:
+        ia, ib, ic = ids[fa], ids[fb], ids[fc]
+        a = move_a[ia, low[ib, ic]]
+        b, c = move_b[a, ib], move_c[a, ic]
+        if (a, b, c) == (ia, ib, ic):
             return f
-        fibers = (fiber_of[ia], fiber_of[ib], fiber_of[ic])
+        fibers = (fiber_of[a], fiber_of[b], fiber_of[c])
     return _member(PStrictLabeling, rf, f.ell, fibers)
 
 

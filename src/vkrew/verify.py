@@ -789,6 +789,8 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
     """Orbit statistics plus the applicable order/symmetry checks."""
     classical = action in ("pro-linext", "pro-kreweras")
     if classical:
+        if ell < 1:
+            raise ValueError(f"{action} needs ell >= 1, got {ell}")
         if q is not None and q != 3 * ell:
             raise ValueError(f"{action} reads q as 3 * ell = {3 * ell}, "
                              f"got q={q}")
@@ -797,6 +799,9 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
         raise ValueError(f"unknown action {action!r}")
     elif q is None:
         raise ValueError(f"{action} needs q")
+    elif action != "pro-pstrict" and q < 3:
+        raise ValueError(f"{action} needs q >= 3 (partitions of V x "
+                         f"[q - 2]), got q={q}")
     table = _table(action, ell, q, ceiling)
     sizes = tuple(table.sizes())
     order = lcm(*sizes)

@@ -388,6 +388,35 @@ def test_swapped_or_unread_flag_exit_2(capsys, argv, named):
     assert named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--object", "labelings", "--ell", "1", "--q", "3"),
+    ("orbits", "--action", "pro-pstrict", "--ell", "1", "--q", "3"),
+    ("verify", "--suite", "figures"),
+])
+@pytest.mark.parametrize("ceiling", ["0", "-5"])
+def test_ceiling_below_one_exit_2(capsys, argv, ceiling):
+    code, out, err = run(capsys, *argv, "--ceiling", ceiling)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --ceiling must be >= 1, got {ceiling}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("togpro", "--ell", "1", "--q", "2"),
+     "togpro needs q >= 3 (partitions of V x [q - 2]), got q=2"),
+    (("row", "--ell", "1", "--q", "1"),
+     "row needs q >= 3 (partitions of V x [q - 2]), got q=1"),
+    (("pro-linext", "--ell", "0"), "pro-linext needs ell >= 1, got 0"),
+    (("pro-kreweras", "--ell", "-1"), "pro-kreweras needs ell >= 1, got -1"),
+])
+def test_orbits_out_of_range_names_the_flag(capsys, argv, message):
+    # not the error of an internal chain of length q - 2 or ell
+    code, out, err = run(capsys, "orbits", "--action", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_flags_that_agree_are_accepted(capsys):
     code, out, _ = run(capsys, "orbits", "--action", "pro-kreweras",
                        "--ell", "2", "--q", "6")

@@ -216,15 +216,25 @@ def diamond():
     return Poset("abcd", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")))
 
 
-@pytest.mark.parametrize("rf", [
-    restriction_rq(diamond(), 5),
-    restriction_rq(chain(3), 5),
-    restriction_rq(product_with_chain(make_v(), 2), 5),
-    RestrictionFunction(make_v(), 5, ((2, 3), (3, 5), (4, 5))),
-], ids=["diamond", "chain", "v-times-2", "narrow-v"])
-@pytest.mark.parametrize("ell", [1, 2])
-def test_kernel_matches_reference_on_other_posets(rf, ell):
-    assert_kernel_matches_reference(enumerate_restricted_labelings(rf, ell))
+OTHER_RESTRICTIONS = {
+    "diamond": restriction_rq(diamond(), 5),
+    "chain": restriction_rq(chain(3), 5),
+    "v-times-2": restriction_rq(product_with_chain(make_v(), 2), 5),
+    # V with A narrowed and B, C unequal: the composed moves' interval
+    # guards, and move_c apart from move_b
+    "narrow-v": RestrictionFunction(make_v(), 5, ((2, 3), (3, 5), (4, 5))),
+    "narrow-c-v": RestrictionFunction(make_v(), 5, ((1, 3), (2, 5), (3, 5))),
+}
+
+
+# v-times-2 stops at ell = 2: at ell = 3 the reference takes about 11 s
+# on a 2-vCPU machine
+@pytest.mark.parametrize("ell,name", [
+    (ell, name) for ell in (1, 2, 3) for name in OTHER_RESTRICTIONS
+    if (ell, name) != (3, "v-times-2")])
+def test_kernel_matches_reference_on_other_posets(ell, name):
+    assert_kernel_matches_reference(
+        enumerate_restricted_labelings(OTHER_RESTRICTIONS[name], ell))
 
 
 def test_promotion_examples():
@@ -322,6 +332,21 @@ def test_lookup_kernel_matches_generic_tau(ell, q):
         assert promote_pstrict(f).fibers == fibers
         count += 1
     assert count > 0
+
+
+@pytest.mark.parametrize("rf,shared", [
+    (restriction_rq(make_v(), 3), True),
+    (restriction_rq(make_v(), 7), True),
+    (RestrictionFunction(make_v(), 5, ((2, 3), (3, 5), (3, 5))), True),
+    (RestrictionFunction(make_v(), 5, ((2, 3), (3, 5), (4, 5))), False),
+    (RestrictionFunction(make_v(), 5, ((1, 3), (2, 5), (3, 5))), False),
+    (RestrictionFunction(make_v(), 5, ((1, 4), (2, 5), (2, 4))), False),
+], ids=["rq-3", "rq-7", "equal-bc", "narrow-v", "narrow-c-v", "narrow-c"])
+def test_b_and_c_share_one_move_exactly_when_their_intervals_agree(
+        rf, shared):
+    _, _, _, move_a, move_b, move_c = _v_moves(rf)
+    assert move_a is not move_b
+    assert (move_b is move_c) is shared
 
 
 def test_lookup_kernel_serves_v_only():
