@@ -179,6 +179,22 @@ def _member(cls, owner, ell: int, raw):
     return cls(owner, ell, raw) if f is None else f
 
 
+def _unvalidated(cls, owner, ell: int):
+    """``raw -> cls(owner, ell, raw)`` for an enumeration's valid raw forms:
+    skips ``__post_init__`` by setting the frozen dataclass's three slots."""
+    new = object.__new__
+    set_owner, set_ell, set_raw = (getattr(cls, name).__set__
+                                   for name in cls.__slots__)
+
+    def build(raw):
+        obj = new(cls)
+        set_owner(obj, owner)
+        set_ell(obj, ell)
+        set_raw(obj, raw)
+        return obj
+    return build
+
+
 class _Memo(dict):
     """A dict that fills a missing entry with ``fill(key)``."""
 

@@ -13,13 +13,16 @@ V, promote_pstrict interns fibers to ints once per restriction and
 composes three memoized moves: A under the min of B and C, then B and C
 over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
-bender_knuth_tau validates the labeling it returns, and promote_pstrict
-validates once per promotion, never the states between its steps, and
-not at all when its image is an element of the orbit table being
-stepped.  Validation checks each distinct fiber against its interval
-once, and the layers across covers for every labeling.  free_labels
-finds the free labels layer by layer; it is the reference the tests hold
-the kernel to.
+The enumeration places each fiber weakly increasing inside its interval
+and strictly above its lower covers', so it builds its labelings
+without validation.  The constructor, from_json, labeling_of_word,
+swap_bc and bender_knuth_tau validate, and promote_pstrict validates
+once per promotion, never the states between its steps, and not at all
+when its image is an element of the orbit table being stepped.
+Validation checks each distinct fiber against its interval once, and
+the layers across covers for every labeling.  free_labels finds the
+free labels layer by layer; it is the reference the tests hold the
+kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -34,7 +37,8 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _Memo, _interned, _member, make_v
+from .poset import Element, Poset, _Memo, _interned, _member, \
+    _unvalidated, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -172,15 +176,18 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
     Requires poset.elements to be topologically sorted (all our posets
     are).
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     lower = rf.poset._down
     if any(d >= i for i, down in enumerate(lower) for d in down):
         raise ValueError("element order is not topological")
     fibers: list[tuple[int, ...]] = [()] * len(lower)
     candidates: dict = {}  # (element index, floor) -> fibers, in order
+    build = _unvalidated(PStrictLabeling, rf, ell)
 
     def rec(i: int) -> Iterator[PStrictLabeling]:
         if i == len(fibers):
-            yield PStrictLabeling(rf, ell, tuple(fibers))
+            yield build(tuple(fibers))
             return
         floor = _layerwise(max, [fibers[d] for d in lower[i]])
         options = candidates.get((i, floor))

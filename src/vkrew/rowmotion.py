@@ -9,12 +9,15 @@ toggle-promotion groups toggles along diagonals of V x [q-2].
 
 The partitions are enumerated by the explicit-stack walk that also
 enumerates linear extensions (poset._order_preserving_maps), so depth is
-no limit.  One sweep toggles raw values along element indices, reading
-the poset's cover-index tables.  On V x [k], rowmotion moves the B and C
-columns, then A, by lookups the sweep fills once each; togpro is the
-same moves in the other order.  Each call validates once, on the
-partition it returns unless that is an element of the orbit table being
-stepped, never the states between its toggles.  The element-level
+no limit.  It bounds each value by 0..ell and by every cover whose other
+end was placed earlier, so the partitions are built without validation;
+the constructor, from_json and apply_automorphism validate.  One sweep
+toggles raw values along element indices, reading the poset's
+cover-index tables.  On V x [k], rowmotion moves the B and C columns,
+then A, by lookups the sweep fills once each; togpro is the same moves
+in the other order.  Each step validates once, on the partition it
+returns unless that is an element of the orbit table being stepped,
+never the states between its toggles.  The element-level
 reading (upper_covers, lower_covers, PPartition.value) is the reference
 the tests hold the sweep to.
 """
@@ -26,8 +29,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .poset import Element, LinearExtension, Poset, _Memo, _interned, \
-    _member, _order_preserving_maps, linear_extensions, make_v, \
-    product_with_chain, v_chain_layers
+    _member, _order_preserving_maps, _unvalidated, linear_extensions, \
+    make_v, product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -86,12 +89,12 @@ class PPartition:
 def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     """All ell-bounded partitions, lexicographic on the value sequence
     read in element order: the order-preserving maps into 0..ell, walked
-    by the explicit-stack walk linear_extensions shares.  Lazy, and no
-    depth limit."""
+    by the explicit-stack walk linear_extensions shares, so built without
+    validation.  Lazy, and no depth limit."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    return (PPartition(poset, ell, values)
-            for values in _order_preserving_maps(poset, 0, ell))
+    return map(_unvalidated(PPartition, poset, ell),
+               _order_preserving_maps(poset, 0, ell))
 
 
 def _sweep(values: list[int], order: Iterable[int], poset: Poset,

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from vkrew import golden
@@ -8,6 +10,7 @@ from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
     enumerate_restricted_labelings, free_labels, free_labels_bruteforce, \
     promote_pstrict, restriction_rq, swap_bc
 from vkrew.kreweras import promote_linext
+from vkrew.words import PartialMultiKrewerasWord, labeling_of_word
 
 
 def labeling(ell, q, fa, fb, fc):
@@ -411,3 +414,65 @@ def test_validation_messages_in_a_table(fibers, message):
         with pytest.raises(ValueError) as info:
             _member(PStrictLabeling, rf, 2, fibers)
     assert str(info.value) == message
+
+
+# -- enumerated labelings are valid by construction ----------------------
+
+def count_valid(labelings) -> int:
+    """How many labelings there are, each accepted by the validating
+    constructor and equal to its rebuilt copy, hash included."""
+    count = 0
+    for f in labelings:
+        g = PStrictLabeling(f.restriction, f.ell, f.fibers)
+        assert type(f) is PStrictLabeling and g == f and hash(g) == hash(f)
+        count += 1
+    return count
+
+
+def test_enumerated_labelings_are_valid():
+    # every labeling of the main suite's default grid and of (2, 9)
+    assert sum(count_valid(enumerate_labelings(ell, q))
+               for ell, q in MAIN_GRID + [(2, 9)]) == 65443
+
+
+@pytest.mark.parametrize("name", list(OTHER_RESTRICTIONS))
+def test_enumerated_labelings_are_valid_on_other_restrictions(name):
+    rf = OTHER_RESTRICTIONS[name]
+    assert all(count_valid(enumerate_restricted_labelings(rf, ell))
+               for ell in (1, 2, 3))
+
+
+@pytest.mark.parametrize("ell", [0, -1])
+def test_restricted_enumeration_rejects_ell_below_1(ell):
+    for rf in (restriction_rq(make_v(), 4), OTHER_RESTRICTIONS["diamond"]):
+        with pytest.raises(ValueError, match="^ell must be >= 1$"):
+            enumerate_restricted_labelings(rf, ell)
+
+
+def test_outside_data_is_validated():
+    # the constructor's own checks are test_validation_messages'
+    data = labeling(2, 4, (1, 2), (2, 3), (3, 3)).to_json()
+    for fibers, message in (({"C": [3, 5]}, "fiber of 'C' leaves"),
+                            ({"A": [2, 1]}, "fiber of 'A' decreases")):
+        with pytest.raises(ValueError, match=message):
+            PStrictLabeling.from_json(
+                {**data, "fibers": {**data["fibers"], **fibers}})
+    # a word with no letters passes its own checks, not a labeling's
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        labeling_of_word(PartialMultiKrewerasWord(0, 4, ((0, 0, 0),) * 4))
+
+
+def test_steps_off_a_table_validate_their_image_once(validations):
+    # an enumerated labeling is built unvalidated; a step of it outside any
+    # table validates the labeling it returns, once, unless that is its
+    # argument
+    labelings = list(enumerate_labelings(2, 5))
+    validated = validations(PStrictLabeling)
+    moved = 0
+    for f in labelings:
+        for step in (promote_pstrict, swap_bc, partial(bender_knuth_tau, 2)):
+            validated.clear()
+            g = step(f)
+            assert list(map(id, validated)) == ([] if g is f else [id(g)])
+            moved += g is not f
+    assert moved > 2 * len(labelings)

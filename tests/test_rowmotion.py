@@ -448,3 +448,64 @@ def test_steps_off_v_times_k_sweep_the_whole_partition(monkeypatch, poset):
         assert rowmotion(f).values == reference_values(
             f, [poset.elements[i] for i in order])
     assert calls == [order] * len(partitions)
+
+
+# -- enumerated partitions are valid by construction ---------------------
+
+def count_valid(partitions) -> int:
+    """How many partitions there are, each accepted by the validating
+    constructor and equal to its rebuilt copy, hash included."""
+    count = 0
+    for f in partitions:
+        g = PPartition(f.poset, f.ell, f.values)
+        assert type(f) is PPartition and g == f and hash(g) == hash(f)
+        count += 1
+    return count
+
+
+def test_enumerated_partitions_are_valid():
+    # every partition of the rowmotion and equivariance default grids, and
+    # of V x [5] bounded by 3
+    assert sum(count_valid(enumerate_ppartitions(
+        product_with_chain(make_v(), k), ell))
+        for ell, k in DEFAULT_GRID + [(3, 5)]) == 4038 + 37128
+
+
+@pytest.mark.parametrize("poset", [
+    diamond(),
+    Poset(("x1", "x2", "x3"), (("x1", "x2"), ("x2", "x3"))),
+    Poset(("x1", "x3", "x2"), (("x1", "x2"), ("x2", "x3"))),
+    Poset("dacb", (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))),
+], ids=["diamond", "chain", "chain-unsorted", "diamond-unsorted"])
+def test_enumerated_partitions_are_valid_on_other_posets(poset):
+    assert all(count_valid(enumerate_ppartitions(poset, ell))
+               for ell in range(4))
+
+
+def test_outside_data_is_validated():
+    # the constructor's own checks are test_ppartition_validation's
+    poset = product_with_chain(make_v(), 2)
+    data = PPartition(poset, 2, (0, 1, 1, 2, 0, 1)).to_json()
+    for values, message in (({"(A,2)": 2}, "values decrease"),
+                            ({"(C,2)": 3}, r"values must lie in 0\.\.2")):
+        with pytest.raises(ValueError, match=message):
+            PPartition.from_json({**data,
+                                  "values": {**data["values"], **values}})
+    with pytest.raises(ValueError, match="ell must be >= 0"):
+        PPartition.from_json({**data, "ell": -1})
+
+
+def test_steps_off_a_table_validate_their_image_once(validations):
+    # an enumerated partition is built unvalidated; a step of it outside
+    # any table validates the partition it returns, once
+    poset = product_with_chain(make_v(), 3)
+    flip = flip_automorphism(poset)
+    partitions = list(enumerate_ppartitions(poset, 2))
+    validated = validations(PPartition)
+    for f in partitions:
+        for step in (rowmotion, lambda f: togpro(f, 5),
+                     lambda f: apply_automorphism(flip, f),
+                     lambda f: toggle(("A", 2), f)):
+            validated.clear()
+            g = step(f)
+            assert list(map(id, validated)) == [id(g)]

@@ -432,45 +432,72 @@ def test_no_members_outlive_their_table(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def stepped_tables(monkeypatch, name):
+    """Records each orbit table verify builds, with the images its step
+    ``name`` returned while building it, as (table, images) pairs."""
+    stepped, images = [], []
+    step, table_at = getattr(verify, name), verify._table
+
+    def recorded(*args):
+        images.append(step(*args))
+        return images[-1]
+
+    def kept(*args):
+        images.clear()
+        table = table_at(*args)
+        stepped.append((table, list(images)))
+        return table
+    monkeypatch.setattr(verify, name, recorded)
+    monkeypatch.setattr(verify, "_table", kept)
+    return stepped
+
+
+def each_image_is_an_element(table, images) -> bool:
+    """Whether the step ran once per element and each image is (``is``)
+    one of the table's elements."""
+    members = {id(x): x for x in table.elements}
+    return (len(images) == len(members)
+            and all(members.get(id(g)) is g for g in images))
+
+
+STEPS = {"pro-pstrict": "promote_pstrict", "row": "rowmotion",
+         "togpro": "togpro"}
+
+
 @pytest.mark.parametrize("action,cls", [("pro-pstrict", PStrictLabeling),
                                         ("row", PPartition),
                                         ("togpro", PPartition)])
-def test_each_element_is_built_once_per_report(monkeypatch, action, cls):
-    # a step returns the object its table's enumeration built, so a report
-    # validates each element once; nothing is reused by the next report
+def test_each_element_is_built_once_per_report(monkeypatch, validations,
+                                               action, cls):
+    # the enumeration builds each element, valid by construction, and a
+    # step returns the very element of its table, so a report validates
+    # nothing; nothing is reused by the next report
     expected = sum(1 for _ in (enumerate_labelings(2, 6)
                                if action == "pro-pstrict"
                                else ppartitions(2, 6)))
-    built = Counter()
-    post_init = cls.__post_init__
-
-    def counted(self):
-        built[action] += 1
-        post_init(self)
-    monkeypatch.setattr(cls, "__post_init__", counted)
+    validated = validations(cls)
+    stepped = stepped_tables(monkeypatch, STEPS[action])
     for _ in range(2):
-        built.clear()
         assert orbit_report_for_action(action, 2, 6).count == expected
-        assert built[action] == expected
+        assert not validated
+        assert each_image_is_an_element(*stepped[-1])
+    first, second = ({id(x) for x in table.elements}
+                     for table, _ in stepped)
+    assert len(first) == expected and not first & second
 
 
-def test_word_steps_promote_the_tables_labelings(monkeypatch):
-    # the word laws read the words of the labeling table, so each labeling
-    # of a word point is built once, by the enumeration: never again by
-    # labeling_of_word, nor as a promoted image
-    expected = {(ell, q): sum(1 for _ in enumerate_labelings(ell, q))
-                for ell, q in grid(2, 6)}
-    built = Counter()
-    post_init = PStrictLabeling.__post_init__
-
-    def counted(self):
-        built[self.ell, self.q] += 1
-        post_init(self)
-    monkeypatch.setattr(PStrictLabeling, "__post_init__", counted)
+def test_word_steps_promote_the_tables_labelings(monkeypatch, validations):
+    # the word laws read the words of the labeling table, so no labeling
+    # of a word point is validated: none is built by labeling_of_word, and
+    # each promoted image is the table's own labeling
+    validated = validations(PStrictLabeling)
+    stepped = stepped_tables(monkeypatch, "promote_pstrict")
     for suite in ("layers", "standardization"):
-        built.clear()
+        stepped.clear()
         assert run_suite(suite).passed
-        assert built == expected, suite
+        assert not validated, suite
+        assert [(t.ell, t.q) for t, _ in stepped] == grid(2, 6), suite
+        assert all(each_image_is_an_element(*pair) for pair in stepped)
 
 
 def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
