@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 X = TypeVar("X")
 
@@ -17,20 +17,28 @@ class ActionError(ValueError):
 
 
 def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
-                 indices: bool = False) -> list:
-    """Cycles of ``step`` on ``elements``, each starting at its earliest
-    element, in order of those; with ``indices`` a cycle is a compact
-    array of positions in ``elements`` instead.  Raises ActionError if
-    the map leaves the set or identifies two elements."""
+                 key: Callable[[X], Hashable] | None = None) -> list[array]:
+    """Cycles of ``step`` on ``elements``, each a compact array of
+    positions in ``elements`` starting at its earliest, in order of
+    those.  Given ``key``, a raw form that tells the elements apart,
+    elements are looked up by it: an image is the element of its key if
+    it has that element's class and equals it.  Raises ActionError if the
+    map leaves the set or identifies two elements."""
     items = list(elements)
-    index = {x: i for i, x in enumerate(items)}
+    index = {x: i for i, x in enumerate(items if key is None
+                                        else map(key, items))}
     if len(index) != len(items):
         raise ActionError("enumeration repeats an element")
     image = []
     hit = [0] * len(items)
     for x in items:
         y = step(x)
-        j = index.get(y)
+        if key is None:
+            j = index.get(y)
+        else:
+            j = index.get(key(y)) if type(y) is type(x) else None
+            if j is not None and not y == items[j]:  # no __ne__ dispatch
+                j = None
         if j is None:
             raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
         image.append(j)
@@ -49,13 +57,12 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
             seen[i] = True
             cycle.append(i)
             i = image[i]
-        cycles.append(array("q", cycle) if indices
-                      else [items[j] for j in cycle])
+        cycles.append(array("q", cycle))
     return cycles
 
 
-def power_map(cycles: list[list[X]], t: int) -> dict[X, X]:
-    """x -> step^t(x) assembled from precomputed cycles."""
+def power_map(cycles: list, t: int) -> dict:
+    """x -> step^t(x) from precomputed cycles, of positions or elements."""
     out = {}
     for cycle in cycles:
         size = len(cycle)

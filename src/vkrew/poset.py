@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator
@@ -157,36 +156,15 @@ class Poset:
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
 
 
-_members: tuple = (None, None, {})  # owner, ell, members; see below
-
-
-@contextmanager
-def _table_members(owner, ell: int, members: dict) -> Iterator[None]:
-    """While the block runs, let steps over ``owner`` at ``ell`` return
-    ``members``, a table's elements by raw form; nothing is kept after."""
-    global _members
-    _members = owner, ell, members
-    try:
-        yield
-    finally:
-        _members = None, None, {}
-
-
-def _member(cls, owner, ell: int, raw):
-    """The stepped table's element for ``raw``, else a validated new one."""
-    at, at_ell, members = _members
-    f = members.get(raw) if at is owner and at_ell == ell else None
-    return cls(owner, ell, raw) if f is None else f
-
-
-def _unvalidated(cls, owner, ell: int):
-    """``raw -> cls(owner, ell, raw)`` for an enumeration's valid raw forms:
-    skips ``__post_init__`` by setting the frozen dataclass's three slots."""
+def _unvalidated(cls):
+    """``(owner, ell, raw) -> cls(owner, ell, raw)`` for raw forms known to
+    be valid: skips ``__post_init__`` by setting the frozen dataclass's
+    three slots."""
     new = object.__new__
     set_owner, set_ell, set_raw = (getattr(cls, name).__set__
                                    for name in cls.__slots__)
 
-    def build(raw):
+    def build(owner, ell: int, raw):
         obj = new(cls)
         set_owner(obj, owner)
         set_ell(obj, ell)

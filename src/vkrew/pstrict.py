@@ -16,13 +16,12 @@ _tau_one to every fiber (_tau_fibers), the reference for the moves.
 The enumeration places each fiber weakly increasing inside its interval
 and strictly above its lower covers', so it builds its labelings
 without validation.  The constructor, from_json, labeling_of_word,
-swap_bc and bender_knuth_tau validate, and promote_pstrict validates
-once per promotion, never the states between its steps, and not at all
-when its image is an element of the orbit table being stepped.
+swap_bc and bender_knuth_tau validate.  On V promote_pstrict checks each
+move when its entry is filled, so every labeling it assembles is valid;
+elsewhere it validates its image, never the states between its steps.
 Validation checks each distinct fiber against its interval once, and
-the layers across covers for every labeling.  free_labels finds the
-free labels layer by layer; it is the reference the tests hold the
-kernel to.
+the layers across covers for every labeling.  free_labels finds the free
+labels layer by layer; it is the reference the tests hold the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -37,8 +36,7 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _Memo, _interned, _member, \
-    _unvalidated, make_v
+from .poset import Element, Poset, _Memo, _interned, _unvalidated, make_v
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -146,6 +144,10 @@ class PStrictLabeling:
         return f"PStrictLabeling({body})"
 
 
+# (rf, ell, fibers) -> the labeling, for fibers known to be valid
+_labeling = _unvalidated(PStrictLabeling)
+
+
 @lru_cache(maxsize=1 << 16)
 def _fiber_fault(fiber: tuple[int, ...], ell: int, lo: int,
                  hi: int) -> str | None:
@@ -183,11 +185,10 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
         raise ValueError("element order is not topological")
     fibers: list[tuple[int, ...]] = [()] * len(lower)
     candidates: dict = {}  # (element index, floor) -> fibers, in order
-    build = _unvalidated(PStrictLabeling, rf, ell)
 
     def rec(i: int) -> Iterator[PStrictLabeling]:
         if i == len(fibers):
-            yield build(tuple(fibers))
+            yield _labeling(rf, ell, tuple(fibers))
             return
         floor = _layerwise(max, [fibers[d] for d in lower[i]])
         options = candidates.get((i, floor))
@@ -336,24 +337,34 @@ def _v_moves(rf: RestrictionFunction):
     _tau_one against a fixed bound, once.  That is exact: A's tau_k reads
     only which labels of min(B, C) are >= k+2, which tau_j (j < k) keeps;
     B's and C's read only which labels of A are < k, which tau_j (j > k)
-    keeps.  move_c is move_b when the B and C intervals agree."""
+    keeps.  move_c is move_b when the B and C intervals agree.  Each
+    entry is checked when filled: the moved fiber increases weakly inside
+    its interval, strictly past the A fiber it moved over or the min it
+    moved under, so labelings assembled from entries are valid."""
     if rf.poset != make_v():
         return None
     fibers, ids, low = _interned()  # id -> fiber, fiber -> id, min
 
-    def moves(lo, hi, over_a):
+    def moves(name, lo, hi, over_a):
         def fill(key):  # (A, min(B, C)) for A, (A', B or C) for B and C
             a, x = fibers[key[0]], fibers[key[1]]
             fiber, above, below = (x, None, a) if over_a else (a, x, None)
             for k in range(1, rf.q):
                 fiber = _tau_one(fiber, k, lo, hi, above, below)
+            lower, upper = (a, fiber) if over_a else (fiber, x)
+            fault = _fiber_fault(fiber, len(a), lo, hi)
+            if fault is None and not all(map(lt, lower, upper)):
+                past = "A" if over_a else "min(B, C)"
+                fault = f"is not strict against {past}"
+            if fault is not None:
+                raise ValueError(f"moved fiber of {name!r} {fault}")
             return ids[fiber]
         return _Memo(fill)
 
-    (lo_a, hi_a), b, c = rf.intervals
-    move_b = moves(*b, True)
-    return (fibers, ids, low, moves(lo_a, hi_a, False), move_b,
-            move_b if c == b else moves(*c, True))
+    a, b, c = rf.intervals
+    move_b = moves("B", *b, True)
+    return (fibers, ids, low, moves("A", *a, False), move_b,
+            move_b if c == b else moves("C", *c, True))
 
 
 def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
@@ -371,8 +382,8 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
 
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
-    the raw fibers (on V by three composed moves) and validating only
-    the result, unless the orbit table being stepped holds it."""
+    the raw fibers.  On V the image is three composed moves, each checked
+    when its entry was filled; elsewhere it is validated once."""
     rf = f.restriction
     tables = _v_moves(rf)
     if tables is None:
@@ -380,18 +391,15 @@ def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
         fibers = f.fibers
         for k in range(1, rf.q):
             fibers = _tau_fibers(fibers, k, up, down, rf.intervals)
-        if fibers is f.fibers:
-            return f
-    else:
-        fiber_of, ids, low, move_a, move_b, move_c = tables
-        fa, fb, fc = f.fibers
-        ia, ib, ic = ids[fa], ids[fb], ids[fc]
-        a = move_a[ia, low[ib, ic]]
-        b, c = move_b[a, ib], move_c[a, ic]
-        if (a, b, c) == (ia, ib, ic):
-            return f
-        fibers = (fiber_of[a], fiber_of[b], fiber_of[c])
-    return _member(PStrictLabeling, rf, f.ell, fibers)
+        return f if fibers is f.fibers else PStrictLabeling(rf, f.ell, fibers)
+    fiber_of, ids, low, move_a, move_b, move_c = tables
+    fa, fb, fc = f.fibers
+    ia, ib, ic = ids[fa], ids[fb], ids[fc]
+    a = move_a[ia, low[ib, ic]]
+    b, c = move_b[a, ib], move_c[a, ic]
+    if (a, b, c) == (ia, ib, ic):
+        return f
+    return _labeling(rf, f.ell, (fiber_of[a], fiber_of[b], fiber_of[c]))
 
 
 def swap_bc(f: PStrictLabeling) -> PStrictLabeling:

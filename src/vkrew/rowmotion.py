@@ -15,22 +15,23 @@ the constructor, from_json and apply_automorphism validate.  One sweep
 toggles raw values along element indices, reading the poset's
 cover-index tables.  On V x [k], rowmotion moves the B and C columns,
 then A, by lookups the sweep fills once each; togpro is the same moves
-in the other order.  Each step validates once, on the partition it
-returns unless that is an element of the orbit table being stepped,
-never the states between its toggles.  The element-level
-reading (upper_covers, lower_covers, PPartition.value) is the reference
-the tests hold the sweep to.
+in the other order; each lookup validates the partition it sweeps when
+it is filled, so every partition assembled from moves is valid.  Off
+V x [k] a step validates the partition it returns, never the states
+between its toggles.  The element-level reading (upper_covers,
+lower_covers, PPartition.value) is the reference the tests hold the
+sweep to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .poset import Element, LinearExtension, Poset, _Memo, _interned, \
-    _member, _order_preserving_maps, _unvalidated, linear_extensions, \
-    make_v, product_with_chain, v_chain_layers
+    _order_preserving_maps, _unvalidated, linear_extensions, make_v, \
+    product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -86,6 +87,10 @@ class PPartition:
         return f"PPartition({self.values})"
 
 
+# (poset, ell, values) -> the partition, for values known to be valid
+_partition = _unvalidated(PPartition)
+
+
 def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     """All ell-bounded partitions, lexicographic on the value sequence
     read in element order: the order-preserving maps into 0..ell, walked
@@ -93,7 +98,7 @@ def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     validation.  Lazy, and no depth limit."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    return map(_unvalidated(PPartition, poset, ell),
+    return map(partial(_partition, poset, ell),
                _order_preserving_maps(poset, 0, ell))
 
 
@@ -134,7 +139,9 @@ def _rowmotion_order(poset: Poset,
 def _v_moves(poset: Poset, ell: int):
     """Tables for rowmotion and togpro on V x [k], else None: split gives
     the A, B and C column ids, move_b[a, x] sweeps B or C column x over A
-    column a, move_a[a, m] column a under m = min(B, C); each filled once."""
+    column a, move_a[a, m] column a under m = min(B, C).  Each entry is
+    filled once, and checked then by validating the partition it swept,
+    (a, x', x) or (a', m, m)."""
     k = v_chain_layers(poset)
     if k is None:
         return None
@@ -147,6 +154,7 @@ def _v_moves(poset: Poset, ell: int):
         def fill(ax):
             values = [*columns[ax[0]], *columns[ax[1]] * 2]
             _sweep(values, range(start + k - 1, start - 1, -1), poset, ell)
+            PPartition(poset, ell, tuple(values))  # raises unless valid
             return ids[tuple(values[start:start + k])]
         return _Memo(fill)
 
@@ -162,13 +170,12 @@ def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
     if ext is not None or (tables := _v_moves(f.poset, f.ell)) is None:
         values = list(f.values)
         _sweep(values, _rowmotion_order(f.poset, ext), f.poset, f.ell)
-        return _member(PPartition, f.poset, f.ell, tuple(values))
+        return PPartition(f.poset, f.ell, tuple(values))
     columns, split, low, move_a, move_b = tables
     a, b, c = split(f.values)
     b, c = move_b[a, b], move_b[a, c]
     a = move_a[a, low[b, c]]
-    return _member(PPartition, f.poset, f.ell,
-                   columns[a] + columns[b] + columns[c])
+    return _partition(f.poset, f.ell, columns[a] + columns[b] + columns[c])
 
 
 @lru_cache(maxsize=None)
@@ -193,8 +200,7 @@ def togpro(f: PPartition, q: int) -> PPartition:
     a, b, c = split(f.values)
     a = move_a[a, low[b, c]]
     b, c = move_b[a, b], move_b[a, c]
-    return _member(PPartition, f.poset, f.ell,
-                   columns[a] + columns[b] + columns[c])
+    return _partition(f.poset, f.ell, columns[a] + columns[b] + columns[c])
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ counterexample reported on failure.
 
 Claims on an action are predicates over orbit tables: one action's
 elements at one grid point in enumeration order, and its cycles as arrays
-of positions.  run_suite is point-major: it builds the table of each
-(point, action) its claims read once, in grid order, hands it to each of
-them and drops it, so each object is stepped once per run and one table
-is alive at a time.  Predicates read step^q of an element q places along
+of positions; it finds each image among its elements by raw form and
+takes it for an element only if it has the element's class, owner and
+ell.  run_suite is point-major: it builds the table of each (point,
+action) its claims read once, in grid order, hands it to each of them
+and drops it, so each object is stepped once per run and one table is
+alive at a time.  Predicates read step^q of an element q places along
 its cycle and compare raw forms with the B/C mirror image.  A block word
 is a labeling read by label, so the word laws read the labeling table,
 which builds each word's arc data on first read: its sorted layers and
@@ -25,17 +27,17 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from itertools import islice
 from math import lcm
 from operator import attrgetter, itemgetter, methodcaller
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import golden
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
 from .orbits import ActionError, OrbitReport, orbit_cycles
-from .poset import _table_members, linear_extensions, make_v, \
-    product_with_chain
+from .poset import linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
@@ -61,12 +63,12 @@ class CeilingExceeded(RuntimeError):
     """A claim would enumerate more elements than the configured ceiling."""
 
 
-def _capped(iterable: Iterable, ceiling: int, what: str) -> Iterator:
-    for count, x in enumerate(iterable, 1):
-        if count > ceiling:
-            raise CeilingExceeded(
-                f"{what} exceeds the ceiling of {ceiling} elements")
-        yield x
+def _capped(iterable: Iterable, ceiling: int, what: str) -> list:
+    items = list(islice(iterable, ceiling + 1))
+    if len(items) > ceiling:
+        raise CeilingExceeded(
+            f"{what} exceeds the ceiling of {ceiling} elements")
+    return items
 
 
 @dataclass
@@ -125,14 +127,14 @@ def _word_grid(ell_max: int, q_max: int,
 
 
 def _extensions(n: int, ceiling: int) -> list:
-    return list(_capped(linear_extensions(product_with_chain(make_v(), n)),
-                        ceiling, f"extensions n={n}"))
+    return _capped(linear_extensions(product_with_chain(make_v(), n)),
+                   ceiling, f"extensions n={n}")
 
 
 def _ppartitions(ell: int, k: int, ceiling: int) -> list:
     poset = product_with_chain(make_v(), k)
-    return list(_capped(enumerate_ppartitions(poset, ell), ceiling,
-                        f"ppartitions ell={ell} k={k}"))
+    return _capped(enumerate_ppartitions(poset, ell), ceiling,
+                   f"ppartitions ell={ell} k={k}")
 
 
 # -- claims that run on their own --------------------------------------
@@ -222,11 +224,15 @@ class _Table:
         return sorted((len(c) for c in self.cycles), reverse=True)
 
 
+# Per action: the raw form of an element, by which its table finds it.
+_RAW = dict(zip(_ACTIONS, map(attrgetter, ("labels", "letters", "fibers",
+                                           "values", "values"))))
+
+
 def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
     """Enumerate once and step each element once.  The step, and the arc
     data's functions when first read, are looked up in this module, so a
     rebound name is used."""
-    owner, members = None, {}
     if action in ("pro-linext", "pro-kreweras"):
         elements, step = _extensions(ell, ceiling), promote_linext
         if action == "pro-kreweras":
@@ -235,16 +241,12 @@ def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
     elif action in ("row", "togpro"):
         elements = _ppartitions(ell, q - 2, ceiling)
         step = rowmotion if action == "row" else (lambda f: togpro(f, q))
-        owner = product_with_chain(make_v(), q - 2)
-        members = {f.values: f for f in elements}
     else:
-        elements = list(_capped(enumerate_labelings(ell, q), ceiling,
-                                f"labelings ell={ell} q={q}"))
-        step, owner = promote_pstrict, elements[0].restriction
-        members = {f.fibers: f for f in elements}
-    with _table_members(owner, ell, members):
-        cycles = orbit_cycles(step, elements, indices=True)
-    return _Table(action, ell, q, elements, cycles)
+        elements = _capped(enumerate_labelings(ell, q), ceiling,
+                           f"labelings ell={ell} q={q}")
+        step = promote_pstrict
+    return _Table(action, ell, q, elements,
+                  orbit_cycles(step, elements, key=_RAW[action]))
 
 
 def _flip_of_values(q: int):
@@ -258,24 +260,24 @@ def _at(t: _Table) -> dict:
 
 
 _SWAP_BC = methodcaller("translate", str.maketrans("BC", "CB"))
-# Per action: the raw form of an element; q -> the map from a raw form to
-# that of its B/C mirror image; and the counterexample (t, x, step^q(x)).
+# Per action: q -> the map from a raw form to that of its B/C mirror
+# image, and the counterexample (t, x, step^q(x)).
 _MIRRORS = {
     "pro-kreweras": (
-        attrgetter("letters"), lambda q: _SWAP_BC,
+        lambda q: _SWAP_BC,
         lambda t, x, y: {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
                          "swapped": swap_bc_letters(x).letters}),
     "pro-pstrict": (
-        attrgetter("fibers"), lambda q: itemgetter(0, 2, 1),
+        lambda q: itemgetter(0, 2, 1),
         lambda t, x, y: {**_at(t), "labeling": x.to_json(),
                          "pro_q": y.to_json(),
                          "swapped": swap_bc(x).to_json()}),
     "row": (
-        attrgetter("values"), _flip_of_values,
+        _flip_of_values,
         lambda t, x, y: {**_at(t), "partition": x.to_json(),
                          "row_q": y.to_json(), "flipped": apply_automorphism(
                              flip_automorphism(x.poset), x).to_json()}),
-    "togpro": (attrgetter("values"), _flip_of_values,
+    "togpro": (_flip_of_values,
                lambda t, x, y: {**_at(t), "partition": x.to_json()}),
 }
 
@@ -284,8 +286,7 @@ def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
     is not its B/C mirror image, or None.  Compares raw letters, fibers or
     values."""
-    raw, mirror_at, _ = _MIRRORS[t.action]
-    mirror = mirror_at(t.q)
+    raw, mirror = _RAW[t.action], _MIRRORS[t.action][0](t.q)
     for x, y in zip(t.elements, t.power(t.q)):
         if raw(y) != mirror(raw(x)):
             return x, y
@@ -298,7 +299,7 @@ def _q_is_mirror(t: _Table, report=None):
     """step^q is the B/C swap of a labeling or word, or the flip of a
     partition; ``report`` builds the counterexample in the action's place."""
     bad = _unmirrored(t)
-    return bad and (report or _MIRRORS[t.action][2])(t, *bad)
+    return bad and (report or _MIRRORS[t.action][1])(t, *bad)
 
 
 def _in_words(t: _Table, f, g):

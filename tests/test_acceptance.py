@@ -64,10 +64,11 @@ def test_criterion_1_classical_promotion_order():
             problems.append(f"n={n}: order {order} != {expected}")
         words = [to_kreweras(e) for e in exts]
         pro_3n = power_map(orbit_cycles(promote_kreweras, words), 3 * n)
-        for word in words:
-            if pro_3n[word] != swap_bc_letters(word):
+        for i, word in enumerate(words):
+            image = words[pro_3n[i]]
+            if image != swap_bc_letters(word):
                 problems.append(f"n={n}: Pro^{3 * n}({word.letters}) = "
-                                f"{pro_3n[word].letters} != "
+                                f"{image.letters} != "
                                 f"{swap_bc_letters(word).letters}")
                 break
     elapsed = time.monotonic() - started

@@ -1,12 +1,35 @@
+from operator import itemgetter
+
 import pytest
 
 from vkrew.orbits import ActionError, OrbitReport, orbit_cycles, power_map
 
 
+def cycle_lists(cycles):
+    return [list(c) for c in cycles]
+
+
 def test_orbit_cycles_of_identity():
-    assert orbit_cycles(lambda x: x, range(4)) == [[0], [1], [2], [3]]
-    assert [list(c) for c in orbit_cycles(lambda x: x, "abc",
-                                          indices=True)] == [[0], [1], [2]]
+    assert cycle_lists(orbit_cycles(lambda x: x, range(4))) \
+        == [[0], [1], [2], [3]]
+    assert cycle_lists(orbit_cycles(lambda x: x, "abc")) == [[0], [1], [2]]
+
+
+def test_orbit_cycles_finds_images_by_key_and_equality():
+    items = [(0, "a"), (1, "b"), (2, "c")]
+    key = itemgetter(0)
+
+    def step(x):
+        return items[(x[0] + 1) % 3]
+    assert cycle_lists(orbit_cycles(step, items, key=key)) \
+        == cycle_lists(orbit_cycles(step, items)) == [[0, 1, 2]]
+    # an image with an element's key but unequal to it, or of another
+    # class, is not that element
+    for image in (lambda x: (x[0], "z"), lambda x: list(x), lambda x: None):
+        with pytest.raises(ActionError, match="^action leaves the set at"):
+            orbit_cycles(image, items, key=key)
+    with pytest.raises(ActionError, match="repeats"):
+        orbit_cycles(lambda x: x, [(0, "a"), (0, "b")], key=key)
 
 
 def test_orbit_cycles_detects_escape():

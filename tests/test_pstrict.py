@@ -3,8 +3,7 @@ from functools import partial
 import pytest
 
 from vkrew import golden
-from vkrew.poset import LinearExtension, Poset, _member, _table_members, \
-    make_v, product_with_chain
+from vkrew.poset import LinearExtension, Poset, make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
     _tau_fibers, _v_moves, bender_knuth_tau, enumerate_labelings, \
     enumerate_restricted_labelings, free_labels, free_labels_bruteforce, \
@@ -369,53 +368,6 @@ def promoted_by_tau_fibers(f):
     return fibers
 
 
-def table_of(elements):
-    """The members of an orbit table of labelings, as verify steps it."""
-    return _table_members(elements[0].restriction, elements[0].ell,
-                          {f.fibers: f for f in elements})
-
-
-def test_promotion_in_a_table_returns_its_labeling():
-    elements = list(enumerate_labelings(2, 5))
-    members = {id(f) for f in elements}
-    with table_of(elements):
-        assert all(id(promote_pstrict(f)) in members for f in elements)
-    # outside the table every image is built anew
-    for f in elements:
-        g = promote_pstrict(f)
-        assert id(g) not in members or g is f
-        assert g.fibers == promoted_by_tau_fibers(f)
-
-
-def test_promotion_off_the_table_builds_its_image():
-    # a labeling read from JSON, one of another enumeration and one at
-    # another ell each have a restriction or ell other than the table's
-    table = list(enumerate_labelings(2, 5))
-    rf = table[0].restriction
-    read = [PStrictLabeling.from_json(f.to_json()) for f in table]
-    other = list(enumerate_labelings(2, 5))
-    narrower = list(enumerate_restricted_labelings(rf, 1))
-    members = {id(f) for f in table}
-    with table_of(table):
-        for f in read + other + narrower:
-            g = promote_pstrict(f)
-            assert g.fibers == promoted_by_tau_fibers(f)
-            assert g.restriction is f.restriction and g.ell == f.ell
-            assert id(g) not in members
-
-
-@pytest.mark.parametrize("fibers,message", [
-    (((2, 3), (3, 3), (2, 4)), "layer 2 not strict across 'A' < 'B'"),
-    (((1, 1), (2, 2), (3, 5)), "fiber of 'C' leaves its interval"),
-])
-def test_validation_messages_in_a_table(fibers, message):
-    rf = restriction_rq(make_v(), 4)
-    with table_of(list(enumerate_restricted_labelings(rf, 2))):
-        with pytest.raises(ValueError) as info:
-            _member(PStrictLabeling, rf, 2, fibers)
-    assert str(info.value) == message
-
-
 # -- enumerated labelings are valid by construction ----------------------
 
 def count_valid(labelings) -> int:
@@ -463,16 +415,23 @@ def test_outside_data_is_validated():
 
 
 def test_steps_off_a_table_validate_their_image_once(validations):
-    # an enumerated labeling is built unvalidated; a step of it outside any
-    # table validates the labeling it returns, once, unless that is its
-    # argument
+    # an enumerated labeling is built unvalidated; swap_bc and
+    # bender_knuth_tau validate the labeling they return, once, unless that
+    # is their argument, and promotion on V validates no labeling: it
+    # checks each move's fiber once, when the entry is filled
     labelings = list(enumerate_labelings(2, 5))
     validated = validations(PStrictLabeling)
     moved = 0
     for f in labelings:
-        for step in (promote_pstrict, swap_bc, partial(bender_knuth_tau, 2)):
+        for step in (swap_bc, partial(bender_knuth_tau, 2)):
             validated.clear()
             g = step(f)
             assert list(map(id, validated)) == ([] if g is f else [id(g)])
             moved += g is not f
-    assert moved > 2 * len(labelings)
+    assert moved > len(labelings)
+    validated.clear()
+    _v_moves.cache_clear()
+    for _ in range(2):
+        assert [promote_pstrict(f).fibers for f in labelings] \
+            == list(map(promoted_by_tau_fibers, labelings))
+        assert not validated

@@ -61,3 +61,13 @@ def test_every_public_name_has_a_caller():
 
 def test_every_kept_reference_is_public_and_otherwise_unused():
     assert {name.split(".")[1] for name in unused_public_names()} == KEPT
+
+
+def test_no_module_state_is_rebound():
+    # steps are pure: nothing in the package rebinds a module-level name
+    # from inside a function
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -6,8 +6,7 @@ import pytest
 
 import vkrew.rowmotion as module
 from vkrew.orbits import orbit_cycles
-from vkrew.poset import Poset, _member, _table_members, linear_extensions, \
-    make_v, product_with_chain
+from vkrew.poset import Poset, linear_extensions, make_v, product_with_chain
 from vkrew.pstrict import enumerate_labelings, promote_pstrict
 from vkrew.rowmotion import PosetAutomorphism, PPartition, \
     apply_automorphism, enumerate_ppartitions, flip_automorphism, rowmotion, \
@@ -345,50 +344,6 @@ def test_enumeration_on_non_topological_order(poset):
         assert got == closure_ppartitions(poset, ell) and got, ell
 
 
-def table_of(elements):
-    """The members of an orbit table of partitions, as verify steps it."""
-    return _table_members(elements[0].poset, elements[0].ell,
-                          {f.values: f for f in elements})
-
-
-def test_steps_in_a_table_return_its_partition():
-    poset = product_with_chain(make_v(), 3)
-    elements = list(enumerate_ppartitions(poset, 2))
-    members = {id(f) for f in elements}
-    with table_of(elements):
-        assert all(id(rowmotion(f)) in members and id(togpro(f, 5)) in members
-                   for f in elements)
-    # outside the table every image is built anew
-    assert not any(id(rowmotion(f)) in members or id(togpro(f, 5)) in members
-                   for f in elements)
-
-
-def test_steps_at_another_ell_build_their_image():
-    poset = product_with_chain(make_v(), 3)
-    row_order = list(reversed(next(iter(linear_extensions(poset))).order()))
-    togpro_order = reference_togpro_elements(5)
-    narrower = list(enumerate_ppartitions(poset, 1))
-    table = list(enumerate_ppartitions(poset, 2))
-    members = {id(f) for f in table}
-    with table_of(table):
-        for f in narrower:
-            for g, order in ((rowmotion(f), row_order),
-                             (togpro(f, 5), togpro_order)):
-                assert g.values == reference_values(f, order)
-                assert g.poset is poset and g.ell == 1
-                assert id(g) not in members
-
-
-def test_validation_message_in_a_table():
-    # the first cover that decreases, in element order, is named
-    poset = product_with_chain(make_v(), 2)
-    with table_of(list(enumerate_ppartitions(poset, 1))):
-        with pytest.raises(ValueError) as info:
-            _member(PPartition, poset, 1, (1, 1, 0, 1, 1, 0))
-    assert str(info.value) \
-        == "values decrease across ('A', 1) < ('B', 1)"
-
-
 # -- column moves on V x [k] against the sweep ---------------------------
 
 def test_column_moves_match_the_sweep_up_to_k5():
@@ -496,16 +451,31 @@ def test_outside_data_is_validated():
 
 
 def test_steps_off_a_table_validate_their_image_once(validations):
-    # an enumerated partition is built unvalidated; a step of it outside
-    # any table validates the partition it returns, once
+    # an enumerated partition is built unvalidated; apply_automorphism and
+    # toggle validate the partition they return, once, and rowmotion and
+    # togpro on V x [k] validate one swept partition per move entry they
+    # fill, and none once the entries are filled
     poset = product_with_chain(make_v(), 3)
     flip = flip_automorphism(poset)
     partitions = list(enumerate_ppartitions(poset, 2))
     validated = validations(PPartition)
     for f in partitions:
-        for step in (rowmotion, lambda f: togpro(f, 5),
-                     lambda f: apply_automorphism(flip, f),
+        for step in (lambda f: apply_automorphism(flip, f),
                      lambda f: toggle(("A", 2), f)):
             validated.clear()
             g = step(f)
             assert list(map(id, validated)) == [id(g)]
+    validated.clear()
+    module._v_moves.cache_clear()
+    row_order = list(reversed(next(iter(linear_extensions(poset))).order()))
+    togpro_order = reference_togpro_elements(5)
+    for f in partitions:
+        assert rowmotion(f).values == reference_values(f, row_order)
+        assert togpro(f, 5).values == reference_values(f, togpro_order)
+    _, _, _, move_a, move_b = module._v_moves(poset, 2)
+    assert 0 < len(validated) <= len(move_a) + len(move_b)
+    validated.clear()
+    for f in partitions:
+        rowmotion(f)
+        togpro(f, 5)
+    assert not validated

@@ -3,15 +3,18 @@ import gc
 import json
 from collections import Counter
 from math import lcm
+from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 
+import vkrew.pstrict as pstrict_module
 import vkrew.rowmotion as rowmotion_module
 from vkrew import cli, poset, verify, words
 from vkrew.orbits import ActionError, orbit_cycles
 from vkrew.poset import make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, bender_knuth_tau, \
-    enumerate_labelings, promote_pstrict, swap_bc
+    enumerate_labelings, promote_pstrict, restriction_rq, swap_bc
 from vkrew.rowmotion import PPartition, apply_automorphism, \
     enumerate_ppartitions, flip_automorphism, rowmotion, togpro
 from vkrew.verify import CeilingExceeded, VerificationReport, export_report, \
@@ -371,6 +374,111 @@ def test_non_bijective_step_fails_every_reader(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+STEPS = {"pro-pstrict": "promote_pstrict", "row": "rowmotion",
+         "togpro": "togpro"}
+
+
+def out_of_interval(tau_one):
+    def faulty(fiber, k, lo, hi, above, below):
+        return tau_one(fiber, k, lo, hi, above, below)[:-1] + (hi + 1,)
+    return faulty
+
+
+def unbounded(tau_one):
+    def faulty(fiber, k, lo, hi, above, below):
+        return tau_one(fiber, k, lo, hi, None, None)
+    return faulty
+
+
+def out_of_range(sweep):
+    def faulty(values, order, poset, ell):
+        sweep(values, order, poset, ell)
+        values[order[0]] = ell + 1
+    return faulty
+
+
+FAULTY_KERNELS = {
+    "pstrict-interval": ("pro-pstrict", "_tau_one", out_of_interval,
+                         "moved fiber of 'A' leaves its interval"),
+    "pstrict-covers": ("pro-pstrict", "_tau_one", unbounded,
+                       "moved fiber of 'A' is not strict against min(B, C)"),
+    "row-range": ("row", "_sweep", out_of_range, "values must lie in 0..2"),
+    "togpro-range": ("togpro", "_sweep", out_of_range,
+                     "values must lie in 0..2"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAULTY_KERNELS))
+def test_a_faulty_kernel_is_caught(monkeypatch, case):
+    # a move whose fiber or column leaves its interval or 0..ell, or meets
+    # the fiber it moved past, fails when its entry is filled, off a table
+    # and in a report alike
+    action, name, fault, message = FAULTY_KERNELS[case]
+    module = pstrict_module if action == "pro-pstrict" else rowmotion_module
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    f = next(enumerate_labelings(2, 5) if action == "pro-pstrict"
+             else ppartitions(2, 5))
+    step = {"pro-pstrict": promote_pstrict, "row": rowmotion,
+            "togpro": lambda f: togpro(f, 5)}[action]
+    module._v_moves.cache_clear()
+    try:
+        with pytest.raises(ValueError) as off_table:
+            step(f)
+        with pytest.raises(ValueError) as in_report:
+            orbit_report_for_action(action, 2, 5)
+    finally:
+        module._v_moves.cache_clear()
+    assert str(off_table.value) == str(in_report.value) == message
+
+
+def antichain_partition(f):
+    return PPartition(poset.Poset(range(len(f.values)), ()), f.ell, f.values)
+
+
+WRONG_IMAGES = {
+    "labeling-other-restriction": ("pro-pstrict", lambda f: PStrictLabeling(
+        restriction_rq(make_v(), f.q + 1), f.ell, f.fibers)),
+    "labeling-other-ell": ("pro-pstrict", lambda f: pstrict_module._labeling(
+        f.restriction, f.ell + 1, f.fibers)),
+    "labeling-raw-fibers": ("pro-pstrict", attrgetter("fibers")),
+    "labeling-none": ("pro-pstrict", lambda f: None),
+    "row-other-ell": ("row", lambda f: PPartition(f.poset, f.ell + 1,
+                                                  f.values)),
+    "row-other-poset": ("row", antichain_partition),
+    "togpro-other-poset": ("togpro", antichain_partition),
+    "togpro-other-class": ("togpro", lambda f: SimpleNamespace(
+        poset=f.poset, ell=f.ell, values=f.values)),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_IMAGES))
+def test_an_image_matches_only_an_equal_element(monkeypatch, case):
+    # an image with an element's raw form but another owner or ell, or of
+    # another class, leaves the set, in a report and in a suite's
+    # counterexample
+    action, wrong = WRONG_IMAGES[case]
+    monkeypatch.setattr(verify, STEPS[action], lambda f, *q: wrong(f))
+    x = next(enumerate_labelings(1, 3) if action == "pro-pstrict"
+             else ppartitions(1, 3))
+    message = f"action leaves the set at {x!r} -> {wrong(x)!r}"
+    with pytest.raises(ActionError) as info:
+        orbit_report_for_action(action, 1, 3)
+    assert str(info.value) == message
+    assert failures(run_suite("equivariance", ell_max=1, q_max=4))[
+        "orbit-multisets-agree"] == {"ell": 1, "q": 3, "action": action,
+                                     "error": message}
+
+
+def test_an_equal_image_with_an_equal_owner_matches(monkeypatch):
+    # the owner is compared by identity, else by equality
+    def rebuilt(f):
+        g = promote_pstrict(f)
+        return PStrictLabeling(restriction_rq(make_v(), g.q), g.ell, g.fibers)
+    expected = orbit_report_for_action("pro-pstrict", 2, 5).to_json()
+    monkeypatch.setattr(verify, "promote_pstrict", rebuilt)
+    assert orbit_report_for_action("pro-pstrict", 2, 5).to_json() == expected
+
+
 def test_each_step_runs_once_per_object(monkeypatch):
     calls = Counter()
 
@@ -393,6 +501,14 @@ def test_each_step_runs_once_per_object(monkeypatch):
         1 for ell, q in grid(2, 5) for _ in ppartitions(ell, q))
 
 
+def each_image_is_one_element(table, images) -> bool:
+    """Whether the step ran once per element, in enumeration order, and
+    each image equals exactly one element: the one the table's cycles
+    step to."""
+    return (len(set(table.elements)) == len(table.elements)
+            and images == table.power(1))
+
+
 @pytest.mark.parametrize("action,name", [("pro-pstrict", "promote_pstrict"),
                                          ("row", "rowmotion"),
                                          ("togpro", "togpro")])
@@ -405,31 +521,7 @@ def test_steps_in_a_table_return_its_elements(monkeypatch, action, name):
         return images[-1]
     monkeypatch.setattr(verify, name, recorded)
     table = verify._table(action, 2, 6, verify.DEFAULT_CEILING)
-    members = {id(x) for x in table.elements}
-    assert len(images) == len(table.elements)
-    assert all(id(g) in members for g in images)
-
-
-def test_no_members_outlive_their_table(monkeypatch, capsys):
-    # enumerations stream and hold nothing; a table's members go with it,
-    # also when its step fails
-    none = (None, None, {})
-    assert sum(1 for _ in enumerate_labelings(2, 5)) \
-        and sum(1 for _ in ppartitions(2, 5))
-    assert cli.main(["enumerate", "--object", "ppartitions", "--ell", "2",
-                     "--k", "3"]) == 0
-    assert poset._members == none
-    assert orbit_report_for_action("row", 2, 5).count
-    assert poset._members == none
-    assert run_suite("layers", ell_max=1, q_max=4).passed
-    assert poset._members == none
-    monkeypatch.setattr(verify, "promote_pstrict", lambda f: None)
-    with pytest.raises(ActionError):
-        orbit_report_for_action("pro-pstrict", 2, 5)
-    assert poset._members == none
-    assert not run_suite("layers", ell_max=1, q_max=4).passed
-    assert poset._members == none
-    capsys.readouterr()
+    assert each_image_is_one_element(table, images)
 
 
 def stepped_tables(monkeypatch, name):
@@ -452,35 +544,32 @@ def stepped_tables(monkeypatch, name):
     return stepped
 
 
-def each_image_is_an_element(table, images) -> bool:
-    """Whether the step ran once per element and each image is (``is``)
-    one of the table's elements."""
-    members = {id(x): x for x in table.elements}
-    return (len(images) == len(members)
-            and all(members.get(id(g)) is g for g in images))
-
-
-STEPS = {"pro-pstrict": "promote_pstrict", "row": "rowmotion",
-         "togpro": "togpro"}
-
-
 @pytest.mark.parametrize("action,cls", [("pro-pstrict", PStrictLabeling),
                                         ("row", PPartition),
                                         ("togpro", PPartition)])
 def test_each_element_is_built_once_per_report(monkeypatch, validations,
                                                action, cls):
     # the enumeration builds each element, valid by construction, and a
-    # step returns the very element of its table, so a report validates
-    # nothing; nothing is reused by the next report
-    expected = sum(1 for _ in (enumerate_labelings(2, 6)
-                               if action == "pro-pstrict"
-                               else ppartitions(2, 6)))
+    # step assembles its image from move entries checked when filled, so
+    # a report validates at most one object per entry it fills, and none
+    # when run again at the same point; no element is reused by the next
+    # report
+    if action == "pro-pstrict":
+        module, at = pstrict_module, (restriction_rq(make_v(), 6),)
+        expected = sum(1 for _ in enumerate_labelings(2, 6))
+    else:
+        module, at = rowmotion_module, (product_with_chain(make_v(), 4), 2)
+        expected = sum(1 for _ in ppartitions(2, 6))
+    module._v_moves.cache_clear()
     validated = validations(cls)
     stepped = stepped_tables(monkeypatch, STEPS[action])
-    for _ in range(2):
-        assert orbit_report_for_action(action, 2, 6).count == expected
-        assert not validated
-        assert each_image_is_an_element(*stepped[-1])
+    assert orbit_report_for_action(action, 2, 6).count == expected
+    moves = {id(m): m for m in module._v_moves(*at)[3:]}  # B and C may share
+    assert len(validated) <= sum(map(len, moves.values()))
+    validated.clear()
+    assert orbit_report_for_action(action, 2, 6).count == expected
+    assert not validated
+    assert all(each_image_is_one_element(*pair) for pair in stepped)
     first, second = ({id(x) for x in table.elements}
                      for table, _ in stepped)
     assert len(first) == expected and not first & second
@@ -489,7 +578,8 @@ def test_each_element_is_built_once_per_report(monkeypatch, validations,
 def test_word_steps_promote_the_tables_labelings(monkeypatch, validations):
     # the word laws read the words of the labeling table, so no labeling
     # of a word point is validated: none is built by labeling_of_word, and
-    # each promoted image is the table's own labeling
+    # promotion checks fibers, not labelings; each promoted image equals
+    # one labeling of the table
     validated = validations(PStrictLabeling)
     stepped = stepped_tables(monkeypatch, "promote_pstrict")
     for suite in ("layers", "standardization"):
@@ -497,7 +587,7 @@ def test_word_steps_promote_the_tables_labelings(monkeypatch, validations):
         assert run_suite(suite).passed
         assert not validated, suite
         assert [(t.ell, t.q) for t, _ in stepped] == grid(2, 6), suite
-        assert all(each_image_is_an_element(*pair) for pair in stepped)
+        assert all(each_image_is_one_element(*pair) for pair in stepped)
 
 
 def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
