@@ -13,15 +13,18 @@ V, promote_pstrict interns fibers to ints once per restriction and
 composes three memoized moves: A under the min of B and C, then B and C
 over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
-The enumeration places each fiber weakly increasing inside its interval
-and strictly above its lower covers', so it builds its labelings
-without validation.  The constructor, from_json, labeling_of_word,
-swap_bc and bender_knuth_tau validate.  On V promote_pstrict checks each
-move when its entry is filled, so every labeling it assembles is valid;
-elsewhere it validates its image, never the states between its steps.
-Validation checks each distinct fiber against its interval once, and
-the layers across covers for every labeling.  free_labels finds the free
-labels layer by layer; it is the reference the tests hold the kernel to.
+On V the enumeration is three nested loops in ranked order over the
+fibers _v_moves interns, so an image shares its fibers with the labeling
+it equals; elsewhere a recursion, the reference for the loops, places
+each fiber weakly increasing in its interval and strictly above its lower
+covers'.  Both build labelings without validation.  The constructor,
+from_json, labeling_of_word, swap_bc and bender_knuth_tau validate.  On
+V promote_pstrict checks each move when its entry is filled, so every
+labeling it assembles is valid; elsewhere it validates its image, never
+the states between its steps.  Validation checks each distinct fiber
+against its interval once, and the layers across covers for every
+labeling.  free_labels finds the free labels layer by layer; it is the
+reference the tests hold the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -175,11 +178,15 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
                                    ell: int) -> Iterator[PStrictLabeling]:
     """All labelings for ``rf``, lexicographic on the concatenated fibers.
 
-    Requires poset.elements to be topologically sorted (all our posets
-    are).
+    On V, three nested loops over promotion's interned fibers; elsewhere a
+    recursion, which requires poset.elements to be topologically sorted
+    (all our posets are).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    tables = _v_moves(rf)
+    if tables is not None:
+        return _v_labelings(rf, ell, *tables[:2])
     lower = rf.poset._down
     if any(d >= i for i, down in enumerate(lower) for d in down):
         raise ValueError("element order is not topological")
@@ -200,6 +207,21 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
             yield from rec(i + 1)
 
     return rec(0)
+
+
+def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
+    """The labelings of V in ranked order: each A fiber, then each B
+    fiber strictly above it, then each such C fiber.  Every fiber is the
+    one promotion's tables interned, so an image shares its fibers with
+    the labeling it equals, and tuple compares stop at identity."""
+    a, b, c = ([fiber_of[ids[t]] for t in _weakly_increasing(*iv, ell)]
+               for iv in rf.intervals)
+    for fa in a:
+        over_b = [x for x in b if all(map(lt, fa, x))]
+        over_c = over_b if c == b else [x for x in c if all(map(lt, fa, x))]
+        for fb in over_b:
+            for fc in over_c:
+                yield _labeling(rf, ell, (fa, fb, fc))
 
 
 def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:

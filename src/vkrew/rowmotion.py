@@ -195,8 +195,10 @@ def togpro(f: PPartition, q: int) -> PPartition:
     """Toggle-promotion on V x [q-2]: sweep k = 1, 2, ... toggling the
     diagonal {(p, i) : i = q - 1 + rk(p) - k} at each step.  Only toggles
     along a cover fail to commute: this is A top-down, then B and C."""
-    _togpro_order(f.poset, q)  # raises unless the poset is V x [q - 2]
-    columns, split, low, move_a, move_b = _v_moves(f.poset, f.ell)
+    tables = _v_moves(f.poset, f.ell)
+    if tables is None or len(f.values) != 3 * (q - 2):  # V x [k]: 3k values
+        raise ValueError(f"poset must be V x [{q - 2}] for q={q}")
+    columns, split, low, move_a, move_b = tables
     a, b, c = split(f.values)
     a = move_a[a, low[b, c]]
     b, c = move_b[a, b], move_b[a, c]

@@ -394,6 +394,45 @@ def test_enumerated_labelings_are_valid_on_other_restrictions(name):
                for ell in (1, 2, 3))
 
 
+# -- the ranked loops on V against the generic recursion -----------------
+
+# V under other names: _v_moves serves make_v() only, so the labelings of
+# this poset come from the generic recursion
+RELABELLED_V = Poset(("a", "b", "c"), (("a", "b"), ("a", "c")))
+
+
+@pytest.mark.parametrize("ell,rf", [
+    *(pytest.param(ell, restriction_rq(make_v(), q), id=f"rq-{ell}-{q}")
+      for ell, q in MAIN_GRID + [(2, 9)]),
+    *(pytest.param(ell, OTHER_RESTRICTIONS[name], id=f"{name}-{ell}")
+      for name in ("narrow-v", "narrow-c-v") for ell in (1, 2, 3)),
+])
+def test_ranked_enumeration_matches_the_recursion(ell, rf):
+    relabelled = RestrictionFunction(RELABELLED_V, rf.q, rf.intervals)
+    assert _v_moves(relabelled) is None
+    by_recursion = [f.fibers for f in
+                    enumerate_restricted_labelings(relabelled, ell)]
+    assert _v_moves(rf) is not None
+    ranked = [f.fibers for f in enumerate_restricted_labelings(rf, ell)]
+    assert ranked == by_recursion and ranked
+
+
+@pytest.mark.parametrize("ell,q", [(3, 7), (2, 9)])
+def test_enumeration_and_steps_meet_only_interned_fibers(ell, q):
+    # every enumerated fiber is the object promotion's tables interned,
+    # and promoting every labeling interns no further fiber
+    _v_moves.cache_clear()
+    labelings = list(enumerate_labelings(ell, q))
+    fiber_of, ids = _v_moves(restriction_rq(make_v(), q))[:2]
+    interned = len(fiber_of)
+    assert all(ids.get(fiber) is not None and fiber_of[ids[fiber]] is fiber
+               for f in labelings for fiber in f.fibers)
+    images = list(map(promote_pstrict, labelings))
+    assert len(fiber_of) == interned
+    assert all(fiber_of[ids[fiber]] is fiber
+               for g in images for fiber in g.fibers)
+
+
 @pytest.mark.parametrize("ell", [0, -1])
 def test_restricted_enumeration_rejects_ell_below_1(ell):
     for rf in (restriction_rq(make_v(), 4), OTHER_RESTRICTIONS["diamond"]):

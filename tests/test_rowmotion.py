@@ -139,10 +139,13 @@ def test_togpro_examples():
 def test_togpro_rejects_wrong_poset():
     poset = product_with_chain(make_v(), 2)
     f = next(iter(enumerate_ppartitions(poset, 1)))
-    with pytest.raises(ValueError):
+    message = r"^poset must be V x \[1\] for q=3$"
+    with pytest.raises(ValueError, match=message):
         togpro(f, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         togpro(pp((0, 0, 0)), 3)
+    with pytest.raises(ValueError, match=r"^poset must be V x \[0\] for q=2$"):
+        togpro(f, 2)
 
 
 def test_togpro_orbits_match_promotion():
