@@ -79,6 +79,14 @@ _UNREAD_FLAG = {"linext": "q", "labelings": "k", "words": "k",
                 "ppartitions": "q"}
 
 
+def _chain_length(args, flag: str) -> int:
+    """The k of V x [k], read from ``--flag``, which is named if below 1."""
+    k = getattr(args, flag)
+    if k < 1:
+        raise ValueError(f"--{flag} must be >= 1, got {k}")
+    return k
+
+
 def _cmd_enumerate(args, parser) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
@@ -92,7 +100,7 @@ def _cmd_enumerate(args, parser) -> int:
         if None not in (args.k, args.ell) and args.k != args.ell:
             raise ValueError(f"linext reads --ell as --k; got --ell "
                              f"{args.ell} and --k {args.k}")
-        n = args.k if args.k is not None else args.ell
+        n = _chain_length(args, "k" if args.k is not None else "ell")
         items = (json.dumps({"n": n, "word": to_kreweras(e).letters,
                              "labels": list(e.labels)})
                  for e in linear_extensions(product_with_chain(make_v(), n)))
@@ -109,7 +117,7 @@ def _cmd_enumerate(args, parser) -> int:
     else:
         _require(parser, args.ell is not None and args.k is not None,
                  "ppartitions need --ell and --k")
-        poset = product_with_chain(make_v(), args.k)
+        poset = product_with_chain(make_v(), _chain_length(args, "k"))
         items = (json.dumps(f.to_json())
                  for f in enumerate_ppartitions(poset, args.ell))
     count = 0

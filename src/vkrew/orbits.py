@@ -20,25 +20,22 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
                  key: Callable[[X], Hashable] | None = None) -> list[array]:
     """Cycles of ``step`` on ``elements``, each a compact array of
     positions in ``elements`` starting at its earliest, in order of
-    those.  Given ``key``, a raw form that tells the elements apart,
-    elements are looked up by it: an image is the element of its key if
-    it has that element's class and equals it.  Raises ActionError if the
-    map leaves the set or identifies two elements."""
+    those.  Elements are looked up by ``key``, a raw form that tells them
+    apart, or by themselves: an image is the element of its key if it has
+    that element's class and equals it.  Raises ActionError if the map
+    leaves the set or identifies two elements."""
     items = list(elements)
-    index = {x: i for i, x in enumerate(items if key is None
-                                        else map(key, items))}
+    key = key or (lambda x: x)
+    index = {k: i for i, k in enumerate(map(key, items))}
     if len(index) != len(items):
         raise ActionError("enumeration repeats an element")
     image = []
     hit = [0] * len(items)
     for x in items:
         y = step(x)
-        if key is None:
-            j = index.get(y)
-        else:
-            j = index.get(key(y)) if type(y) is type(x) else None
-            if j is not None and not y == items[j]:  # no __ne__ dispatch
-                j = None
+        j = index.get(key(y)) if type(y) is type(x) else None
+        if j is not None and not y == items[j]:  # no __ne__ dispatch
+            j = None
         if j is None:
             raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
         image.append(j)
@@ -61,9 +58,10 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
     return cycles
 
 
-def power_map(cycles: list, t: int) -> dict:
-    """x -> step^t(x) from precomputed cycles, of positions or elements."""
-    out = {}
+def power_map(cycles: list, t: int) -> list[int]:
+    """The position of step^t of each position, from the cycles of
+    positions that orbit_cycles returns."""
+    out = [0] * sum(map(len, cycles))
     for cycle in cycles:
         size = len(cycle)
         for i, x in enumerate(cycle):

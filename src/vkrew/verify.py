@@ -2,20 +2,23 @@
 checked exhaustively over desk-scale parameter grids, with the first
 counterexample reported on failure.
 
-Claims on an action are predicates over orbit tables: one action's
-elements at one grid point in enumeration order, and its cycles as arrays
-of positions; it finds each image among its elements by raw form and
-takes it for an element only if it has the element's class, owner and
-ell.  run_suite is point-major: it builds the table of each (point,
-action) its claims read once, in grid order, hands it to each of them
-and drops it, so each object is stepped once per run and one table is
-alive at a time.  Predicates read step^q of an element q places along
-its cycle and compare raw forms with the B/C mirror image.  A block word
-is a labeling read by label, so the word laws read the labeling table,
-which builds each word's arc data on first read: its sorted layers and
-double arcs and, absent double arcs, its standardization, for w and for
-Pro(w) alike.  A claim reports its first failing element in enumeration
-order.  orbit_report_for_action shares tables and predicates.
+Each action with tables is one _Action record: its elements, its step,
+the raw form by which a table finds an element, and its B/C mirror law.
+A claim on actions is a predicate over their orbit tables, taken in the
+order of its actions.  A table holds one action's elements at one grid
+point in enumeration order, and its cycles as arrays of positions; it
+takes an image, found by raw form, for an element only if it has the
+element's class, owner and ell.  run_suite is point-major: at each grid
+point it builds once the tables that its claims still passing read,
+hands each claim its tables and drops them all before the next point, so
+each object is stepped once per run and one point's tables are alive at
+a time.  Predicates read step^q of an element q places along its cycle
+and compare raw forms with the B/C mirror image.  A block word is a
+labeling read by label, so the word laws read the labeling table, which
+builds each word's arc data on first read: its sorted layers and double
+arcs and, absent double arcs, its standardization, for w and for Pro(w)
+alike.  A claim reports its first failing element in enumeration order.
+orbit_report_for_action shares tables and predicates.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from . import golden
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
-from .orbits import ActionError, OrbitReport, orbit_cycles
+from .orbits import ActionError, OrbitReport, orbit_cycles, power_map
 from .poset import linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
@@ -160,12 +163,6 @@ def _claim_row_extension_independent(ceiling: int):
 
 # -- orbit tables ------------------------------------------------------
 
-# The actions with tables, in the order they are built at a grid point.
-# Extensions and Kreweras words of V x [n] sit at the point (n, 3n), and
-# block words of V x [ell] are the pro-pstrict labelings at (ell, q).
-_ACTIONS = ("pro-linext", "pro-kreweras", "pro-pstrict", "row", "togpro")
-
-
 class _Arcs(NamedTuple):
     """A word's arc data: its sorted layers and double arcs and, when it
     has no double arc, its standardization (std, sizes) or the ValueError
@@ -213,40 +210,10 @@ class _Table:
         """step^t of each element, in enumeration order; given ``of``,
         aligned with the elements, the entry of ``of`` at each step^t."""
         of = self.elements if of is None else of
-        out = [None] * len(of)
-        for cycle in self.cycles:
-            size = len(cycle)
-            for j, i in enumerate(cycle):
-                out[i] = of[cycle[(j + t) % size]]
-        return out
+        return list(map(of.__getitem__, power_map(self.cycles, t)))
 
     def sizes(self) -> list[int]:
         return sorted((len(c) for c in self.cycles), reverse=True)
-
-
-# Per action: the raw form of an element, by which its table finds it.
-_RAW = dict(zip(_ACTIONS, map(attrgetter, ("labels", "letters", "fibers",
-                                           "values", "values"))))
-
-
-def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
-    """Enumerate once and step each element once.  The step, and the arc
-    data's functions when first read, are looked up in this module, so a
-    rebound name is used."""
-    if action in ("pro-linext", "pro-kreweras"):
-        elements, step = _extensions(ell, ceiling), promote_linext
-        if action == "pro-kreweras":
-            elements = [to_kreweras(e) for e in elements]
-            step = promote_kreweras
-    elif action in ("row", "togpro"):
-        elements = _ppartitions(ell, q - 2, ceiling)
-        step = rowmotion if action == "row" else (lambda f: togpro(f, q))
-    else:
-        elements = _capped(enumerate_labelings(ell, q), ceiling,
-                           f"labelings ell={ell} q={q}")
-        step = promote_pstrict
-    return _Table(action, ell, q, elements,
-                  orbit_cycles(step, elements, key=_RAW[action]))
 
 
 def _flip_of_values(q: int):
@@ -259,34 +226,71 @@ def _at(t: _Table) -> dict:
     return {"ell": t.ell, "q": t.q}
 
 
-_SWAP_BC = methodcaller("translate", str.maketrans("BC", "CB"))
-# Per action: q -> the map from a raw form to that of its B/C mirror
-# image, and the counterexample (t, x, step^q(x)).
-_MIRRORS = {
-    "pro-kreweras": (
-        lambda q: _SWAP_BC,
+class _Action(NamedTuple):
+    """An action with tables.  ``elements(ell, q, ceiling)`` enumerates
+    them and ``step(q)`` is the step, read when a table is built; ``raw``
+    is the form by which a table finds an element.  For the mirror laws,
+    ``mirror(q)`` maps a raw form to that of its B/C mirror image, and
+    ``report(t, x, step^q(x))`` is the counterexample."""
+
+    elements: Callable
+    step: Callable
+    raw: Callable
+    mirror: Callable | None = None
+    report: Callable | None = None
+
+
+# The actions with tables, in the order they are built at a grid point.
+# Extensions and Kreweras words of V x [n] sit at the point (n, 3n), and
+# block words of V x [ell] are the pro-pstrict labelings at (ell, q).
+_ACTIONS = {
+    "pro-linext": _Action(
+        lambda ell, q, ceiling: _extensions(ell, ceiling),
+        lambda q: promote_linext, attrgetter("labels")),
+    "pro-kreweras": _Action(
+        lambda ell, q, ceiling: [to_kreweras(e)
+                                 for e in _extensions(ell, ceiling)],
+        lambda q: promote_kreweras, attrgetter("letters"),
+        lambda q: methodcaller("translate", str.maketrans("BC", "CB")),
         lambda t, x, y: {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
                          "swapped": swap_bc_letters(x).letters}),
-    "pro-pstrict": (
+    "pro-pstrict": _Action(
+        lambda ell, q, ceiling: _capped(enumerate_labelings(ell, q), ceiling,
+                                        f"labelings ell={ell} q={q}"),
+        lambda q: promote_pstrict, attrgetter("fibers"),
         lambda q: itemgetter(0, 2, 1),
         lambda t, x, y: {**_at(t), "labeling": x.to_json(),
                          "pro_q": y.to_json(),
                          "swapped": swap_bc(x).to_json()}),
-    "row": (
-        _flip_of_values,
+    "row": _Action(
+        lambda ell, q, ceiling: _ppartitions(ell, q - 2, ceiling),
+        lambda q: rowmotion, attrgetter("values"), _flip_of_values,
         lambda t, x, y: {**_at(t), "partition": x.to_json(),
                          "row_q": y.to_json(), "flipped": apply_automorphism(
                              flip_automorphism(x.poset), x).to_json()}),
-    "togpro": (_flip_of_values,
-               lambda t, x, y: {**_at(t), "partition": x.to_json()}),
+    "togpro": _Action(
+        lambda ell, q, ceiling: _ppartitions(ell, q - 2, ceiling),
+        lambda q: lambda f: togpro(f, q), attrgetter("values"),
+        _flip_of_values, lambda t, x, y: {**_at(t), "partition": x.to_json()}),
 }
+
+
+def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
+    """Enumerate once and step each element once.  The step, and the arc
+    data's functions when first read, are looked up in this module, so a
+    rebound name is used."""
+    a = _ACTIONS[action]
+    elements = a.elements(ell, q, ceiling)
+    return _Table(action, ell, q, elements,
+                  orbit_cycles(a.step(q), elements, key=a.raw))
 
 
 def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
     is not its B/C mirror image, or None.  Compares raw letters, fibers or
     values."""
-    raw, mirror = _RAW[t.action], _MIRRORS[t.action][0](t.q)
+    a = _ACTIONS[t.action]
+    raw, mirror = a.raw, a.mirror(t.q)
     for x, y in zip(t.elements, t.power(t.q)):
         if raw(y) != mirror(raw(x)):
             return x, y
@@ -299,7 +303,7 @@ def _q_is_mirror(t: _Table, report=None):
     """step^q is the B/C swap of a labeling or word, or the flip of a
     partition; ``report`` builds the counterexample in the action's place."""
     bad = _unmirrored(t)
-    return bad and (report or _MIRRORS[t.action][1])(t, *bad)
+    return bad and (report or _ACTIONS[t.action].report)(t, *bad)
 
 
 def _in_words(t: _Table, f, g):
@@ -340,14 +344,17 @@ def _linext_order(t: _Table):
     return None
 
 
-def _kreweras_intertwines(t: _Table):
-    for ext, promoted in zip(t.elements, t.power(1)):
-        word = to_kreweras(ext)
-        via_ext = to_kreweras(promoted).letters
-        via_word = promote_kreweras(word).letters
+def _kreweras_intertwines(linext: _Table, words: _Table):
+    """The word of Pro(e) is Pro of the word of e.  The word table holds
+    the word of each extension at its position, so the word of Pro(e) is
+    read along the extension table's cycles."""
+    for word, via_ext, via_word in zip(words.elements,
+                                       linext.power(1, words.elements),
+                                       words.power(1)):
         if via_ext != via_word:
-            return {"n": t.ell, "word": word.letters,
-                    "via_extension": via_ext, "via_word": via_word}
+            return {"n": words.ell, "word": word.letters,
+                    "via_extension": via_ext.letters,
+                    "via_word": via_word.letters}
     return None
 
 
@@ -367,33 +374,21 @@ def _row_exact(t: _Table):
     return None
 
 
-def _kreweras_orbits_match():
-    """Kreweras words have the orbit sizes of their extensions, whose
-    table comes first at each n."""
-    linext: list = []
-
-    def check(t: _Table):
-        if t.action == "pro-linext":
-            linext[:] = t.sizes()
-        elif linext != t.sizes():
-            return {"n": t.ell, "extension_orbits": sorted(linext),
-                    "word_orbits": sorted(t.sizes())}
-        return None
-    return check
+def _kreweras_orbits_match(linext: _Table, words: _Table):
+    """Kreweras words have the orbit sizes of their extensions."""
+    if linext.sizes() != words.sizes():
+        return {"n": words.ell, "extension_orbits": sorted(linext.sizes()),
+                "word_orbits": sorted(words.sizes())}
+    return None
 
 
-def _orbit_multisets_agree():
+def _orbit_multisets_agree(pstrict: _Table, row: _Table, togpro: _Table):
     """P-strict promotion, rowmotion and toggle-promotion have the same
-    orbit sizes; the togpro table comes last at each point."""
-    sizes: dict = {}
-
-    def check(t: _Table):
-        sizes[t.action] = t.sizes()
-        if t.action == "togpro" and not (
-                sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]):
-            return {**_at(t), "sizes": dict(sizes)}
-        return None
-    return check
+    orbit sizes."""
+    sizes = {t.action: t.sizes() for t in (pstrict, row, togpro)}
+    if not sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]:
+        return {**_at(togpro), "sizes": sizes}
+    return None
 
 
 def _per_word(check, arcless: bool = False):
@@ -604,8 +599,8 @@ def _claim_figure_standardization():
 @dataclass
 class _Claim:
     """A claim with its params.  With ``actions``, ``check`` is a predicate
-    over the table of each action at each of ``points`` (in grid order);
-    without, it runs on its own."""
+    over their tables, in that order, at each of ``points`` (in grid
+    order); without, it runs on its own."""
 
     id: str
     params: dict
@@ -666,10 +661,10 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
             _Claim("classical-pro-3n-swaps-bc", params, _q_is_mirror,
                    ("pro-kreweras",), grid),
             _Claim("kreweras-orbits-match-linext", params,
-                   _kreweras_orbits_match(),
-                   ("pro-linext", "pro-kreweras"), grid),
+                   _kreweras_orbits_match, ("pro-linext", "pro-kreweras"),
+                   grid),
             _Claim("kreweras-intertwines", params, _kreweras_intertwines,
-                   ("pro-linext",), grid),
+                   ("pro-linext", "pro-kreweras"), grid),
             _Claim("kreweras-roundtrip", params, _kreweras_roundtrip,
                    ("pro-linext",), grid)]
     if name == "main":
@@ -704,7 +699,7 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         params = {"ell_max": em, "q_max": qm}
         grid = _word_grid(em, qm)
         return [_Claim("orbit-multisets-agree", params,
-                       _orbit_multisets_agree(),
+                       _orbit_multisets_agree,
                        ("pro-pstrict", "row", "togpro"), grid),
                 _Claim("togpro-q-is-flip", params, _q_is_mirror,
                        ("togpro",), grid)]
@@ -718,9 +713,10 @@ def run_suite(suite: str, ell_max: int | None = None,
               ceiling: int = DEFAULT_CEILING) -> VerificationReport:
     """Run one named suite (or 'all') and collect per-claim results.
 
-    Claims that run on their own go first.  Then each table is built in
-    grid order and checked by every claim still passing that reads it; a
-    claim's result is settled at its last table."""
+    Claims that run on their own go first.  Then, at each grid point in
+    order, the tables that the claims still passing read there are built,
+    each claim is checked on its tables, and the tables are dropped; a
+    claim's result is settled at its last point."""
     if suite == "all":
         names = SUITE_NAMES
     elif suite in SUITE_NAMES:
@@ -749,36 +745,33 @@ def run_suite(suite: str, ell_max: int | None = None,
         results[i] = ClaimResult(claims[i].id, claims[i].params,
                                  counterexample is None, counterexample)
 
-    readers: dict = {}  # (ell, q, action) -> positions of claims reading it
+    readers: dict = {}  # (ell, q) -> positions of claims with tables there
     for i, claim in enumerate(claims):
         if not claim.actions:
             settle(i, claim.check())
-        for ell, q in claim.points:
-            for action in claim.actions:
-                readers.setdefault((ell, q, _ACTIONS.index(action)),
-                                   []).append(i)
-    keys = sorted(readers)
-    last = {i: key for key in keys for i in readers[key]}
-    failed: dict = {}
-    for key in keys:
-        live = [i for i in readers[key] if i not in failed]
-        if live:
-            ell, q, action = key
-            try:
-                table = _table(_ACTIONS[action], ell, q, ceiling)
-            except ActionError as exc:  # the step is not a bijection here
-                failed.update(dict.fromkeys(live, {
-                    "ell": ell, "q": q, "action": _ACTIONS[action],
-                    "error": str(exc)}))
-            else:
-                for i in live:
-                    counterexample = claims[i].check(table)
-                    if counterexample is not None:
-                        failed[i] = counterexample
-                del table  # one table alive at a time
-        for i in readers[key]:
-            if last[i] == key:
-                settle(i, failed.get(i))
+        for point in claim.points:
+            readers.setdefault(point, []).append(i)
+    points = sorted(readers)
+    last = {i: point for point in points for i in readers[point]}
+    found: dict = {}  # position -> its first counterexample, or None
+    for ell, q in points:
+        live = [i for i in readers[ell, q] if found.get(i) is None]
+        tables, errors = {}, {}
+        for action in _ACTIONS:
+            if any(action in claims[i].actions for i in live):
+                try:
+                    tables[action] = _table(action, ell, q, ceiling)
+                except ActionError as exc:  # not a bijection here
+                    errors[action] = {"ell": ell, "q": q, "action": action,
+                                      "error": str(exc)}
+        for i in live:
+            actions = claims[i].actions
+            error = next(filter(None, map(errors.get, actions)), None)
+            found[i] = error or claims[i].check(*map(tables.get, actions))
+        del tables  # one point's tables alive at a time
+        for i in readers[ell, q]:
+            if last[i] == (ell, q):
+                settle(i, found[i])
     duration_ms = int((time.monotonic() - started) * 1000)
     return VerificationReport(suite, results, duration_ms)
 
@@ -796,7 +789,7 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
             raise ValueError(f"{action} reads q as 3 * ell = {3 * ell}, "
                              f"got q={q}")
         q = 3 * ell  # the orders are read as divisors of 6n = 2q
-    elif action not in ("pro-pstrict", "row", "togpro"):
+    elif action not in _ACTIONS:
         raise ValueError(f"unknown action {action!r}")
     elif q is None:
         raise ValueError(f"{action} needs q")

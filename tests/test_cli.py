@@ -417,6 +417,20 @@ def test_orbits_out_of_range_names_the_flag(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("ppartitions", "--ell", "1", "--k", "0"), "--k must be >= 1, got 0"),
+    (("ppartitions", "--ell", "1", "--k", "-2"), "--k must be >= 1, got -2"),
+    (("linext", "--k", "0"), "--k must be >= 1, got 0"),
+    (("linext", "--ell", "0"), "--ell must be >= 1, got 0"),
+])
+def test_enumerate_out_of_range_names_the_flag(capsys, argv, message):
+    # not the error of the internal chain V x [k]
+    code, out, err = run(capsys, "enumerate", "--object", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_flags_that_agree_are_accepted(capsys):
     code, out, _ = run(capsys, "orbits", "--action", "pro-kreweras",
                        "--ell", "2", "--q", "6")

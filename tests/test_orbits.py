@@ -30,6 +30,11 @@ def test_orbit_cycles_finds_images_by_key_and_equality():
             orbit_cycles(image, items, key=key)
     with pytest.raises(ActionError, match="repeats"):
         orbit_cycles(lambda x: x, [(0, "a"), (0, "b")], key=key)
+    # without a key an image is found by itself, with the same checks: a
+    # float that equals an int element is not that element
+    with pytest.raises(ActionError,
+                       match=r"^action leaves the set at 0 -> 0\.0$"):
+        orbit_cycles(float, [0, 1])
 
 
 def test_orbit_cycles_detects_escape():

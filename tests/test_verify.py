@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import weakref
 from collections import Counter
 from math import lcm
 from operator import attrgetter
@@ -11,8 +12,10 @@ import pytest
 import vkrew.pstrict as pstrict_module
 import vkrew.rowmotion as rowmotion_module
 from vkrew import cli, poset, verify, words
+from vkrew.kreweras import kreweras_number, promote_kreweras, \
+    promote_linext, swap_bc_letters, to_kreweras
 from vkrew.orbits import ActionError, orbit_cycles
-from vkrew.poset import make_v, product_with_chain
+from vkrew.poset import linear_extensions, make_v, product_with_chain
 from vkrew.pstrict import PStrictLabeling, bender_knuth_tau, \
     enumerate_labelings, promote_pstrict, restriction_rq, swap_bc
 from vkrew.rowmotion import PPartition, apply_automorphism, \
@@ -334,6 +337,107 @@ def test_wrong_togpro_fails_flip_and_multiset_claims(monkeypatch):
     assert failures(run_suite("equivariance", ell_max=1, q_max=4)) == expected
 
 
+def extensions(n):
+    return list(linear_extensions(product_with_chain(make_v(), n)))
+
+
+def classical_failures(ext_step, word_step):
+    """The first counterexample of each classical claim on a table, found
+    by stepping extensions with ``ext_step`` and words with ``word_step``."""
+    expected = {}
+    for n in (1, 2, 3):
+        exts = extensions(n)
+        kwords = [to_kreweras(e) for e in exts]
+        ext_sizes = orbit_sizes(ext_step, exts)
+        order = lcm(*ext_sizes)
+        if (6 * n) % order:
+            expected.setdefault("classical-order-6n", {
+                "n": n, "order": order, "must_divide": 6 * n})
+        elif n >= 2 and order != 6 * n:
+            expected.setdefault("classical-order-6n", {
+                "n": n, "order": order, "expected": 6 * n})
+        for w in kwords:
+            pro_3n, swapped = power(word_step, w, 3 * n), swap_bc_letters(w)
+            if pro_3n != swapped:
+                expected.setdefault("classical-pro-3n-swaps-bc", {
+                    "n": n, "word": w.letters, "pro_3n": pro_3n.letters,
+                    "swapped": swapped.letters})
+        word_sizes = orbit_sizes(word_step, kwords)
+        if ext_sizes != word_sizes:
+            expected.setdefault("kreweras-orbits-match-linext", {
+                "n": n, "extension_orbits": sorted(ext_sizes),
+                "word_orbits": sorted(word_sizes)})
+        for e, w in zip(exts, kwords):
+            via_ext = to_kreweras(ext_step(e)).letters
+            via_word = word_step(w).letters
+            if via_ext != via_word:
+                expected.setdefault("kreweras-intertwines", {
+                    "n": n, "word": w.letters, "via_extension": via_ext,
+                    "via_word": via_word})
+    return expected
+
+
+def twice(w):
+    """Kreweras promotion applied twice, a bijection."""
+    return promote_kreweras(promote_kreweras(w))
+
+
+@pytest.mark.parametrize("name,wrong,failing", [
+    ("promote_linext", identity,
+     {"classical-order-6n", "kreweras-orbits-match-linext",
+      "kreweras-intertwines"}),
+    ("promote_kreweras", twice,
+     {"classical-pro-3n-swaps-bc", "kreweras-orbits-match-linext",
+      "kreweras-intertwines"}),
+])
+def test_wrong_classical_promotion_fails_its_readers(monkeypatch, name, wrong,
+                                                     failing):
+    steps = {"promote_linext": promote_linext,
+             "promote_kreweras": promote_kreweras, name: wrong}
+    monkeypatch.setattr(verify, name, wrong)
+    expected = classical_failures(*steps.values())
+    assert set(expected) == failing
+    assert failures(run_suite("classical")) == expected
+
+
+def test_classical_suite_promotes_each_word_once(monkeypatch):
+    calls = Counter()
+
+    def count(name):
+        step = getattr(verify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(verify, name, counted)
+
+    count("promote_kreweras")
+    count("to_kreweras")
+    assert run_suite("classical").passed
+    n_words = sum(kreweras_number(n) for n in (1, 2, 3))
+    assert n_words == 210
+    # the table steps each word; kreweras-intertwines reads its cycles
+    assert calls["promote_kreweras"] == n_words
+    assert calls["to_kreweras"] <= 2 * n_words
+
+
+def test_non_bijective_kreweras_promotion_fails_every_reader(monkeypatch):
+    kwords = [to_kreweras(e) for e in extensions(1)]
+
+    def merged(w):
+        """Identity, except that the first word goes to the second."""
+        return kwords[1] if w == kwords[0] else w
+
+    monkeypatch.setattr(verify, "promote_kreweras", merged)
+    with pytest.raises(ActionError) as info:
+        orbit_cycles(merged, kwords)
+    error = {"ell": 1, "q": 3, "action": "pro-kreweras",
+             "error": str(info.value)}
+    assert failures(run_suite("classical")) == dict.fromkeys(
+        ("classical-pro-3n-swaps-bc", "kreweras-orbits-match-linext",
+         "kreweras-intertwines"), error)
+
+
 def test_a_wrong_column_move_fails_extension_independence(monkeypatch):
     # B and C columns stay put on rowmotion's default path, the tables
     tables = rowmotion_module._v_moves
@@ -650,6 +754,24 @@ def test_suite_all_builds_two_bump_diagrams_per_word_at_most(monkeypatch):
     count = sum(1 for ell, q in grid(2, 6) for _ in enumerate_words(ell, q))
     assert count == 1533
     assert 0 < calls["diagram"] <= 2 * count
+
+
+def test_one_points_tables_are_alive_at_a_time(monkeypatch):
+    # a claim reading several actions gets their tables at once, and all
+    # of them are dropped before the next point's are built
+    built, stale = [], []
+    table_at = verify._table
+
+    def kept(action, ell, q, ceiling):
+        stale.extend((point, (ell, q)) for point, ref in built
+                     if point != (ell, q) and ref() is not None)
+        table = table_at(action, ell, q, ceiling)
+        built.append(((ell, q), weakref.ref(table)))
+        return table
+    monkeypatch.setattr(verify, "_table", kept)
+    assert run_suite("all").passed
+    assert len({point for point, _ in built}) == 16
+    assert not stale
 
 
 def live_tables():
