@@ -79,12 +79,12 @@ _UNREAD_FLAG = {"linext": "q", "labelings": "k", "words": "k",
                 "ppartitions": "q"}
 
 
-def _chain_length(args, flag: str) -> int:
-    """The k of V x [k], read from ``--flag``, which is named if below 1."""
-    k = getattr(args, flag)
-    if k < 1:
-        raise ValueError(f"--{flag} must be >= 1, got {k}")
-    return k
+def _at_least(args, flag: str, least: int = 1) -> int:
+    """The value of ``--flag``, which is named if below ``least``."""
+    value = getattr(args, flag)
+    if value < least:
+        raise ValueError(f"--{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _cmd_enumerate(args, parser) -> int:
@@ -100,26 +100,26 @@ def _cmd_enumerate(args, parser) -> int:
         if None not in (args.k, args.ell) and args.k != args.ell:
             raise ValueError(f"linext reads --ell as --k; got --ell "
                              f"{args.ell} and --k {args.k}")
-        n = _chain_length(args, "k" if args.k is not None else "ell")
+        n = _at_least(args, "k" if args.k is not None else "ell")
         items = (json.dumps({"n": n, "word": to_kreweras(e).letters,
                              "labels": list(e.labels)})
                  for e in linear_extensions(product_with_chain(make_v(), n)))
     elif args.object == "labelings":
         _require(parser, args.ell is not None and args.q is not None,
                  "labelings need --ell and --q")
-        items = (json.dumps(f.to_json())
-                 for f in enumerate_labelings(args.ell, args.q))
+        items = (json.dumps(f.to_json()) for f in enumerate_labelings(
+            _at_least(args, "ell"), _at_least(args, "q", 3)))
     elif args.object == "words":
         _require(parser, args.ell is not None and args.q is not None,
                  "words need --ell and --q")
-        items = (json.dumps(w.to_json())
-                 for w in enumerate_words(args.ell, args.q))
+        items = (json.dumps(w.to_json()) for w in enumerate_words(
+            _at_least(args, "ell"), _at_least(args, "q", 3)))
     else:
         _require(parser, args.ell is not None and args.k is not None,
                  "ppartitions need --ell and --k")
-        poset = product_with_chain(make_v(), _chain_length(args, "k"))
-        items = (json.dumps(f.to_json())
-                 for f in enumerate_ppartitions(poset, args.ell))
+        poset = product_with_chain(make_v(), _at_least(args, "k"))
+        items = (json.dumps(f.to_json()) for f in enumerate_ppartitions(
+            poset, _at_least(args, "ell", 0)))
     count = 0
     for line in items:
         count += 1

@@ -100,9 +100,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, e: Element) -> bool:
-        return e in self._index
-
     def index(self, e: Element) -> int:
         try:
             return self._index[e]

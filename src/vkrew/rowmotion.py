@@ -125,14 +125,19 @@ def toggle(p: Element, f: PPartition) -> PPartition:
     return PPartition(f.poset, f.ell, tuple(values))
 
 
-@lru_cache(maxsize=None)
 def _rowmotion_order(poset: Poset,
                      ext: LinearExtension | None) -> tuple[int, ...]:
     """Element indices along ``ext`` reversed; None is the canonical
-    first extension."""
+    first extension, whose order alone is cached, so that no caller's
+    extension outlives its call."""
     if ext is None:
-        ext = next(iter(linear_extensions(poset)))
+        return _first_order(poset)
     return tuple(poset.index(e) for e in reversed(ext.order()))
+
+
+@lru_cache(maxsize=None)
+def _first_order(poset: Poset) -> tuple[int, ...]:
+    return _rowmotion_order(poset, next(iter(linear_extensions(poset))))
 
 
 @lru_cache(maxsize=1)

@@ -2,18 +2,19 @@
 checked exhaustively over desk-scale parameter grids, with the first
 counterexample reported on failure.
 
-Each action with tables is one _Action record: its elements, its step,
-the raw form by which a table finds an element, and its B/C mirror law.
-A claim on actions is a predicate over their orbit tables, taken in the
-order of its actions.  A table holds one action's elements at one grid
-point in enumeration order, and its cycles as arrays of positions; it
-takes an image, found by raw form, for an element only if it has the
-element's class, owner and ell.  run_suite is point-major: at each grid
-point it builds once the tables that its claims still passing read,
-hands each claim its tables and drops them all before the next point, so
-each object is stepped once per run and one point's tables are alive at
-a time.  Predicates read step^q of an element q places along its cycle
-and compare raw forms with the B/C mirror image.  A block word is a
+Each action with tables is one _Action record: its family, whose list
+_FAMILIES makes at a grid point, its step, the raw form by which a table
+finds an element, and its B/C mirror law.  A claim is a predicate over
+the tables and lists it reads, in that order.  A table holds one
+action's elements at one grid point in enumeration order, and its cycles
+as arrays of positions; it takes an image, found by raw form, for an
+element only if it has the element's class, owner and ell.  run_suite is
+point-major: at each grid point it lists each family once, builds the
+tables its claims still passing read, hands each claim its tables and
+lists and drops them all before the next point, so each object is
+enumerated and stepped once per run and one point's lists and tables are
+alive at a time.  Predicates read step^q of an element q places along
+its cycle and compare raw forms with the B/C mirror image.  A block word is a
 labeling read by label, so the word laws read the labeling table, which
 builds each word's arc data on first read: its sorted layers and double
 arcs and, absent double arcs, its standardization, for w and for Pro(w)
@@ -40,7 +41,7 @@ from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
 from .orbits import ActionError, OrbitReport, orbit_cycles, power_map
-from .poset import linear_extensions, make_v, product_with_chain
+from .poset import _Memo, linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
@@ -129,36 +130,24 @@ def _word_grid(ell_max: int, q_max: int,
             if sum_max is None or ell + q <= sum_max]
 
 
-def _extensions(n: int, ceiling: int) -> list:
-    return _capped(linear_extensions(product_with_chain(make_v(), n)),
-                   ceiling, f"extensions n={n}")
+# Each family's elements at a grid point: the extensions of V x [n] at
+# (n, 3n), the labelings of V x [ell] in [q] and the partitions of
+# V x [q - 2] bounded by ell at (ell, q).
+_FAMILIES = {
+    "extensions": lambda n, q, ceiling: _capped(linear_extensions(
+        product_with_chain(make_v(), n)), ceiling, f"extensions n={n}"),
+    "labelings": lambda ell, q, ceiling: _capped(
+        enumerate_labelings(ell, q), ceiling, f"labelings ell={ell} q={q}"),
+    "ppartitions": lambda ell, q, ceiling: _capped(
+        enumerate_ppartitions(product_with_chain(make_v(), q - 2), ell),
+        ceiling, f"ppartitions ell={ell} k={q - 2}"),
+}
 
 
-def _ppartitions(ell: int, k: int, ceiling: int) -> list:
-    poset = product_with_chain(make_v(), k)
-    return _capped(enumerate_ppartitions(poset, ell), ceiling,
-                   f"ppartitions ell={ell} k={k}")
-
-
-# -- claims that run on their own --------------------------------------
-
-def _claim_classical_counts(n_max: int, ceiling: int):
-    for n in range(1, n_max + 1):
-        count = len(_extensions(n, ceiling))
-        if count != kreweras_number(n):
-            return {"n": n, "count": count, "expected": kreweras_number(n)}
-    return None
-
-
-def _claim_row_extension_independent(ceiling: int):
-    for ell, k in ((1, 2), (2, 1)):
-        exts = _extensions(k, ceiling)
-        for f in _ppartitions(ell, k, ceiling):
-            images = {rowmotion(f), *(rowmotion(f, ext) for ext in exts)}
-            if len(images) != 1:
-                return {"ell": ell, "k": k, "partition": f.to_json(),
-                        "distinct_images": len(images)}
-    return None
+def _lists(ell: int, q: int, ceiling: int) -> _Memo:
+    """A point's element lists by family, each listed on first read.  The
+    fill closes over the point, not the memo, so no cycle keeps it alive."""
+    return _Memo(lambda family: _FAMILIES[family](ell, q, ceiling))
 
 
 # -- orbit tables ------------------------------------------------------
@@ -227,60 +216,59 @@ def _at(t: _Table) -> dict:
 
 
 class _Action(NamedTuple):
-    """An action with tables.  ``elements(ell, q, ceiling)`` enumerates
-    them and ``step(q)`` is the step, read when a table is built; ``raw``
-    is the form by which a table finds an element.  For the mirror laws,
-    ``mirror(q)`` maps a raw form to that of its B/C mirror image, and
-    ``report(t, x, step^q(x))`` is the counterexample."""
+    """An action with tables.  Its elements are its ``family``'s list,
+    each through ``read`` if given; ``step(q)`` is the step, read when a
+    table is built; ``raw`` is the form by which a table finds an element.
+    For the mirror laws, ``mirror(q)`` maps a raw form to that of its B/C
+    mirror image, and ``report(t, x, step^q(x))`` is the counterexample."""
 
-    elements: Callable
+    family: str
     step: Callable
     raw: Callable
     mirror: Callable | None = None
     report: Callable | None = None
+    read: Callable | None = None
 
 
 # The actions with tables, in the order they are built at a grid point.
-# Extensions and Kreweras words of V x [n] sit at the point (n, 3n), and
+# The Kreweras word of an extension sits at the extension's position, and
 # block words of V x [ell] are the pro-pstrict labelings at (ell, q).
 _ACTIONS = {
-    "pro-linext": _Action(
-        lambda ell, q, ceiling: _extensions(ell, ceiling),
-        lambda q: promote_linext, attrgetter("labels")),
+    "pro-linext": _Action("extensions", lambda q: promote_linext,
+                          attrgetter("labels")),
     "pro-kreweras": _Action(
-        lambda ell, q, ceiling: [to_kreweras(e)
-                                 for e in _extensions(ell, ceiling)],
-        lambda q: promote_kreweras, attrgetter("letters"),
+        "extensions", lambda q: promote_kreweras, attrgetter("letters"),
         lambda q: methodcaller("translate", str.maketrans("BC", "CB")),
         lambda t, x, y: {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
-                         "swapped": swap_bc_letters(x).letters}),
+                         "swapped": swap_bc_letters(x).letters},
+        lambda e: to_kreweras(e)),
     "pro-pstrict": _Action(
-        lambda ell, q, ceiling: _capped(enumerate_labelings(ell, q), ceiling,
-                                        f"labelings ell={ell} q={q}"),
-        lambda q: promote_pstrict, attrgetter("fibers"),
+        "labelings", lambda q: promote_pstrict, attrgetter("fibers"),
         lambda q: itemgetter(0, 2, 1),
         lambda t, x, y: {**_at(t), "labeling": x.to_json(),
                          "pro_q": y.to_json(),
                          "swapped": swap_bc(x).to_json()}),
     "row": _Action(
-        lambda ell, q, ceiling: _ppartitions(ell, q - 2, ceiling),
-        lambda q: rowmotion, attrgetter("values"), _flip_of_values,
+        "ppartitions", lambda q: rowmotion, attrgetter("values"),
+        _flip_of_values,
         lambda t, x, y: {**_at(t), "partition": x.to_json(),
                          "row_q": y.to_json(), "flipped": apply_automorphism(
                              flip_automorphism(x.poset), x).to_json()}),
     "togpro": _Action(
-        lambda ell, q, ceiling: _ppartitions(ell, q - 2, ceiling),
-        lambda q: lambda f: togpro(f, q), attrgetter("values"),
+        "ppartitions", lambda q: lambda f: togpro(f, q), attrgetter("values"),
         _flip_of_values, lambda t, x, y: {**_at(t), "partition": x.to_json()}),
 }
 
 
-def _table(action: str, ell: int, q: int, ceiling: int) -> _Table:
-    """Enumerate once and step each element once.  The step, and the arc
-    data's functions when first read, are looked up in this module, so a
-    rebound name is used."""
+def _table(action: str, ell: int, q: int, ceiling: int,
+           lists: _Memo | None = None) -> _Table:
+    """Step each element of the point's ``lists`` (or lists of its own)
+    once.  The step, the read, and the arc data's functions when first
+    read, are looked up in this module, so a rebound name is used."""
     a = _ACTIONS[action]
-    elements = a.elements(ell, q, ceiling)
+    elements = (_lists(ell, q, ceiling) if lists is None else lists)[a.family]
+    if a.read is not None:
+        elements = list(map(a.read, elements))
     return _Table(action, ell, q, elements,
                   orbit_cycles(a.step(q), elements, key=a.raw))
 
@@ -358,11 +346,29 @@ def _kreweras_intertwines(linext: _Table, words: _Table):
     return None
 
 
-def _kreweras_roundtrip(t: _Table):
-    for ext in t.elements:
+def _classical_count(exts: list):
+    n = exts[0].m // 3  # V x [n] has 3n elements
+    if len(exts) != kreweras_number(n):
+        return {"n": n, "count": len(exts), "expected": kreweras_number(n)}
+    return None
+
+
+def _kreweras_roundtrip(exts: list):
+    for ext in exts:
         word = to_kreweras(ext)
         if from_kreweras(word) != ext:  # then word is to_kreweras of it too
-            return {"n": t.ell, "word": word.letters}
+            return {"n": ext.m // 3, "word": word.letters}
+    return None
+
+
+def _row_extension_independent(ceiling: int, t: _Table):
+    """Sweeps along every extension of V x [k] give the table's image."""
+    exts = _lists(t.q - 2, 3 * (t.q - 2), ceiling)["extensions"]
+    for f, image in zip(t.elements, t.power(1)):
+        images = {image, *(rowmotion(f, ext) for ext in exts)}
+        if len(images) != 1:
+            return {"ell": t.ell, "k": t.q - 2, "partition": f.to_json(),
+                    "distinct_images": len(images)}
     return None
 
 
@@ -598,14 +604,14 @@ def _claim_figure_standardization():
 
 @dataclass
 class _Claim:
-    """A claim with its params.  With ``actions``, ``check`` is a predicate
-    over their tables, in that order, at each of ``points`` (in grid
-    order); without, it runs on its own."""
+    """A claim with its params.  With ``reads``, ``check`` is a predicate
+    over the action tables and family lists they name, in that order, at
+    each of ``points`` (in grid order); without, it runs on its own."""
 
     id: str
     params: dict
     check: Callable
-    actions: tuple[str, ...] = ()
+    reads: tuple[str, ...] = ()
     points: list = field(default_factory=list)
 
 
@@ -654,8 +660,8 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
         params = {"n_max": 3}
         grid = [(n, 3 * n) for n in range(1, 4)]
         return [
-            _Claim("classical-count-formula", {"n_max": 4},
-                   partial(_claim_classical_counts, 4, ceiling)),
+            _Claim("classical-count-formula", {"n_max": 4}, _classical_count,
+                   ("extensions",), [(n, 3 * n) for n in range(1, 5)]),
             _Claim("classical-order-6n", params, _linext_order,
                    ("pro-linext",), grid),
             _Claim("classical-pro-3n-swaps-bc", params, _q_is_mirror,
@@ -666,7 +672,7 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
             _Claim("kreweras-intertwines", params, _kreweras_intertwines,
                    ("pro-linext", "pro-kreweras"), grid),
             _Claim("kreweras-roundtrip", params, _kreweras_roundtrip,
-                   ("pro-linext",), grid)]
+                   ("extensions",), grid)]
     if name == "main":
         em, qm, sm = _given(ell_max, 3), _given(q_max, 7), _given(sum_max, 10)
         params = {"ell_max": em, "q_max": qm, "sum_max": sm}
@@ -693,7 +699,8 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
             _Claim("row-q-is-flip", {"ell_max": fm, "q_max": fq}, _q_is_mirror,
                    ("row",), _word_grid(fm, fq)),
             _Claim("row-extension-independent", {},
-                   partial(_claim_row_extension_independent, ceiling))]
+                   partial(_row_extension_independent, ceiling), ("row",),
+                   [(1, 4), (2, 3)])]
     if name == "equivariance":
         em, qm = _given(ell_max, 2), _given(q_max, 6)
         params = {"ell_max": em, "q_max": qm}
@@ -714,8 +721,8 @@ def run_suite(suite: str, ell_max: int | None = None,
     """Run one named suite (or 'all') and collect per-claim results.
 
     Claims that run on their own go first.  Then, at each grid point in
-    order, the tables that the claims still passing read there are built,
-    each claim is checked on its tables, and the tables are dropped; a
+    order, the lists and tables that the claims still passing read there
+    are built, each claim is checked on them, and they are dropped; a
     claim's result is settled at its last point."""
     if suite == "all":
         names = SUITE_NAMES
@@ -734,7 +741,8 @@ def run_suite(suite: str, ell_max: int | None = None,
             raise ValueError(f"no claim of suite {suite!r} reads {flag} "
                              f"(--{flag.replace('_', '-')})")
         if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+            raise ValueError(f"{flag} (--{flag.replace('_', '-')}) must be "
+                             f">= {least}, got {value}")
     started = time.monotonic()
     claims = [claim for name in names
               for claim in _build_suite(name, ell_max, q_max, sum_max,
@@ -745,9 +753,9 @@ def run_suite(suite: str, ell_max: int | None = None,
         results[i] = ClaimResult(claims[i].id, claims[i].params,
                                  counterexample is None, counterexample)
 
-    readers: dict = {}  # (ell, q) -> positions of claims with tables there
+    readers: dict = {}  # (ell, q) -> positions of claims reading there
     for i, claim in enumerate(claims):
-        if not claim.actions:
+        if not claim.reads:
             settle(i, claim.check())
         for point in claim.points:
             readers.setdefault(point, []).append(i)
@@ -756,19 +764,20 @@ def run_suite(suite: str, ell_max: int | None = None,
     found: dict = {}  # position -> its first counterexample, or None
     for ell, q in points:
         live = [i for i in readers[ell, q] if found.get(i) is None]
-        tables, errors = {}, {}
+        lists, tables, errors = _lists(ell, q, ceiling), {}, {}
         for action in _ACTIONS:
-            if any(action in claims[i].actions for i in live):
+            if any(action in claims[i].reads for i in live):
                 try:
-                    tables[action] = _table(action, ell, q, ceiling)
+                    tables[action] = _table(action, ell, q, ceiling, lists)
                 except ActionError as exc:  # not a bijection here
                     errors[action] = {"ell": ell, "q": q, "action": action,
                                       "error": str(exc)}
         for i in live:
-            actions = claims[i].actions
-            error = next(filter(None, map(errors.get, actions)), None)
-            found[i] = error or claims[i].check(*map(tables.get, actions))
-        del tables  # one point's tables alive at a time
+            reads = claims[i].reads
+            error = next(filter(None, map(errors.get, reads)), None)
+            found[i] = error or claims[i].check(
+                *(tables[r] if r in _ACTIONS else lists[r] for r in reads))
+        del lists, tables  # one point's lists and tables alive at a time
         for i in readers[ell, q]:
             if last[i] == (ell, q):
                 settle(i, found[i])
@@ -781,21 +790,23 @@ def run_suite(suite: str, ell_max: int | None = None,
 def orbit_report_for_action(action: str, ell: int, q: int | None = None,
                             ceiling: int = DEFAULT_CEILING) -> OrbitReport:
     """Orbit statistics plus the applicable order/symmetry checks."""
-    classical = action in ("pro-linext", "pro-kreweras")
+    if action not in _ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
+    family = _ACTIONS[action].family
+    least = 0 if family == "ppartitions" else 1
+    if ell < least:
+        raise ValueError(f"{action} needs ell >= {least}, got {ell}")
+    classical = family == "extensions"
     if classical:
-        if ell < 1:
-            raise ValueError(f"{action} needs ell >= 1, got {ell}")
         if q is not None and q != 3 * ell:
             raise ValueError(f"{action} reads q as 3 * ell = {3 * ell}, "
                              f"got q={q}")
         q = 3 * ell  # the orders are read as divisors of 6n = 2q
-    elif action not in _ACTIONS:
-        raise ValueError(f"unknown action {action!r}")
     elif q is None:
         raise ValueError(f"{action} needs q")
-    elif action != "pro-pstrict" and q < 3:
-        raise ValueError(f"{action} needs q >= 3 (partitions of V x "
-                         f"[q - 2]), got q={q}")
+    elif q < 3:
+        of = " (partitions of V x [q - 2])" if family == "ppartitions" else ""
+        raise ValueError(f"{action} needs q >= 3{of}, got q={q}")
     table = _table(action, ell, q, ceiling)
     sizes = tuple(table.sizes())
     order = lcm(*sizes)

@@ -208,19 +208,26 @@ def test_export_bad_input_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("--suite", "main", "--ell-max", "0", "--q-max", "4"),
-    ("--suite", "rowmotion", "--q-max", "2"),
-    ("--suite", "main", "--q-max", "2"),
-    ("--suite", "main", "--sum-max", "3"),
-])
+# an empty grid's error, naming the flag, by argv
+EMPTY_GRIDS = {
+    ("--suite", "main", "--ell-max", "0", "--q-max", "4"):
+        "ell_max (--ell-max) must be >= 1, got 0",
+    ("--suite", "rowmotion", "--q-max", "2"):
+        "q_max (--q-max) must be >= 3, got 2",
+    ("--suite", "main", "--q-max", "2"): "q_max (--q-max) must be >= 3, got 2",
+    ("--suite", "main", "--sum-max", "3"):
+        "sum_max (--sum-max) must be >= 4, got 3",
+}
+
+
+@pytest.mark.parametrize("argv", list(EMPTY_GRIDS))
 def test_verify_empty_grid_exit_2(capsys, argv):
     # an explicit bound is never swapped for the default, and a grid with
     # no point in it is refused rather than reported as a pass
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: {EMPTY_GRIDS[argv]}\n"
 
 
 def test_deep_poset_enumerates_ppartitions(capsys):
@@ -408,6 +415,12 @@ def test_ceiling_below_one_exit_2(capsys, argv, ceiling):
      "row needs q >= 3 (partitions of V x [q - 2]), got q=1"),
     (("pro-linext", "--ell", "0"), "pro-linext needs ell >= 1, got 0"),
     (("pro-kreweras", "--ell", "-1"), "pro-kreweras needs ell >= 1, got -1"),
+    (("pro-pstrict", "--ell", "0", "--q", "5"),
+     "pro-pstrict needs ell >= 1, got 0"),
+    (("pro-pstrict", "--ell", "1", "--q", "2"),
+     "pro-pstrict needs q >= 3, got q=2"),
+    (("row", "--ell", "-1", "--q", "5"), "row needs ell >= 0, got -1"),
+    (("togpro", "--ell", "-1", "--q", "5"), "togpro needs ell >= 0, got -1"),
 ])
 def test_orbits_out_of_range_names_the_flag(capsys, argv, message):
     # not the error of an internal chain of length q - 2 or ell
@@ -422,6 +435,11 @@ def test_orbits_out_of_range_names_the_flag(capsys, argv, message):
     (("ppartitions", "--ell", "1", "--k", "-2"), "--k must be >= 1, got -2"),
     (("linext", "--k", "0"), "--k must be >= 1, got 0"),
     (("linext", "--ell", "0"), "--ell must be >= 1, got 0"),
+    (("labelings", "--ell", "0", "--q", "5"), "--ell must be >= 1, got 0"),
+    (("labelings", "--ell", "1", "--q", "2"), "--q must be >= 3, got 2"),
+    (("words", "--ell", "0", "--q", "5"), "--ell must be >= 1, got 0"),
+    (("words", "--ell", "1", "--q", "2"), "--q must be >= 3, got 2"),
+    (("ppartitions", "--ell", "-1", "--k", "2"), "--ell must be >= 0, got -1"),
 ])
 def test_enumerate_out_of_range_names_the_flag(capsys, argv, message):
     # not the error of the internal chain V x [k]

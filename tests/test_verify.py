@@ -15,7 +15,8 @@ from vkrew import cli, poset, verify, words
 from vkrew.kreweras import kreweras_number, promote_kreweras, \
     promote_linext, swap_bc_letters, to_kreweras
 from vkrew.orbits import ActionError, orbit_cycles
-from vkrew.poset import linear_extensions, make_v, product_with_chain
+from vkrew.poset import LinearExtension, linear_extensions, make_v, \
+    product_with_chain
 from vkrew.pstrict import PStrictLabeling, bender_knuth_tau, \
     enumerate_labelings, promote_pstrict, restriction_rq, swap_bc
 from vkrew.rowmotion import PPartition, apply_automorphism, \
@@ -438,6 +439,66 @@ def test_non_bijective_kreweras_promotion_fails_every_reader(monkeypatch):
          "kreweras-intertwines"), error)
 
 
+def test_non_bijective_linext_promotion_fails_only_its_table_readers(
+        monkeypatch):
+    exts = extensions(1)
+
+    def merged(e):
+        """Identity, except that the first extension goes to the second."""
+        return exts[1] if e == exts[0] else e
+
+    monkeypatch.setattr(verify, "promote_linext", merged)
+    with pytest.raises(ActionError) as info:
+        orbit_cycles(merged, exts)
+    error = {"ell": 1, "q": 3, "action": "pro-linext",
+             "error": str(info.value)}
+    # the count and the round trip read the extension list, not Pro
+    assert failures(run_suite("classical")) == dict.fromkeys(
+        ("classical-order-6n", "kreweras-orbits-match-linext",
+         "kreweras-intertwines"), error)
+
+
+def test_a_wrong_count_formula_fails_classical_count(monkeypatch):
+    monkeypatch.setattr(verify, "kreweras_number",
+                        lambda n: kreweras_number(n) + (n == 2))
+    assert failures(run_suite("classical")) == {
+        "classical-count-formula": {"n": 2, "count": 16, "expected": 17}}
+
+
+def test_a_wrong_word_inverse_fails_the_roundtrip(monkeypatch):
+    first, second = extensions(2)[:2]
+    inverse = verify.from_kreweras
+
+    def wrong(word):
+        """The inverse, except that the first extension goes to the
+        second."""
+        e = inverse(word)
+        return second if e == first else e
+
+    monkeypatch.setattr(verify, "from_kreweras", wrong)
+    assert to_kreweras(first).letters == "AABBCC"
+    assert failures(run_suite("classical")) == {
+        "kreweras-roundtrip": {"n": 2, "word": "AABBCC"}}
+
+
+def test_non_bijective_rowmotion_fails_extension_independence(monkeypatch):
+    partitions = list(ppartitions(1, 4))
+
+    def merged(f, ext=None):
+        """Identity, except that the first partition goes to the second."""
+        return partitions[1] if f == partitions[0] else f
+
+    monkeypatch.setattr(verify, "rowmotion", merged)
+    with pytest.raises(ActionError) as info:
+        orbit_cycles(merged, partitions)
+    # row-extension-independent reads the row table, as the order law
+    # does, and the identity elsewhere keeps the order law passing at (1, 3)
+    error = {"ell": 1, "q": 4, "action": "row", "error": str(info.value)}
+    found = failures(run_suite("rowmotion"))
+    assert found["row-extension-independent"] == error
+    assert found["row-order-divides"] == error
+
+
 def test_a_wrong_column_move_fails_extension_independence(monkeypatch):
     # B and C columns stay put on rowmotion's default path, the tables
     tables = rowmotion_module._v_moves
@@ -762,16 +823,84 @@ def test_one_points_tables_are_alive_at_a_time(monkeypatch):
     built, stale = [], []
     table_at = verify._table
 
-    def kept(action, ell, q, ceiling):
+    def kept(action, ell, q, ceiling, *lists):
         stale.extend((point, (ell, q)) for point, ref in built
                      if point != (ell, q) and ref() is not None)
-        table = table_at(action, ell, q, ceiling)
+        table = table_at(action, ell, q, ceiling, *lists)
         built.append(((ell, q), weakref.ref(table)))
         return table
     monkeypatch.setattr(verify, "_table", kept)
     assert run_suite("all").passed
     assert len({point for point, _ in built}) == 16
     assert not stale
+
+
+def test_each_family_is_listed_once_per_point(monkeypatch):
+    # the tables and list-reading claims at a point share one list of each
+    # family, and no claim steps a partition the row table has stepped
+    counts = Counter()
+
+    def counted(name):
+        listed = getattr(verify, name)
+
+        def listing(*args):
+            for x in listed(*args):
+                counts[name] += 1
+                yield x
+        monkeypatch.setattr(verify, name, listing)
+
+    for name in ("linear_extensions", "enumerate_labelings",
+                 "enumerate_ppartitions"):
+        counted(name)
+    row = verify.rowmotion
+
+    def stepped(f, ext=None):
+        counts["rowmotion"] += ext is None
+        return row(f, ext)
+    monkeypatch.setattr(verify, "rowmotion", stepped)
+    assert run_suite("all").passed
+    # the rowmotion grid and the equivariance grid hold every partition
+    partitions = sum(1 for ell, q in {*grid(3, 5), *grid(2, 6)}
+                     for _ in ppartitions(ell, q))
+    assert dict(counts) == {
+        # V x [1..4], and V x [1] and V x [2] again as sweep orders
+        "linear_extensions": 3_044,
+        "enumerate_labelings": 53_815,
+        "enumerate_ppartitions": partitions,
+        "rowmotion": partitions}
+    assert partitions == 4_038
+    assert 3_044 == sum(map(kreweras_number, range(1, 5))) \
+        + kreweras_number(1) + kreweras_number(2)
+
+
+def test_classical_suite_lists_the_extensions_once_per_n(monkeypatch):
+    chains = []
+    listed = verify.linear_extensions
+
+    def recorded(poset):
+        chains.append(len(poset) // 3)  # V x [n] has 3n elements
+        return listed(poset)
+    monkeypatch.setattr(verify, "linear_extensions", recorded)
+    assert run_suite("classical").passed
+    assert chains == [1, 2, 3, 4]
+
+
+def test_nothing_outlives_its_point_through_a_cycle():
+    # with the cyclic collector off, an object of the run is freed only by
+    # reference counts, so one a cycle holds is left over
+    kinds = (LinearExtension, PStrictLabeling, PPartition, verify._Table,
+             verify._Arcs)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, kinds)]
+    known = set(map(id, before))  # held in before, so no id is reused
+    gc.disable()
+    try:
+        assert run_suite("all").passed
+        left = Counter(type(o).__name__ for o in gc.get_objects()
+                       if isinstance(o, kinds) and id(o) not in known)
+    finally:
+        gc.enable()
+    assert not left
 
 
 def live_tables():
