@@ -175,13 +175,15 @@ def _from_json(build, data: dict):
 
 
 def _word_from_json(data: dict):
+    named = [key for key in ("blocks", "letters", "word") if key in data]
+    if len(named) != 1:
+        raise ValueError(f"input JSON names {len(named)} of 'blocks', "
+                         "'letters' and 'word'; it needs exactly one")
     if "blocks" in data:
         return PartialMultiKrewerasWord.from_json(data)
     if "letters" in data:
         return KrewerasWord(data["letters"])
-    if "word" in data:
-        return PartialMultiKrewerasWord.from_text(data["word"])
-    raise ValueError("input JSON needs 'blocks', 'letters', or 'word'")
+    return PartialMultiKrewerasWord.from_text(data["word"])
 
 
 def _cmd_render(args, parser) -> int:

@@ -87,16 +87,10 @@ def promote_linext(ext: LinearExtension) -> LinearExtension:
     return LinearExtension(ext.poset, tuple(labels))
 
 
-def _require_v_chain(poset: Poset) -> int:
-    n = v_chain_layers(poset)
-    if n is None:
-        raise ValueError("poset is not of the form V x [n]")
-    return n
-
-
 def to_kreweras(ext: LinearExtension) -> KrewerasWord:
     """Forget the layer coordinate: letter i is the V coordinate of label i."""
-    _require_v_chain(ext.poset)
+    if v_chain_layers(ext.poset) is None:
+        raise ValueError("poset is not of the form V x [n]")
     return KrewerasWord("".join(e[0] for e in ext.order()))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from math import lcm
 from typing import Callable, Hashable, Iterable, TypeVar
 
@@ -110,8 +111,20 @@ class OrbitReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrbitReport":
-        return cls(action=data["action"], params=dict(data["params"]),
-                   count=data["count"],
-                   orbit_sizes=tuple(data["orbit_sizes"]),
-                   order=data["order"], checks=dict(data["checks"]),
-                   counterexamples=dict(data.get("counterexamples", {})))
+        get = partial(_json_field, data)
+        return cls(get("action", str), dict(get("params", dict)),
+                   get("count", int), tuple(get("orbit_sizes", list, of=int)),
+                   get("order", int), dict(get("checks", dict, of=bool)),
+                   dict(get("counterexamples", dict)
+                        if "counterexamples" in data else {}))
+
+
+def _json_field(data: dict, key: str, *kinds: type, of: type | None = None):
+    """``data[key]`` if its type is one of ``kinds`` exactly (a bool is
+    no int) and, given ``of``, so is that of each entry of the array or
+    value of the object; else a ValueError naming the key."""
+    value = data[key]
+    if type(value) not in kinds or of and any(type(v) is not of for v in (
+            value.values() if type(value) is dict else value)):
+        raise ValueError(f"{key!r} has the wrong JSON type")
+    return value

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 Element = Hashable
 
@@ -263,19 +263,19 @@ class LinearExtension:
         return f"LinearExtension({self.labels})"
 
 
-def _order_preserving_maps(poset: Poset, bottom: int, top: int,
-                           used: list[bool] | None = None,
+def _order_preserving_maps(poset: Poset, bottom: Sequence[int],
+                           top: Sequence[int], used: list[bool] | None = None,
                            ) -> Iterator[tuple[int, ...]]:
-    """Value tuples, aligned with poset.elements, of the maps into
-    bottom..top that weakly increase along every cover, lexicographic in
-    element order.  Given ``used``, a table False at every value in
-    bottom..top, the values are also distinct, so they increase strictly.
-    Without it the walk keeps no table indexed by value, so a large
-    ``top`` costs nothing.
+    """Value tuples of the maps that send each element into its own
+    bottom..top (both aligned with poset.elements) and weakly increase
+    along every cover, lexicographic in element order.  Given ``used``, a
+    table False at every value of every bottom..top, the values are also
+    distinct, so they increase strictly.  Without it the walk keeps no
+    table indexed by value, so a large ``top`` costs nothing.
 
     Each value is bounded by its covers placed before it: respecting every
-    cover implies respecting the order.  The values are walked on an
-    explicit stack, so depth is no limit.
+    cover implies respecting the order, in any element order.  The values
+    are walked on an explicit stack, so depth is no limit.
     """
     up, down = poset._up, poset._down
     m = len(up)
@@ -287,7 +287,7 @@ def _order_preserving_maps(poset: Poset, bottom: int, top: int,
         if i == m:
             yield tuple(values)
         else:
-            v, hi = bottom, top
+            v, hi = bottom[i], top[i]
             for j in below[i]:
                 if values[j] > v:
                     v = values[j]
@@ -328,4 +328,5 @@ def linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
     """
     m = len(poset)
     return (LinearExtension(poset, labels) for labels in
-            _order_preserving_maps(poset, 1, m, [False] * (m + 2)))
+            _order_preserving_maps(poset, (1,) * m, (m,) * m,
+                                   [False] * (m + 2)))

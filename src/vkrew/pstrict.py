@@ -15,9 +15,10 @@ over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
 On V the enumeration is three nested loops in ranked order over the
 fibers _v_moves interns, so an image shares its fibers with the labeling
-it equals; elsewhere a recursion, the reference for the loops, places
-each fiber weakly increasing in its interval and strictly above its lower
-covers'.  Both build labelings without validation.  The constructor,
+it equals.  Elsewhere, on a graded poset in any element order, it is
+the walk that lists linear extensions and partitions too
+(poset._order_preserving_maps), the reference for the loops.  Both
+build labelings without validation.  The constructor,
 from_json, labeling_of_word, swap_bc and bender_knuth_tau validate.  On
 V promote_pstrict checks each move when its entry is filled, so every
 labeling it assembles is valid; elsewhere it validates its image, never
@@ -39,7 +40,8 @@ from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _Memo, _interned, _unvalidated, make_v
+from .poset import Element, Poset, _Memo, _interned, \
+    _order_preserving_maps, _unvalidated, make_v, product_with_chain
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -165,48 +167,30 @@ def _fiber_fault(fiber: tuple[int, ...], ell: int, lo: int,
     return None
 
 
-def _weakly_increasing(lo: int, hi: int, length: int,
-                       floor: tuple[int, ...] | None = None) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing tuples over lo..hi, optionally strictly above a
-    per-position floor, in lexicographic order."""
-    for t in combinations_with_replacement(range(lo, hi + 1), length):
-        if floor is None or all(v > f for v, f in zip(t, floor)):
-            yield t
-
-
 def enumerate_restricted_labelings(rf: RestrictionFunction,
                                    ell: int) -> Iterator[PStrictLabeling]:
     """All labelings for ``rf``, lexicographic on the concatenated fibers.
 
-    On V, three nested loops over promotion's interned fibers; elsewhere a
-    recursion, which requires poset.elements to be topologically sorted
-    (all our posets are).
+    On V, three nested loops over promotion's interned fibers.  Elsewhere
+    the poset must be graded, in any element order: less rk(p), a
+    labeling is an order-preserving map of P x [ell] into
+    lo - rk(p) .. hi - rk(p), as poset._order_preserving_maps walks them.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     tables = _v_moves(rf)
     if tables is not None:
         return _v_labelings(rf, ell, *tables[:2])
-    lower = rf.poset._down
-    if any(d >= i for i, down in enumerate(lower) for d in down):
-        raise ValueError("element order is not topological")
-    fibers: list[tuple[int, ...]] = [()] * len(lower)
-    candidates: dict = {}  # (element index, floor) -> fibers, in order
-
-    def rec(i: int) -> Iterator[PStrictLabeling]:
-        if i == len(fibers):
-            yield _labeling(rf, ell, tuple(fibers))
-            return
-        floor = _layerwise(max, [fibers[d] for d in lower[i]])
-        options = candidates.get((i, floor))
-        if options is None:
-            options = candidates[i, floor] = list(
-                _weakly_increasing(*rf.intervals[i], ell, floor))
-        for t in options:
-            fibers[i] = t
-            yield from rec(i + 1)
-
-    return rec(0)
+    poset = rf.poset
+    ranks = [poset.rank(p) for p in poset.elements]
+    bottom = [lo - r for (lo, _), r in zip(rf.intervals, ranks)
+              for _ in range(ell)]
+    top = [hi - r for (_, hi), r in zip(rf.intervals, ranks)
+           for _ in range(ell)]
+    return (_labeling(rf, ell, tuple(
+        tuple(v + r for v in values[j * ell:j * ell + ell])
+        for j, r in enumerate(ranks))) for values in _order_preserving_maps(
+            product_with_chain(poset, ell), bottom, top))
 
 
 def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
@@ -214,8 +198,9 @@ def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
     fiber strictly above it, then each such C fiber.  Every fiber is the
     one promotion's tables interned, so an image shares its fibers with
     the labeling it equals, and tuple compares stop at identity."""
-    a, b, c = ([fiber_of[ids[t]] for t in _weakly_increasing(*iv, ell)]
-               for iv in rf.intervals)
+    a, b, c = ([fiber_of[ids[t]] for t in
+                combinations_with_replacement(range(lo, hi + 1), ell)]
+               for lo, hi in rf.intervals)
     for fa in a:
         over_b = [x for x in b if all(map(lt, fa, x))]
         over_c = over_b if c == b else [x for x in c if all(map(lt, fa, x))]
@@ -227,8 +212,6 @@ def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
 def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:
     """All labelings of V x [ell] with labels in 1..q, lexicographic on
     the concatenated A, B, C fibers."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
     if q < 3:
         raise ValueError("q must be >= 3 for the V poset")
     return enumerate_restricted_labelings(restriction_rq(make_v(), q), ell)
@@ -282,8 +265,8 @@ def free_labels_bruteforce(k: int, f: PStrictLabeling):
     lowerable = []
     for ei, p in enumerate(poset.elements):
         lo, hi = rf.intervals[ei]
-        alternatives = [alt for alt in _weakly_increasing(lo, hi, f.ell)
-                        if _fiber_fits(f, ei, alt)]
+        alternatives = [alt for alt in combinations_with_replacement(
+            range(lo, hi + 1), f.ell) if _fiber_fits(f, ei, alt)]
         for i, v in enumerate(f.fibers[ei]):
             if v == k and any(alt[i] > v for alt in alternatives):
                 raisable.append((p, i + 1))

@@ -7,8 +7,8 @@ contribute the virtual bounds 0 and ell.  Rowmotion composes all
 toggles along a linear extension, maximal elements first;
 toggle-promotion groups toggles along diagonals of V x [q-2].
 
-The partitions are enumerated by the explicit-stack walk that also
-enumerates linear extensions (poset._order_preserving_maps), so depth is
+The partitions are enumerated by the walk that also enumerates linear
+extensions and labelings off V (poset._order_preserving_maps), so depth is
 no limit.  It bounds each value by 0..ell and by every cover whose other
 end was placed earlier, so the partitions are built without validation;
 the constructor, from_json and apply_automorphism validate.  One sweep
@@ -98,8 +98,9 @@ def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     validation.  Lazy, and no depth limit."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
+    m = len(poset)
     return map(partial(_partition, poset, ell),
-               _order_preserving_maps(poset, 0, ell))
+               _order_preserving_maps(poset, (0,) * m, (ell,) * m))
 
 
 def _sweep(values: list[int], order: Iterable[int], poset: Poset,

@@ -40,7 +40,8 @@ from . import golden
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
-from .orbits import ActionError, OrbitReport, orbit_cycles, power_map
+from .orbits import ActionError, OrbitReport, _json_field, orbit_cycles, \
+    power_map
 from .poset import _Memo, linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
@@ -104,13 +105,14 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "VerificationReport":
-        claims = [ClaimResult(c["id"], dict(c["params"]), c["pass"],
-                              c["counterexample"]) for c in data["claims"]]
-        for c in claims:
-            if not isinstance(c.ok, bool):
-                raise ValueError(f"claim {c.id!r} has pass {c.ok!r}, "
-                                 f"not true or false")
-        return cls(data["suite"], claims, data["duration_ms"])
+        claims = [ClaimResult(_json_field(c, "id", str),
+                              dict(_json_field(c, "params", dict)),
+                              _json_field(c, "pass", bool),
+                              _json_field(c, "counterexample", dict,
+                                          type(None)))
+                  for c in _json_field(data, "claims", list, of=dict)]
+        return cls(_json_field(data, "suite", str), claims,
+                   _json_field(data, "duration_ms", int))
 
     def summary_lines(self) -> list[str]:
         lines = []

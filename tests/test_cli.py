@@ -161,6 +161,24 @@ def test_render_letters_json(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("payload,named", [
+    ({"word": "A|BC", "letters": "ABC"}, 2),
+    ({"blocks": [[1, 0, 0], [0, 1, 1]], "ell": 1, "q": 2, "word": "A|BC"}, 2),
+    ({"ell": 1, "q": 3}, 0),
+])
+def test_render_needs_exactly_one_word_key(capsys, tmp_path, payload, named):
+    # input naming two forms of a word is refused, not read by a
+    # preference among them
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "render", "--input", str(path),
+                         "--format", "ascii")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"names {named} of" in err
+
+
 def test_render_invalid_word_exit_2(capsys, tmp_path):
     path = tmp_path / "word.json"
     path.write_text(json.dumps({"letters": "BAC"}))
@@ -263,6 +281,38 @@ def test_deep_poset_row_orbits(capsys):
     assert report["checks"] and all(report["checks"].values())
 
 
+ORBIT_REPORT = {"action": "a", "params": {}, "count": 2,
+                "orbit_sizes": [2], "order": 2, "checks": {"a": True}}
+CLAIM = {"id": "x", "params": {}, "pass": True, "counterexample": None}
+SUITE_REPORT = {"suite": "s", "duration_ms": 0, "claims": [CLAIM]}
+# reports with a field of the wrong JSON type (a bool is no int), and the
+# key each error names
+MISTYPED = [
+    *(({**ORBIT_REPORT, key: value}, key) for key, value in (
+        ("checks", [["a", True]]), ("checks", {"a": "no"}),
+        ("params", [["ell", 1]]), ("orbit_sizes", [True]), ("count", True),
+        ("action", 1), ("order", 2.0), ("counterexamples", []))),
+    *(({**SUITE_REPORT, key: value}, key) for key, value in (
+        ("duration_ms", "soon"), ("claims", {}), ("claims", [1]),
+        ("suite", None))),
+    *(({**SUITE_REPORT, "claims": [{**CLAIM, key: value}]}, key)
+      for key, value in (("id", 1), ("counterexample", 5), ("params", []),
+                         ("pass", 1))),
+]
+
+
+def test_well_typed_reports_export(capsys, tmp_path):
+    # the reports the malformed ones below are made from are accepted
+    for payload in (ORBIT_REPORT, SUITE_REPORT):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "export", "--input", str(path),
+                             "--out", str(tmp_path / "x.json"),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "x.json").read_text()) == payload
+
+
 @pytest.mark.parametrize("command,payload", [
     ("render", 42),
     ("render", {"blocks": [[1, 0, 0]], "q": 1}),
@@ -274,6 +324,7 @@ def test_deep_poset_row_orbits(capsys):
                 "orbit_sizes": [-1, 1], "order": 1, "checks": {}}),
     ("export", {"suite": "s", "duration_ms": 0, "claims": [
         {"id": "x", "params": {}, "pass": "no", "counterexample": None}]}),
+    *(("export", payload) for payload, _ in MISTYPED),
 ])
 def test_wrong_json_shape_exit_2(capsys, tmp_path, command, payload):
     path = tmp_path / "input.json"
@@ -287,6 +338,17 @@ def test_wrong_json_shape_exit_2(capsys, tmp_path, command, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload,key", MISTYPED)
+def test_export_names_the_mistyped_key(capsys, tmp_path, payload, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "export", "--input", str(path),
+                       "--out", str(tmp_path / "x.json"), "--format", "json")
+    assert code == 2
+    assert repr(key) in err
+    assert not (tmp_path / "x.json").exists()
 
 
 # -- fuzzing every subcommand ------------------------------------------

@@ -1,4 +1,5 @@
 from functools import partial
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -280,11 +281,50 @@ def test_swap_bc_rejects_other_posets():
         swap_bc(f)
 
 
-def test_enumeration_requires_topological_element_order():
-    upside_down = Poset(("B", "A"), (("A", "B"),))
-    rf = restriction_rq(upside_down, 3)
-    with pytest.raises(ValueError):
-        next(enumerate_restricted_labelings(rf, 1))
+def brute_force_labelings(rf, ell):
+    """The fibers of every labeling: each tuple of weakly increasing
+    fibers inside the intervals that the validating constructor accepts,
+    lexicographic on the concatenated fibers."""
+    found = []
+    for fibers in product(*(combinations_with_replacement(range(lo, hi + 1),
+                                                          ell)
+                            for lo, hi in rf.intervals)):
+        try:
+            found.append(PStrictLabeling(rf, ell, fibers).fibers)
+        except ValueError:
+            pass
+    return found
+
+
+# element orders that are not topological: a 2-chain and the diamond
+# listed top first, the diamond also with narrowed intervals of unequal
+# shifts lo - rk(p)
+NON_TOPOLOGICAL = {
+    "chain-top-first": restriction_rq(Poset(("B", "A"), (("A", "B"),)), 3),
+    "diamond-top-first": restriction_rq(Poset("dacb", diamond().covers), 5),
+    "narrow-diamond-top-first": RestrictionFunction(
+        Poset("dacb", diamond().covers), 6, ((4, 6), (1, 2), (3, 4), (2, 5))),
+}
+
+
+@pytest.mark.parametrize("ell,name", [
+    *((ell, name) for name in ("diamond", "chain", "narrow-v", "narrow-c-v",
+                               *NON_TOPOLOGICAL)
+      for ell in (1, 2, 3)),
+    (1, "v-times-2"),
+])
+def test_enumeration_matches_brute_force(ell, name):
+    rf = {**OTHER_RESTRICTIONS, **NON_TOPOLOGICAL}[name]
+    got = [f.fibers for f in enumerate_restricted_labelings(rf, ell)]
+    assert got == brute_force_labelings(rf, ell) and got
+
+
+def test_enumeration_requires_a_graded_poset():
+    # the maximal chains a < b < c and a < d differ in length
+    ungraded = Poset("abcd", (("a", "b"), ("b", "c"), ("a", "d")))
+    rf = RestrictionFunction(ungraded, 5, ((1, 5),) * 4)
+    with pytest.raises(ValueError, match="not graded"):
+        enumerate_restricted_labelings(rf, 1)
 
 
 def test_accessor_layer_bounds():
@@ -394,10 +434,11 @@ def test_enumerated_labelings_are_valid_on_other_restrictions(name):
                for ell in (1, 2, 3))
 
 
-# -- the ranked loops on V against the generic recursion -----------------
+# -- the ranked loops on V against the walk -------------------------------
 
 # V under other names: _v_moves serves make_v() only, so the labelings of
-# this poset come from the generic recursion
+# this poset come from the walk of poset._order_preserving_maps, which
+# replaced the recursion this test is named for
 RELABELLED_V = Poset(("a", "b", "c"), (("a", "b"), ("a", "c")))
 
 
@@ -410,11 +451,11 @@ RELABELLED_V = Poset(("a", "b", "c"), (("a", "b"), ("a", "c")))
 def test_ranked_enumeration_matches_the_recursion(ell, rf):
     relabelled = RestrictionFunction(RELABELLED_V, rf.q, rf.intervals)
     assert _v_moves(relabelled) is None
-    by_recursion = [f.fibers for f in
-                    enumerate_restricted_labelings(relabelled, ell)]
+    by_walk = [f.fibers for f in
+               enumerate_restricted_labelings(relabelled, ell)]
     assert _v_moves(rf) is not None
     ranked = [f.fibers for f in enumerate_restricted_labelings(rf, ell)]
-    assert ranked == by_recursion and ranked
+    assert ranked == by_walk and ranked
 
 
 @pytest.mark.parametrize("ell,q", [(3, 7), (2, 9)])

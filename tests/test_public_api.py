@@ -1,6 +1,8 @@
-"""Every public name is used: a name in a module's ``__all__`` must be
-referenced somewhere in the package or the benchmark outside its own
-definition, or be one of the references kept for the tests."""
+"""Every public name and every definition is used: a name in a module's
+``__all__``, and every top-level function and class, private ones
+included, must be referenced somewhere in the package or the benchmark
+outside its own definition, or be one of the references kept for the
+tests."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,8 @@ BENCH = ROOT / "perfbench"
 # Readable references that the fast paths are checked against.
 KEPT = {"free_labels", "free_labels_bruteforce", "toggle", "bender_knuth",
         "promote_word_layerwise"}
+# togpro's sweep order, the reference for its column moves on V x [k]
+KEPT_PRIVATE = {"_togpro_order"}
 
 
 def public_names(tree):
@@ -21,6 +25,12 @@ def public_names(tree):
                 for t in node.targets):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def definitions(tree):
+    """The names of the top-level functions and classes."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def references(tree, with_strings):
@@ -40,7 +50,9 @@ def references(tree, with_strings):
                     yield owner, part
 
 
-def unused_public_names():
+def unused_names(names_of=public_names):
+    """``module.name`` for each name ``names_of`` finds in a package
+    module that nothing outside the name's own definition reads."""
     trees = {path: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
     used = {}  # name read -> the (file, owner) pairs that read it
@@ -50,17 +62,23 @@ def unused_public_names():
     return sorted(
         f"{path.stem}.{name}"
         for path, tree in trees.items() if path.parent == PACKAGE
-        for name in public_names(tree)
+        for name in names_of(tree)
         if not used.get(name, set()) - {(path, name)})
 
 
 def test_every_public_name_has_a_caller():
-    assert [name for name in unused_public_names()
+    assert [name for name in unused_names()
             if name.split(".")[1] not in KEPT] == []
 
 
 def test_every_kept_reference_is_public_and_otherwise_unused():
-    assert {name.split(".")[1] for name in unused_public_names()} == KEPT
+    assert {name.split(".")[1] for name in unused_names()} == KEPT
+
+
+def test_every_definition_has_a_reader():
+    # private helpers too, so a helper left without a caller is found
+    unread = {name.split(".")[1] for name in unused_names(definitions)}
+    assert unread == KEPT | KEPT_PRIVATE
 
 
 def test_no_module_state_is_rebound():
