@@ -12,6 +12,7 @@ import json
 import sys
 
 from .kreweras import KrewerasWord, to_kreweras
+from .orbits import _json_field
 from .poset import linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings
 from .render import render_diagram
@@ -182,8 +183,8 @@ def _word_from_json(data: dict):
     if "blocks" in data:
         return PartialMultiKrewerasWord.from_json(data)
     if "letters" in data:
-        return KrewerasWord(data["letters"])
-    return PartialMultiKrewerasWord.from_text(data["word"])
+        return KrewerasWord(_json_field(data, "letters", str))
+    return PartialMultiKrewerasWord.from_text(_json_field(data, "word", str))
 
 
 def _cmd_render(args, parser) -> int:

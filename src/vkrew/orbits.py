@@ -113,18 +113,28 @@ class OrbitReport:
     def from_json(cls, data: dict) -> "OrbitReport":
         get = partial(_json_field, data)
         return cls(get("action", str), dict(get("params", dict)),
-                   get("count", int), tuple(get("orbit_sizes", list, of=int)),
-                   get("order", int), dict(get("checks", dict, of=bool)),
+                   get("count", int),
+                   tuple(get("orbit_sizes", list, of=(int,))),
+                   get("order", int), dict(get("checks", dict, of=(bool,))),
                    dict(get("counterexamples", dict)
                         if "counterexamples" in data else {}))
 
 
-def _json_field(data: dict, key: str, *kinds: type, of: type | None = None):
+def _json_field(data: dict, key: str, *kinds: type,
+                of: tuple[type, ...] = ()):
     """``data[key]`` if its type is one of ``kinds`` exactly (a bool is
-    no int) and, given ``of``, so is that of each entry of the array or
-    value of the object; else a ValueError naming the key."""
+    no int) and, given ``of``, each entry of the array or value of the
+    object has type ``of[0]``, each entry of those ``of[1]``, and so on;
+    else a ValueError naming the key."""
     value = data[key]
-    if type(value) not in kinds or of and any(type(v) is not of for v in (
-            value.values() if type(value) is dict else value)):
+    if not _json_typed(value, kinds, of):
         raise ValueError(f"{key!r} has the wrong JSON type")
     return value
+
+
+def _json_typed(value, kinds: tuple[type, ...],
+                of: tuple[type, ...]) -> bool:
+    if type(value) not in kinds:
+        return False
+    return not of or all(_json_typed(v, of[:1], of[1:]) for v in (
+        value.values() if type(value) is dict else value))

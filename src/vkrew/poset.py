@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Sequence
+from itertools import tee
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Element = Hashable
 
@@ -199,6 +201,35 @@ def _interned():
     return values, ids, low
 
 
+def _ranked_columns(a: Iterable[tuple], b: Iterable[tuple],
+                    c: Iterable[tuple], cmp: Callable[[int, int], bool],
+                    ) -> Iterator[tuple[tuple, tuple, Iterator[tuple]]]:
+    """The column triples of the maps on V x [k] that ``cmp`` (``le`` or
+    ``lt``) bounds from A to B and from A to C, layer by layer: (x, y,
+    zs) for each A column x of ``a``, each B column y of ``b`` over x,
+    and zs the C columns of ``c`` over x, each in its source's order.
+    The caller loops over zs itself, so no call is added per element.
+
+    Each source is read once, lazily, and what it has yielded is kept in
+    a tee buffer that later passes copy, so the first triple costs a few
+    columns.  A source passed as both b and c is read and filtered once
+    for both, and as a too, its buffer also gives the A columns.
+    """
+    b_read = tee(b, 1)[0]  # never advanced itself: copies replay b
+    c_read = b_read if c is b else tee(c, 1)[0]
+    for x in copy(b_read) if a is b else a:
+        ys = tee(_over(cmp, x, copy(b_read)), 1)[0]
+        zs = ys if c is b else tee(_over(cmp, x, copy(c_read)), 1)[0]
+        for y in copy(ys):
+            yield x, y, copy(zs)
+
+
+def _over(cmp: Callable[[int, int], bool], x: tuple,
+          columns: Iterable[tuple]) -> Iterator[tuple]:
+    """The columns y with cmp(x[i], y[i]) in every layer, lazily."""
+    return (y for y in columns if all(map(cmp, x, y)))
+
+
 @lru_cache(maxsize=None)
 def make_v() -> Poset:
     """The 3-element poset on A, B, C with A below both B and C."""
@@ -325,8 +356,22 @@ def linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
     """All linear extensions, lexicographic on the label sequence read in
     element order: the order-preserving maps onto 1..m with distinct
     values, walked by _order_preserving_maps.  Lazy, and no depth limit.
+
+    Element i's label lies in 1 + |strict down-set(i)| .. m - |strict
+    up-set(i)| in every linear extension, so the walk is given those
+    bounds; the sets are int bitsets, filled in topological order.
     """
     m = len(poset)
+    topo = poset._toposort()
+    below, above = [0] * m, [0] * m
+    for i in topo:
+        for d in poset._down[i]:
+            below[i] |= 1 << d | below[d]
+    for i in reversed(topo):
+        for u in poset._up[i]:
+            above[i] |= 1 << u | above[u]
     return (LinearExtension(poset, labels) for labels in
-            _order_preserving_maps(poset, (1,) * m, (m,) * m,
+            _order_preserving_maps(poset,
+                                   [1 + s.bit_count() for s in below],
+                                   [m - s.bit_count() for s in above],
                                    [False] * (m + 2)))

@@ -13,11 +13,13 @@ V, promote_pstrict interns fibers to ints once per restriction and
 composes three memoized moves: A under the min of B and C, then B and C
 over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
-On V the enumeration is three nested loops in ranked order over the
-fibers _v_moves interns, so an image shares its fibers with the labeling
-it equals.  Elsewhere, on a graded poset in any element order, it is
-the walk that lists linear extensions and partitions too
-(poset._order_preserving_maps), the reference for the loops.  Both
+On V the enumeration is the ranked column loops that list the partitions
+of V x [k] too (poset._ranked_columns), over the fibers _v_moves interns
+as the loops read them, so an image shares its fibers with the labeling
+it equals, and the first labeling costs a few fibers.  Elsewhere, on a
+graded poset in any element order, it is the walk that lists linear
+extensions and partitions off V x [k] too (poset._order_preserving_maps),
+the reference for the loops.  Both
 build labelings without validation.  The constructor,
 from_json, labeling_of_word, swap_bc and bender_knuth_tau validate.  On
 V promote_pstrict checks each move when its entry is filled, so every
@@ -41,7 +43,8 @@ from operator import gt, lt
 from typing import Iterator
 
 from .poset import Element, Poset, _Memo, _interned, \
-    _order_preserving_maps, _unvalidated, make_v, product_with_chain
+    _order_preserving_maps, _ranked_columns, _unvalidated, make_v, \
+    product_with_chain
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -171,7 +174,7 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
                                    ell: int) -> Iterator[PStrictLabeling]:
     """All labelings for ``rf``, lexicographic on the concatenated fibers.
 
-    On V, three nested loops over promotion's interned fibers.  Elsewhere
+    On V, the ranked column loops over promotion's interned fibers.  Elsewhere
     the poset must be graded, in any element order: less rk(p), a
     labeling is an order-preserving map of P x [ell] into
     lo - rk(p) .. hi - rk(p), as poset._order_preserving_maps walks them.
@@ -195,18 +198,21 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
 
 def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
     """The labelings of V in ranked order: each A fiber, then each B
-    fiber strictly above it, then each such C fiber.  Every fiber is the
-    one promotion's tables interned, so an image shares its fibers with
-    the labeling it equals, and tuple compares stop at identity."""
-    a, b, c = ([fiber_of[ids[t]] for t in
-                combinations_with_replacement(range(lo, hi + 1), ell)]
-               for lo, hi in rf.intervals)
-    for fa in a:
-        over_b = [x for x in b if all(map(lt, fa, x))]
-        over_c = over_b if c == b else [x for x in c if all(map(lt, fa, x))]
-        for fb in over_b:
-            for fc in over_c:
-                yield _labeling(rf, ell, (fa, fb, fc))
+    fiber strictly above it, then each such C fiber, by the ranked column
+    loops of poset._ranked_columns, lazy in the fibers they read.  Every
+    fiber is the one promotion's tables interned, so an image shares its
+    fibers with the labeling it equals, and tuple compares stop at
+    identity."""
+    def fibers(lo, hi):
+        return (fiber_of[ids[t]] for t in
+                combinations_with_replacement(range(lo, hi + 1), ell))
+
+    a, b, c = rf.intervals
+    b_fibers = fibers(*b)
+    for fa, fb, over_c in _ranked_columns(
+            fibers(*a), b_fibers, b_fibers if c == b else fibers(*c), lt):
+        for fc in over_c:
+            yield _labeling(rf, ell, (fa, fb, fc))
 
 
 def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:

@@ -7,11 +7,16 @@ contribute the virtual bounds 0 and ell.  Rowmotion composes all
 toggles along a linear extension, maximal elements first;
 toggle-promotion groups toggles along diagonals of V x [q-2].
 
-The partitions are enumerated by the walk that also enumerates linear
-extensions and labelings off V (poset._order_preserving_maps), so depth is
-no limit.  It bounds each value by 0..ell and by every cover whose other
-end was placed earlier, so the partitions are built without validation;
-the constructor, from_json and apply_automorphism validate.  One sweep
+On V x [k] the partitions are listed by the ranked column loops that
+also list the labelings of V (poset._ranked_columns): each A column, then
+each B column weakly above it, then each such C column, read lazily from
+the weakly increasing columns in 0..ell.  On other posets the walk that
+also lists linear extensions and labelings off V
+(poset._order_preserving_maps) lists them, and is the loops' reference;
+it bounds each value by 0..ell and by every cover whose other end was
+placed earlier.  Either way depth is no limit, and the partitions are
+built without validation; the constructor, from_json and
+apply_automorphism validate.  One sweep
 toggles raw values along element indices, reading the poset's
 cover-index tables.  On V x [k], rowmotion moves the B and C columns,
 then A, by lookups the sweep fills once each; togpro is the same moves
@@ -27,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
+from operator import le
 from typing import Iterable, Iterator
 
 from .poset import Element, LinearExtension, Poset, _Memo, _interned, \
-    _order_preserving_maps, _unvalidated, linear_extensions, make_v, \
-    product_with_chain, v_chain_layers
+    _order_preserving_maps, _ranked_columns, _unvalidated, \
+    linear_extensions, make_v, product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -93,14 +100,30 @@ _partition = _unvalidated(PPartition)
 
 def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
     """All ell-bounded partitions, lexicographic on the value sequence
-    read in element order: the order-preserving maps into 0..ell, walked
-    by the explicit-stack walk linear_extensions shares, so built without
-    validation.  Lazy, and no depth limit."""
+    read in element order, built without validation.  Lazy, and no depth
+    limit.  On V x [k], the ranked column loops of
+    poset._ranked_columns over the weakly increasing columns in 0..ell;
+    elsewhere the order-preserving maps into 0..ell, walked by the
+    explicit-stack walk linear_extensions shares."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
+    k = v_chain_layers(poset)
+    if k is not None:
+        return _v_partitions(poset, ell, combinations_with_replacement(
+            range(ell + 1), k))
     m = len(poset)
     return map(partial(_partition, poset, ell),
                _order_preserving_maps(poset, (0,) * m, (ell,) * m))
+
+
+def _v_partitions(poset: Poset, ell: int, columns) -> Iterator[PPartition]:
+    """The partitions of V x [k] in ranked order: each A column, then
+    each B column weakly above it, then each such C column, all from the
+    one source ``columns``."""
+    for a, b, over_c in _ranked_columns(columns, columns, columns, le):
+        ab = a + b
+        for c in over_c:
+            yield _partition(poset, ell, ab + c)
 
 
 def _sweep(values: list[int], order: Iterable[int], poset: Poset,

@@ -110,7 +110,7 @@ class VerificationReport:
                               _json_field(c, "pass", bool),
                               _json_field(c, "counterexample", dict,
                                           type(None)))
-                  for c in _json_field(data, "claims", list, of=dict)]
+                  for c in _json_field(data, "claims", list, of=(dict,))]
         return cls(_json_field(data, "suite", str), claims,
                    _json_field(data, "duration_ms", int))
 

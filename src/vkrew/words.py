@@ -11,8 +11,10 @@ tolerate several closers per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .kreweras import KrewerasWord, is_crossing
+from .orbits import _json_field
 from .poset import make_v
 from .pstrict import PStrictLabeling, enumerate_labelings, promote_pstrict, \
     restriction_rq
@@ -99,8 +101,9 @@ class PartialMultiKrewerasWord:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialMultiKrewerasWord":
-        return cls(data["ell"], data["q"],
-                   tuple(tuple(b) for b in data["blocks"]))
+        get = partial(_json_field, data)
+        return cls(get("ell", int), get("q", int),
+                   tuple(map(tuple, get("blocks", list, of=(list, int)))))
 
     def __repr__(self) -> str:
         return f"PartialMultiKrewerasWord({self.to_text()!r})"

@@ -188,6 +188,29 @@ def test_render_invalid_word_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+BLOCKS_WORD = {"ell": 1, "q": 3, "blocks": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("payload,key", [
+    # each draws A|B|C if read loosely: a bool equals 1, 3.0 equals 3, and
+    # a list of letters passes the checks a string does
+    ({**BLOCKS_WORD, "ell": True}, "ell"),
+    ({**BLOCKS_WORD, "q": 3.0}, "q"),
+    ({**BLOCKS_WORD, "blocks": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
+     "blocks"),
+    ({**BLOCKS_WORD, "blocks": [[1, 0, 0], [0, 1, 0], "C"]}, "blocks"),
+    ({"letters": ["A", "B", "C"]}, "letters"),
+    ({"word": ["A", "|", "B", "|", "C"]}, "word"),
+])
+def test_render_names_the_mistyped_key(capsys, tmp_path, payload, key):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "render", "--input", str(path),
+                         "--format", "ascii")
+    assert (code, out) == (2, "")
+    assert err == f"error: {key!r} has the wrong JSON type\n"
+
+
 def test_export_roundtrip(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     run(capsys, "verify", "--suite", "figures", "--out", str(report_path))

@@ -474,6 +474,16 @@ def test_enumeration_and_steps_meet_only_interned_fibers(ell, q):
                for g in images for fiber in g.fibers)
 
 
+def test_first_labeling_at_large_q_interns_few_fibers():
+    # the loops read each fiber source lazily, so reaching the first
+    # labeling of V x [3] in [400] interns a few fibers, not the
+    # C(401, 3) of each interval
+    _v_moves.cache_clear()
+    first = next(enumerate_labelings(3, 400))
+    assert first.fibers == ((1, 1, 1), (2, 2, 2), (2, 2, 2))
+    assert len(_v_moves(restriction_rq(make_v(), 400))[0]) < 100
+
+
 @pytest.mark.parametrize("ell", [0, -1])
 def test_restricted_enumeration_rejects_ell_below_1(ell):
     for rf in (restriction_rq(make_v(), 4), OTHER_RESTRICTIONS["diamond"]):

@@ -1,12 +1,13 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 
 import pytest
 
 import vkrew.rowmotion as module
 from vkrew.orbits import orbit_cycles
-from vkrew.poset import Poset, linear_extensions, make_v, product_with_chain
+from vkrew.poset import Poset, _order_preserving_maps, linear_extensions, \
+    make_v, product_with_chain
 from vkrew.pstrict import enumerate_labelings, promote_pstrict
 from vkrew.rowmotion import PosetAutomorphism, PPartition, \
     apply_automorphism, enumerate_ppartitions, flip_automorphism, rowmotion, \
@@ -345,6 +346,57 @@ def test_enumeration_on_non_topological_order(poset):
     for ell in range(4):
         got = [f.values for f in enumerate_ppartitions(poset, ell)]
         assert got == closure_ppartitions(poset, ell) and got, ell
+
+
+# -- the ranked column loops on V x [k] against the walk ------------------
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_ranked_loops_match_the_walk(k):
+    # on V x [k] enumerate_ppartitions runs the column loops, off it the
+    # walk; both list the same values in the same order, each valid
+    poset = product_with_chain(make_v(), k)
+    m = len(poset)
+    for ell in range(5):
+        walked = list(_order_preserving_maps(poset, (0,) * m, (ell,) * m))
+        assert [f.values for f in enumerate_ppartitions(poset, ell)] \
+            == walked and walked, ell
+        assert count_valid(enumerate_ppartitions(poset, ell)) == len(walked)
+
+
+@pytest.mark.parametrize("poset,loops", [
+    (product_with_chain(make_v(), 3), 1),
+    (product_with_chain(Poset("abc", (("a", "b"), ("a", "c"))), 3), 0),
+    (make_v(), 0),
+], ids=["v-times-3", "relabelled-v-times-3", "v"])
+def test_only_v_times_k_takes_the_ranked_loops(monkeypatch, poset, loops):
+    calls = []
+    ranked = module._ranked_columns
+
+    def counted(*sources):
+        calls.append(sources)
+        return ranked(*sources)
+
+    monkeypatch.setattr(module, "_ranked_columns", counted)
+    got = [f.values for f in enumerate_ppartitions(poset, 2)]
+    assert got == closure_ppartitions(poset, 2) and got
+    assert len(calls) == loops
+
+
+def test_first_partition_of_a_deep_v_times_k_draws_one_column(monkeypatch):
+    # V x [400] bounded by 3 has C(403, 3) columns; the loops read them
+    # lazily, and the guard fails a run that reads them all before it
+    # exhausts memory
+    drawn = []
+
+    def guarded(values, k):
+        for column in combinations_with_replacement(values, k):
+            assert len(drawn) < 100, "the loops read every column"
+            drawn.append(column)
+            yield column
+
+    monkeypatch.setattr(module, "combinations_with_replacement", guarded)
+    first = next(enumerate_ppartitions(product_with_chain(make_v(), 400), 3))
+    assert first.values == (0,) * 1200 and len(drawn) == 1
 
 
 # -- column moves on V x [k] against the sweep ---------------------------
