@@ -13,16 +13,16 @@ V, promote_pstrict interns fibers to ints once per restriction and
 composes three memoized moves: A under the min of B and C, then B and C
 over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
-On V the enumeration is the ranked column loops that list the partitions
-of V x [k] too (poset._ranked_columns), over the fibers _v_moves interns
-as the loops read them, so an image shares its fibers with the labeling
-it equals, and the first labeling costs a few fibers.  Elsewhere, on a
-graded poset in any element order, it is the walk that lists linear
-extensions and partitions off V x [k] too (poset._order_preserving_maps),
-the reference for the loops.  Both
-build labelings without validation.  The constructor,
-from_json, labeling_of_word, swap_bc and bender_knuth_tau validate.  On
-V promote_pstrict checks each move when its entry is filled, so every
+On V the enumeration is the ranked column loops that list the
+partitions of V x [k] too (poset._ranked_columns), over the fibers
+_v_moves interns as the loops read them, so an image shares its fibers
+with the labeling it equals, and the first labeling costs a few fibers.
+Elsewhere, on a graded poset in any element order, it is the walk that
+lists linear extensions and partitions off V x [k] too
+(poset._order_preserving_maps), the reference for the loops.  Both
+build labelings without validation.  The constructor, from_json,
+labeling_of_word, swap_bc and bender_knuth_tau validate.  On V
+promote_pstrict checks each move when its entry is filled, so every
 labeling it assembles is valid; elsewhere it validates its image, never
 the states between its steps.  Validation checks each distinct fiber
 against its interval once, and the layers across covers for every
@@ -174,9 +174,9 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
                                    ell: int) -> Iterator[PStrictLabeling]:
     """All labelings for ``rf``, lexicographic on the concatenated fibers.
 
-    On V, the ranked column loops over promotion's interned fibers.  Elsewhere
-    the poset must be graded, in any element order: less rk(p), a
-    labeling is an order-preserving map of P x [ell] into
+    On V, the ranked column loops over promotion's interned fibers.
+    Elsewhere the poset must be graded, in any element order: less
+    rk(p), a labeling is an order-preserving map of P x [ell] into
     lo - rk(p) .. hi - rk(p), as poset._order_preserving_maps walks them.
     """
     if ell < 1:

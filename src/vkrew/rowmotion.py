@@ -16,14 +16,13 @@ also lists linear extensions and labelings off V
 it bounds each value by 0..ell and by every cover whose other end was
 placed earlier.  Either way depth is no limit, and the partitions are
 built without validation; the constructor, from_json and
-apply_automorphism validate.  One sweep
-toggles raw values along element indices, reading the poset's
-cover-index tables.  On V x [k], rowmotion moves the B and C columns,
-then A, by lookups the sweep fills once each; togpro is the same moves
-in the other order; each lookup validates the partition it sweeps when
-it is filled, so every partition assembled from moves is valid.  Off
-V x [k] a step validates the partition it returns, never the states
-between its toggles.  The element-level reading (upper_covers,
+apply_automorphism validate.  One sweep toggles raw values along
+element indices, reading the poset's cover-index tables.  On V x [k],
+rowmotion moves the B and C columns, then A, by lookups the sweep fills
+once each; togpro is the same moves in the other order; each lookup
+validates the partition it sweeps when it is filled, so every partition
+assembled from moves is valid.  Off V x [k] a step validates the
+partition it returns, never the states between its toggles.  The element-level reading (upper_covers,
 lower_covers, PPartition.value) is the reference the tests hold the
 sweep to.
 """

@@ -54,6 +54,8 @@ def test_enumerate_ppartitions_counts():
         product_with_chain(v, 2), 1)) == 14
     assert [f.values for f in enumerate_ppartitions(v, 0)] == [(0, 0, 0)]
     assert next(enumerate_ppartitions(v, 10**8)).values == (0, 0, 0)
+    assert next(enumerate_ppartitions(
+        product_with_chain(v, 2), 10**8)).values == (0,) * 6
 
 
 def test_partitions_hash_by_their_values():
