@@ -25,7 +25,7 @@ class Poset:
     """
 
     __slots__ = ("elements", "covers", "_index", "_up", "_down",
-                 "_cover_pairs", "_ranks", "_hash")
+                 "_cover_pairs", "_ranks", "_label_bounds", "_hash")
 
     def __init__(self, elements: Iterable[Element],
                  covers: Iterable[tuple[Element, Element]]):
@@ -50,7 +50,16 @@ class Poset:
         self._cover_pairs = tuple((a, b) for a, ups in enumerate(self._up)
                                   for b in ups)
         topo = self._toposort()
-        self._check_irredundant(topo)
+        above = self._check_irredundant(topo)
+        below = [0] * len(topo)
+        for i in topo:
+            for d in self._down[i]:
+                below[i] |= 1 << d | below[d]
+        # every linear extension labels element i inside 1 + |strict
+        # down-set(i)| .. m - |strict up-set(i)|
+        m = len(topo)
+        self._label_bounds = (tuple(1 + s.bit_count() for s in below),
+                              tuple(m - s.bit_count() for s in above))
         self._ranks = self._grade(topo)
         self._hash = hash((self.elements, self.covers))
 
@@ -69,9 +78,10 @@ class Poset:
             raise PosetError("cover relations contain a directed cycle")
         return topo
 
-    def _check_irredundant(self, topo: list[int]) -> None:
+    def _check_irredundant(self, topo: list[int]) -> list[int]:
         # cover (a, b) is redundant when b lies above another upper cover
-        # c of a; what lies above each element is an int bitset, kept here
+        # c of a; what lies strictly above each element is an int bitset,
+        # returned
         above = [0] * len(topo)
         for a in reversed(topo):
             ups = self._up[a]
@@ -82,6 +92,7 @@ class Poset:
                         raise PosetError(
                             f"cover ({a!r}, {b!r}) is redundant: {a!r} < {c!r} < {b!r}")
                 above[a] |= 1 << b | above[b]
+        return above
 
     def _grade(self, topo: list[int]) -> list[int] | None:
         # longest path from a minimal element; graded iff every cover
@@ -199,35 +210,6 @@ def _interned():
     low = _Memo(lambda xy: ids[tuple(map(min, values[xy[0]],
                                          values[xy[1]]))])
     return values, ids, low
-
-
-def _ranked_columns(a: Iterable[tuple], b: Iterable[tuple],
-                    c: Iterable[tuple], cmp: Callable[[int, int], bool],
-                    ) -> Iterator[tuple[tuple, tuple, Iterator[tuple]]]:
-    """The column triples of the maps on V x [k] that ``cmp`` (``le`` or
-    ``lt``) bounds from A to B and from A to C, layer by layer: (x, y,
-    zs) for each A column x of ``a``, each B column y of ``b`` over x,
-    and zs the C columns of ``c`` over x, each in its source's order.
-    The caller loops over zs itself, so no call is added per element.
-
-    Each source is read once, lazily, and what it has yielded is kept in
-    a tee buffer that later passes copy, so the first triple costs a few
-    columns.  A source passed as both b and c is read and filtered once
-    for both, and as a too, its buffer also gives the A columns.
-    """
-    b_read = tee(b, 1)[0]  # never advanced itself: copies replay b
-    c_read = b_read if c is b else tee(c, 1)[0]
-    for x in copy(b_read) if a is b else a:
-        ys = tee(_over(cmp, x, copy(b_read)), 1)[0]
-        zs = ys if c is b else tee(_over(cmp, x, copy(c_read)), 1)[0]
-        for y in copy(ys):
-            yield x, y, copy(zs)
-
-
-def _over(cmp: Callable[[int, int], bool], x: tuple,
-          columns: Iterable[tuple]) -> Iterator[tuple]:
-    """The columns y with cmp(x[i], y[i]) in every layer, lazily."""
-    return (y for y in columns if all(map(cmp, x, y)))
 
 
 @lru_cache(maxsize=None)
@@ -355,23 +337,45 @@ def _order_preserving_maps(poset: Poset, bottom: Sequence[int],
 def linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
     """All linear extensions, lexicographic on the label sequence read in
     element order: the order-preserving maps onto 1..m with distinct
-    values, walked by _order_preserving_maps.  Lazy, and no depth limit.
-
-    Element i's label lies in 1 + |strict down-set(i)| .. m - |strict
-    up-set(i)| in every linear extension, so the walk is given those
-    bounds; the sets are int bitsets, filled in topological order.
+    values, walked by _order_preserving_maps within the bounds every
+    extension keeps (Poset._label_bounds).  Lazy, and no depth limit.
     """
-    m = len(poset)
-    topo = poset._toposort()
-    below, above = [0] * m, [0] * m
-    for i in topo:
-        for d in poset._down[i]:
-            below[i] |= 1 << d | below[d]
-    for i in reversed(topo):
-        for u in poset._up[i]:
-            above[i] |= 1 << u | above[u]
     return (LinearExtension(poset, labels) for labels in
-            _order_preserving_maps(poset,
-                                   [1 + s.bit_count() for s in below],
-                                   [m - s.bit_count() for s in above],
-                                   [False] * (m + 2)))
+            _order_preserving_maps(poset, *poset._label_bounds,
+                                   [False] * (len(poset) + 2)))
+
+
+@lru_cache(maxsize=None)
+def _chain(k: int) -> Poset:
+    """The chain 0 < 1 < ... < k-1."""
+    return Poset(range(k), zip(range(k - 1), range(1, k)))
+
+
+def _columns(bottom: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
+    """The weakly increasing tuples y with bottom[i] <= y[i] <= top,
+    lexicographic, for a weakly increasing ``bottom``: the walk on a
+    chain, so nothing is sized by ``top``."""
+    k = len(bottom)
+    return _order_preserving_maps(_chain(k), bottom, (top,) * k)
+
+
+def _ranked_columns(a: Iterable[tuple],
+                    over_b: Callable[[tuple], Iterable[tuple]],
+                    over_c: Callable[[tuple], Iterable[tuple]],
+                    ) -> Iterator[tuple[tuple, tuple, Iterator[tuple]]]:
+    """The column triples of the maps on V x [k], in ranked order: (x, y,
+    zs) for each A column x of ``a``, each B column y of over_b(x), and
+    zs an iterator of the C columns of over_c(x).  The caller loops over
+    zs itself, so no call is added per element.
+
+    Every source is read lazily, so the first triple costs a few
+    columns: ``a`` once, over_b(x) and over_c(x) once per x.  What
+    over_c(x) yields is kept in a tee buffer that each y's zs copies, and
+    dropped when x moves on, so memory holds the C columns over one A
+    column.  Given one function as both over_b and over_c, the B columns
+    are read from that buffer too.
+    """
+    for x in a:
+        zs = tee(over_c(x), 1)[0]  # never advanced itself: copies replay
+        for y in copy(zs) if over_b is over_c else over_b(x):
+            yield x, y, copy(zs)

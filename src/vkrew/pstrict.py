@@ -14,9 +14,10 @@ composes three memoized moves: A under the min of B and C, then B and C
 over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
 On V the enumeration is the ranked column loops that list the
-partitions of V x [k] too (poset._ranked_columns), over the fibers
-_v_moves interns as the loops read them, so an image shares its fibers
-with the labeling it equals, and the first labeling costs a few fibers.
+partitions of V x [k] too (poset._ranked_columns), over fibers walked
+lazily on a chain (poset._columns) and interned by _v_moves as the loops
+read them, so an image shares its fibers with the labeling it equals,
+and the first labeling costs a few fibers.
 Elsewhere, on a graded poset in any element order, it is the walk that
 lists linear extensions and partitions off V x [k] too
 (poset._order_preserving_maps), the reference for the loops.  Both
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _Memo, _interned, \
+from .poset import Element, Poset, _Memo, _columns, _interned, \
     _order_preserving_maps, _ranked_columns, _unvalidated, make_v, \
     product_with_chain
 
@@ -203,14 +204,16 @@ def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
     fiber is the one promotion's tables interned, so an image shares its
     fibers with the labeling it equals, and tuple compares stop at
     identity."""
-    def fibers(lo, hi):
+    def over(lo, hi, x):
+        # the interned fibers in lo..hi strictly above x in every layer
         return (fiber_of[ids[t]] for t in
-                combinations_with_replacement(range(lo, hi + 1), ell))
+                _columns(tuple(max(v + 1, lo) for v in x), hi))
 
-    a, b, c = rf.intervals
-    b_fibers = fibers(*b)
+    (lo, hi), b, c = rf.intervals
+    over_b = partial(over, *b)
     for fa, fb, over_c in _ranked_columns(
-            fibers(*a), b_fibers, b_fibers if c == b else fibers(*c), lt):
+            over(lo, hi, (lo - 1,) * ell), over_b,
+            over_b if c == b else partial(over, *c)):
         for fc in over_c:
             yield _labeling(rf, ell, (fa, fb, fc))
 

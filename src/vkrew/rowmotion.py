@@ -9,34 +9,34 @@ toggle-promotion groups toggles along diagonals of V x [q-2].
 
 On V x [k] the partitions are listed by the ranked column loops that
 also list the labelings of V (poset._ranked_columns): each A column, then
-each B column weakly above it, then each such C column, read lazily from
-the weakly increasing columns in 0..ell.  On other posets the walk that
-also lists linear extensions and labelings off V
+each B column weakly above it, then each such C column, the columns
+weakly increasing in 0..ell and walked lazily on a chain
+(poset._columns).  The loops keep the C columns over the current A
+column, so memory grows with them.  On other posets the walk that also
+lists linear extensions and labelings off V
 (poset._order_preserving_maps) lists them, and is the loops' reference;
 it bounds each value by 0..ell and by every cover whose other end was
-placed earlier.  Either way depth is no limit, and the partitions are
-built without validation; the constructor, from_json and
+placed earlier, and keeps O(m).  Neither recurses, and the partitions
+are built without validation; the constructor, from_json and
 apply_automorphism validate.  One sweep toggles raw values along
 element indices, reading the poset's cover-index tables.  On V x [k],
 rowmotion moves the B and C columns, then A, by lookups the sweep fills
 once each; togpro is the same moves in the other order; each lookup
 validates the partition it sweeps when it is filled, so every partition
 assembled from moves is valid.  Off V x [k] a step validates the
-partition it returns, never the states between its toggles.  The element-level reading (upper_covers,
-lower_covers, PPartition.value) is the reference the tests hold the
-sweep to.
+partition it returns, never the states between its toggles.  The
+element-level reading (upper_covers, lower_covers, PPartition.value) is
+the reference the tests hold the sweep to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
-from operator import le
 from typing import Iterable, Iterator
 
-from .poset import Element, LinearExtension, Poset, _Memo, _interned, \
-    _order_preserving_maps, _ranked_columns, _unvalidated, \
+from .poset import Element, LinearExtension, Poset, _Memo, _columns, \
+    _interned, _order_preserving_maps, _ranked_columns, _unvalidated, \
     linear_extensions, make_v, product_with_chain, v_chain_layers
 
 __all__ = [
@@ -108,18 +108,18 @@ def enumerate_ppartitions(poset: Poset, ell: int) -> Iterator[PPartition]:
         raise ValueError("ell must be >= 0")
     k = v_chain_layers(poset)
     if k is not None:
-        return _v_partitions(poset, ell, combinations_with_replacement(
-            range(ell + 1), k))
+        return _v_partitions(poset, ell, k)
     m = len(poset)
     return map(partial(_partition, poset, ell),
                _order_preserving_maps(poset, (0,) * m, (ell,) * m))
 
 
-def _v_partitions(poset: Poset, ell: int, columns) -> Iterator[PPartition]:
+def _v_partitions(poset: Poset, ell: int, k: int) -> Iterator[PPartition]:
     """The partitions of V x [k] in ranked order: each A column, then
-    each B column weakly above it, then each such C column, all from the
-    one source ``columns``."""
-    for a, b, over_c in _ranked_columns(columns, columns, columns, le):
+    each B column weakly above it, then each such C column, the columns
+    weakly increasing in 0..ell."""
+    over = partial(_columns, top=ell)
+    for a, b, over_c in _ranked_columns(over((0,) * k), over, over):
         ab = a + b
         for c in over_c:
             yield _partition(poset, ell, ab + c)

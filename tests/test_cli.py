@@ -272,7 +272,8 @@ def test_verify_empty_grid_exit_2(capsys, argv):
 
 
 def test_deep_poset_enumerates_ppartitions(capsys):
-    # partitions are enumerated on an explicit stack, so depth is no limit
+    # the columns of V x [k] are walked on an explicit stack, so depth is
+    # no limit
     code, out, err = run(capsys, "enumerate", "--object", "ppartitions",
                          "--ell", "0", "--k", "400", "--limit", "1")
     assert code == 0

@@ -1,5 +1,6 @@
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+import tracemalloc
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -54,8 +55,6 @@ def test_enumerate_ppartitions_counts():
         product_with_chain(v, 2), 1)) == 14
     assert [f.values for f in enumerate_ppartitions(v, 0)] == [(0, 0, 0)]
     assert next(enumerate_ppartitions(v, 10**8)).values == (0, 0, 0)
-    assert next(enumerate_ppartitions(
-        product_with_chain(v, 2), 10**8)).values == (0,) * 6
 
 
 def test_partitions_hash_by_their_values():
@@ -384,21 +383,37 @@ def test_only_v_times_k_takes_the_ranked_loops(monkeypatch, poset, loops):
     assert len(calls) == loops
 
 
-def test_first_partition_of_a_deep_v_times_k_draws_one_column(monkeypatch):
+def test_first_partition_of_a_deep_v_times_k_draws_two_columns(monkeypatch):
     # V x [400] bounded by 3 has C(403, 3) columns; the loops read them
-    # lazily, and the guard fails a run that reads them all before it
-    # exhausts memory
+    # lazily (the first A column, then the first column over it, which B
+    # and C share), and the guard fails a run that reads them all before
+    # it exhausts memory
     drawn = []
+    columns = module._columns
 
-    def guarded(values, k):
-        for column in combinations_with_replacement(values, k):
+    def guarded(bottom, top):
+        for column in columns(bottom, top):
             assert len(drawn) < 100, "the loops read every column"
             drawn.append(column)
             yield column
 
-    monkeypatch.setattr(module, "combinations_with_replacement", guarded)
+    monkeypatch.setattr(module, "_columns", guarded)
     first = next(enumerate_ppartitions(product_with_chain(make_v(), 400), 3))
-    assert first.values == (0,) * 1200 and len(drawn) == 1
+    assert first.values == (0,) * 1200 and len(drawn) == 2
+
+
+def test_first_partition_at_a_large_bound_allocates_little():
+    # nothing is sized by ell: a pool of the values 0..10**6 alone would
+    # take 8 MB for its tuple
+    poset = product_with_chain(make_v(), 2)
+    tracemalloc.start()
+    try:
+        first = next(enumerate_ppartitions(poset, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.values == (0,) * 6
+    assert peak < 1 << 20
 
 
 # -- column moves on V x [k] against the sweep ---------------------------
