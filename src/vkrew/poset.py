@@ -25,7 +25,7 @@ class Poset:
     """
 
     __slots__ = ("elements", "covers", "_index", "_up", "_down",
-                 "_cover_pairs", "_ranks", "_label_bounds", "_hash")
+                 "_cover_pairs", "_ranks", "_hash")
 
     def __init__(self, elements: Iterable[Element],
                  covers: Iterable[tuple[Element, Element]]):
@@ -49,18 +49,11 @@ class Poset:
         self._down = tuple(tuple(sorted(d)) for d in down)
         self._cover_pairs = tuple((a, b) for a, ups in enumerate(self._up)
                                   for b in ups)
-        topo = self._toposort()
-        above = self._check_irredundant(topo)
-        below = [0] * len(topo)
-        for i in topo:
-            for d in self._down[i]:
-                below[i] |= 1 << d | below[d]
-        # every linear extension labels element i inside 1 + |strict
-        # down-set(i)| .. m - |strict up-set(i)|
-        m = len(topo)
-        self._label_bounds = (tuple(1 + s.bit_count() for s in below),
-                              tuple(m - s.bit_count() for s in above))
-        self._ranks = self._grade(topo)
+        rk = [0] * len(self.elements)  # longest path from a minimal element
+        for i in self._toposort():
+            rk[i] = max((rk[d] + 1 for d in self._down[i]), default=0)
+        self._check_irredundant(rk)
+        self._ranks = self._grade(rk)
         self._hash = hash((self.elements, self.covers))
 
     def _toposort(self) -> list[int]:
@@ -78,28 +71,21 @@ class Poset:
             raise PosetError("cover relations contain a directed cycle")
         return topo
 
-    def _check_irredundant(self, topo: list[int]) -> list[int]:
+    def _check_irredundant(self, rk: list[int]) -> None:
         # cover (a, b) is redundant when b lies above another upper cover
-        # c of a; what lies strictly above each element is an int bitset,
-        # returned
-        above = [0] * len(topo)
-        for a in reversed(topo):
-            ups = self._up[a]
-            for b in ups:
-                for c in ups:
-                    if above[c] >> b & 1:
-                        a, b, c = (self.elements[i] for i in (a, b, c))
-                        raise PosetError(
-                            f"cover ({a!r}, {b!r}) is redundant: {a!r} < {c!r} < {b!r}")
-                above[a] |= 1 << b | above[b]
-        return above
+        # c of a; then a < c <= b is a longer path, so only a cover that
+        # skips a longest-path rank is searched, up the covers by leq
+        e = self.elements
+        for a, b in self._cover_pairs:
+            for c in self._up[a] if rk[b] > rk[a] + 1 else ():
+                if c != b and self.leq(e[c], e[b]):
+                    raise PosetError(f"cover ({e[a]!r}, {e[b]!r}) is "
+                                     f"redundant: {e[a]!r} < {e[c]!r} < "
+                                     f"{e[b]!r}")
 
-    def _grade(self, topo: list[int]) -> list[int] | None:
-        # longest path from a minimal element; graded iff every cover
-        # raises it by exactly 1 and all maximal elements agree
-        rk = [0] * len(topo)
-        for i in topo:
-            rk[i] = max((rk[d] + 1 for d in self._down[i]), default=0)
+    def _grade(self, rk: list[int]) -> list[int] | None:
+        # graded iff every cover raises the longest-path rank by exactly 1
+        # and all maximal elements agree
         for a, b in self._cover_pairs:
             if rk[b] != rk[a] + 1:
                 return None
@@ -197,19 +183,24 @@ class _Memo(dict):
         return value
 
 
-def _interned():
-    """For the kernels on V: values by id, the memo from a tuple value to
-    its id, and the memo from two ids to the id of their entrywise min."""
-    values: list = []  # id -> value
+def _column_moves(under: Callable[[tuple, tuple], tuple],
+                  over: Callable[[tuple, tuple], tuple]):
+    """The column kernel on V, on columns interned to ids: values (id ->
+    column), ids (column -> id, interning), low[x, y] (their entrywise
+    min), move_a[a, m] (under(a, m): A under m = min(B, C)) and
+    move_bc[a, x] (over(a, x): B or C over A), each entry filled once."""
+    values: list = []
 
     def intern(value):
         values.append(value)
         return len(values) - 1
 
-    ids = _Memo(intern)  # value -> id
-    low = _Memo(lambda xy: ids[tuple(map(min, values[xy[0]],
-                                         values[xy[1]]))])
-    return values, ids, low
+    def moves(move):
+        return _Memo(lambda xy: ids[move(values[xy[0]], values[xy[1]])])
+
+    ids = _Memo(intern)
+    low = moves(lambda x, y: tuple(map(min, x, y)))
+    return values, ids, low, moves(under), moves(over)
 
 
 @lru_cache(maxsize=None)
@@ -334,15 +325,38 @@ def _order_preserving_maps(poset: Poset, bottom: Sequence[int],
             i -= 1
 
 
+def _closure_sizes(order: Iterable[int], covers: Sequence[tuple[int, ...]],
+                   readers: Sequence[tuple[int, ...]]) -> list[int]:
+    """The size of each element's strict closure along ``covers`` (down
+    along _down, up along _up), visited in ``order``, covers first.  Each
+    closure is a bitset kept until the last of its ``readers`` has read it,
+    so memory holds the frontier of the order, not every closure."""
+    sets, left, sizes = {}, list(map(len, readers)), [0] * len(readers)
+    for i in order:
+        s = 0
+        for d in covers[i]:
+            s |= 1 << d | sets[d]
+            left[d] -= 1
+            if not left[d]:
+                del sets[d]
+        sizes[i] = s.bit_count()
+        if left[i]:
+            sets[i] = s
+    return sizes
+
+
 def linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
     """All linear extensions, lexicographic on the label sequence read in
     element order: the order-preserving maps onto 1..m with distinct
     values, walked by _order_preserving_maps within the bounds every
-    extension keeps (Poset._label_bounds).  Lazy, and no depth limit.
-    """
+    extension keeps, 1 + |strict down-set| .. m - |strict up-set|.  Lazy,
+    and no depth limit."""
+    topo, m = poset._toposort(), len(poset)
+    below = _closure_sizes(topo, poset._down, poset._up)
+    above = _closure_sizes(reversed(topo), poset._up, poset._down)
     return (LinearExtension(poset, labels) for labels in
-            _order_preserving_maps(poset, *poset._label_bounds,
-                                   [False] * (len(poset) + 2)))
+            _order_preserving_maps(poset, [1 + n for n in below],
+                                   [m - n for n in above], [False] * (m + 2)))
 
 
 @lru_cache(maxsize=None)
@@ -360,22 +374,19 @@ def _columns(bottom: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
 
 
 def _ranked_columns(a: Iterable[tuple],
-                    over_b: Callable[[tuple], Iterable[tuple]],
-                    over_c: Callable[[tuple], Iterable[tuple]],
+                    over: Callable[[tuple], Iterable[tuple]],
                     ) -> Iterator[tuple[tuple, tuple, Iterator[tuple]]]:
     """The column triples of the maps on V x [k], in ranked order: (x, y,
-    zs) for each A column x of ``a``, each B column y of over_b(x), and
-    zs an iterator of the C columns of over_c(x).  The caller loops over
-    zs itself, so no call is added per element.
+    zs) for each A column x of ``a``, each B column y of over(x), and zs
+    an iterator of the C columns, over(x) again.  The caller loops over zs
+    itself, so no call is added per element.
 
     Every source is read lazily, so the first triple costs a few
-    columns: ``a`` once, over_b(x) and over_c(x) once per x.  What
-    over_c(x) yields is kept in a tee buffer that each y's zs copies, and
-    dropped when x moves on, so memory holds the C columns over one A
-    column.  Given one function as both over_b and over_c, the B columns
-    are read from that buffer too.
+    columns: ``a`` once, over(x) once per x, kept in a tee buffer that
+    the B loop and each y's zs copy and dropped when x moves on, so
+    memory holds the columns over one A column.
     """
     for x in a:
-        zs = tee(over_c(x), 1)[0]  # never advanced itself: copies replay
-        for y in copy(zs) if over_b is over_c else over_b(x):
+        zs = tee(over(x), 1)[0]  # never advanced itself: copies replay
+        for y in copy(zs):
             yield x, y, copy(zs)

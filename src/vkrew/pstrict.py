@@ -9,26 +9,27 @@ composes tau_1 through tau_{q-1}.
 Both step raw fiber tuples, by one rule (_tau_one): in a fiber tau_k
 rewrites the one slice where the run of k's meets the run of (k+1)'s,
 given the layerwise min of the fibers above and max of those below.  On
-V, promote_pstrict interns fibers to ints once per restriction and
-composes three memoized moves: A under the min of B and C, then B and C
-over the new A (_v_moves).  Other posets, and bender_knuth_tau, apply
+V under restriction_rq, the one restriction every caller builds,
+promote_pstrict interns fibers to ints once per q and composes three
+memoized moves: A under the min of B and C, then B and C over the new A
+(_v_moves, on the column kernel poset._column_moves that rowmotion
+shares).  Other posets and restrictions, and bender_knuth_tau, apply
 _tau_one to every fiber (_tau_fibers), the reference for the moves.
-On V the enumeration is the ranked column loops that list the
+With the moves, the enumeration is the ranked column loops that list the
 partitions of V x [k] too (poset._ranked_columns), over fibers walked
 lazily on a chain (poset._columns) and interned by _v_moves as the loops
 read them, so an image shares its fibers with the labeling it equals,
-and the first labeling costs a few fibers.
-Elsewhere, on a graded poset in any element order, it is the walk that
-lists linear extensions and partitions off V x [k] too
-(poset._order_preserving_maps), the reference for the loops.  Both
-build labelings without validation.  The constructor, from_json,
-labeling_of_word, swap_bc and bender_knuth_tau validate.  On V
-promote_pstrict checks each move when its entry is filled, so every
-labeling it assembles is valid; elsewhere it validates its image, never
-the states between its steps.  Validation checks each distinct fiber
-against its interval once, and the layers across covers for every
-labeling.  free_labels finds the free labels layer by layer; it is the
-reference the tests hold the kernel to.
+and the first labeling costs a few fibers.  Elsewhere, on a graded poset
+in any element order, it is the walk that lists linear extensions and
+partitions off V x [k] too (poset._order_preserving_maps), the reference
+for the loops.  Both build labelings without validation.  The
+constructor, from_json, labeling_of_word, swap_bc and bender_knuth_tau
+validate.  The moves are each checked when their entry is filled, so
+every labeling promote_pstrict assembles is valid; elsewhere it
+validates its image, never the states between its steps.  Validation
+checks each distinct fiber against its interval once, and the layers
+across covers for every labeling.  free_labels finds the free labels
+layer by layer; it is the reference the tests hold the kernel to.
 
 Everything is implemented for an arbitrary graded poset, but only the V
 poset carries the order guarantees verified by the test suites.
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import gt, lt
 from typing import Iterator
 
-from .poset import Element, Poset, _Memo, _columns, _interned, \
+from .poset import Element, Poset, _column_moves, _columns, \
     _order_preserving_maps, _ranked_columns, _unvalidated, make_v, \
     product_with_chain
 
@@ -175,8 +176,8 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
                                    ell: int) -> Iterator[PStrictLabeling]:
     """All labelings for ``rf``, lexicographic on the concatenated fibers.
 
-    On V, the ranked column loops over promotion's interned fibers.
-    Elsewhere the poset must be graded, in any element order: less
+    On V under restriction_rq, the ranked column loops over promotion's
+    interned fibers.  Elsewhere the poset must be graded, in any element order: less
     rk(p), a labeling is an order-preserving map of P x [ell] into
     lo - rk(p) .. hi - rk(p), as poset._order_preserving_maps walks them.
     """
@@ -204,17 +205,15 @@ def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
     fiber is the one promotion's tables interned, so an image shares its
     fibers with the labeling it equals, and tuple compares stop at
     identity."""
-    def over(lo, hi, x):
-        # the interned fibers in lo..hi strictly above x in every layer
-        return (fiber_of[ids[t]] for t in
-                _columns(tuple(max(v + 1, lo) for v in x), hi))
+    q = rf.q
 
-    (lo, hi), b, c = rf.intervals
-    over_b = partial(over, *b)
-    for fa, fb, over_c in _ranked_columns(
-            over(lo, hi, (lo - 1,) * ell), over_b,
-            over_b if c == b else partial(over, *c)):
-        for fc in over_c:
+    def interned(bottom, top):
+        return (fiber_of[ids[t]] for t in _columns(bottom, top))
+
+    for fa, fb, fcs in _ranked_columns(
+            interned((1,) * ell, q - 1),
+            lambda x: interned(tuple(v + 1 for v in x), q)):
+        for fc in fcs:
             yield _labeling(rf, ell, (fa, fb, fc))
 
 
@@ -345,40 +344,36 @@ def _tau_fibers(fibers, k, up, down, intervals):
 
 @lru_cache(maxsize=1)
 def _v_moves(rf: RestrictionFunction):
-    """Tables for promotion on V = {A < B, A < C}, or None for another
-    poset: A' = move_a[A, min(B, C)], then move_b[A', B] and move_c[A', C],
-    on fibers interned to ints.  Each entry runs tau_1 .. tau_{q-1} by
+    """Tables for promotion on V = {A < B, A < C} under the widest
+    restriction, or None for any other: A' = move_a[A, min(B, C)], then
+    B' = move_bc[A', B] and C' = move_bc[A', C], on fibers interned to
+    ints (poset._column_moves).  Each entry runs tau_1 .. tau_{q-1} by
     _tau_one against a fixed bound, once.  That is exact: A's tau_k reads
     only which labels of min(B, C) are >= k+2, which tau_j (j < k) keeps;
     B's and C's read only which labels of A are < k, which tau_j (j > k)
-    keeps.  move_c is move_b when the B and C intervals agree.  Each
+    keeps.  B and C share one move, as they share one interval.  Each
     entry is checked when filled: the moved fiber increases weakly inside
     its interval, strictly past the A fiber it moved over or the min it
     moved under, so labelings assembled from entries are valid."""
-    if rf.poset != make_v():
+    q = rf.q
+    if rf.poset != make_v() or rf.intervals != ((1, q - 1), (2, q), (2, q)):
         return None
-    fibers, ids, low = _interned()  # id -> fiber, fiber -> id, min
 
-    def moves(name, lo, hi, over_a):
-        def fill(key):  # (A, min(B, C)) for A, (A', B or C) for B and C
-            a, x = fibers[key[0]], fibers[key[1]]
-            fiber, above, below = (x, None, a) if over_a else (a, x, None)
-            for k in range(1, rf.q):
-                fiber = _tau_one(fiber, k, lo, hi, above, below)
-            lower, upper = (a, fiber) if over_a else (fiber, x)
-            fault = _fiber_fault(fiber, len(a), lo, hi)
-            if fault is None and not all(map(lt, lower, upper)):
-                past = "A" if over_a else "min(B, C)"
-                fault = f"is not strict against {past}"
-            if fault is not None:
-                raise ValueError(f"moved fiber of {name!r} {fault}")
-            return ids[fiber]
-        return _Memo(fill)
+    def chain(name, fiber, lo, hi, above, below):
+        ell = len(fiber)
+        for k in range(1, q):
+            fiber = _tau_one(fiber, k, lo, hi, above, below)
+        lower, upper, past = ((fiber, above, "min(B, C)") if below is None
+                              else (below, fiber, "A"))
+        fault = _fiber_fault(fiber, ell, lo, hi)
+        if fault is None and not all(map(lt, lower, upper)):
+            fault = f"is not strict against {past}"
+        if fault is not None:
+            raise ValueError(f"moved fiber of {name!r} {fault}")
+        return fiber
 
-    a, b, c = rf.intervals
-    move_b = moves("B", *b, True)
-    return (fibers, ids, low, moves("A", *a, False), move_b,
-            move_b if c == b else moves("C", *c, True))
+    return _column_moves(lambda a, m: chain("A", a, 1, q - 1, m, None),
+                         lambda a, x: chain("B", x, 2, q, None, a))
 
 
 def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
@@ -396,8 +391,9 @@ def bender_knuth_tau(k: int, f: PStrictLabeling) -> PStrictLabeling:
 
 def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
     """Compose the Bender-Knuth involutions tau_1, ..., tau_{q-1}, stepping
-    the raw fibers.  On V the image is three composed moves, each checked
-    when its entry was filled; elsewhere it is validated once."""
+    the raw fibers.  On V under restriction_rq the image is three composed
+    moves, each checked when its entry was filled; elsewhere it is
+    validated once."""
     rf = f.restriction
     tables = _v_moves(rf)
     if tables is None:
@@ -406,11 +402,11 @@ def promote_pstrict(f: PStrictLabeling) -> PStrictLabeling:
         for k in range(1, rf.q):
             fibers = _tau_fibers(fibers, k, up, down, rf.intervals)
         return f if fibers is f.fibers else PStrictLabeling(rf, f.ell, fibers)
-    fiber_of, ids, low, move_a, move_b, move_c = tables
+    fiber_of, ids, low, move_a, move_bc = tables
     fa, fb, fc = f.fibers
     ia, ib, ic = ids[fa], ids[fb], ids[fc]
     a = move_a[ia, low[ib, ic]]
-    b, c = move_b[a, ib], move_c[a, ic]
+    b, c = move_bc[a, ib], move_bc[a, ic]
     if (a, b, c) == (ia, ib, ic):
         return f
     return _labeling(rf, f.ell, (fiber_of[a], fiber_of[b], fiber_of[c]))

@@ -20,11 +20,12 @@ placed earlier, and keeps O(m).  Neither recurses, and the partitions
 are built without validation; the constructor, from_json and
 apply_automorphism validate.  One sweep toggles raw values along
 element indices, reading the poset's cover-index tables.  On V x [k],
-rowmotion moves the B and C columns, then A, by lookups the sweep fills
-once each; togpro is the same moves in the other order; each lookup
-validates the partition it sweeps when it is filled, so every partition
-assembled from moves is valid.  Off V x [k] a step validates the
-partition it returns, never the states between its toggles.  The
+rowmotion moves the B and C columns, then A, by the column kernel that
+promotion on V uses too (poset._column_moves), its lookups filled once
+each by the sweep; togpro is the same moves in the other order; each
+lookup validates the partition it sweeps when it is filled, so every
+partition assembled from moves is valid.  Off V x [k] a step validates
+the partition it returns, never the states between its toggles.  The
 element-level reading (upper_covers, lower_covers, PPartition.value) is
 the reference the tests hold the sweep to.
 """
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
-from .poset import Element, LinearExtension, Poset, _Memo, _columns, \
-    _interned, _order_preserving_maps, _ranked_columns, _unvalidated, \
+from .poset import Element, LinearExtension, Poset, _column_moves, \
+    _columns, _order_preserving_maps, _ranked_columns, _unvalidated, \
     linear_extensions, make_v, product_with_chain, v_chain_layers
 
 __all__ = [
@@ -119,9 +120,9 @@ def _v_partitions(poset: Poset, ell: int, k: int) -> Iterator[PPartition]:
     each B column weakly above it, then each such C column, the columns
     weakly increasing in 0..ell."""
     over = partial(_columns, top=ell)
-    for a, b, over_c in _ranked_columns(over((0,) * k), over, over):
+    for a, b, cs in _ranked_columns(over((0,) * k), over):
         ab = a + b
-        for c in over_c:
+        for c in cs:
             yield _partition(poset, ell, ab + c)
 
 
@@ -165,28 +166,22 @@ def _first_order(poset: Poset) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _v_moves(poset: Poset, ell: int):
-    """Tables for rowmotion and togpro on V x [k], else None: split gives
-    the A, B and C column ids, move_b[a, x] sweeps B or C column x over A
+    """Tables for rowmotion and togpro on V x [k], else None
+    (poset._column_moves): move_bc[a, x] sweeps B or C column x over A
     column a, move_a[a, m] column a under m = min(B, C).  Each entry is
     filled once, and checked then by validating the partition it swept,
     (a, x', x) or (a', m, m)."""
     k = v_chain_layers(poset)
     if k is None:
         return None
-    columns, ids, low = _interned()  # id -> column, column -> id, min
 
-    def split(v):
-        return ids[v[:k]], ids[v[k:-k]], ids[v[-k:]]
+    def swept(start, a, x):  # sweeps the column at start of (a, x, x)
+        values = [*a, *x * 2]
+        _sweep(values, range(start + k - 1, start - 1, -1), poset, ell)
+        PPartition(poset, ell, tuple(values))  # raises unless valid
+        return tuple(values[start:start + k])
 
-    def move(start):  # sweeps the column at start of the values (a, x, x)
-        def fill(ax):
-            values = [*columns[ax[0]], *columns[ax[1]] * 2]
-            _sweep(values, range(start + k - 1, start - 1, -1), poset, ell)
-            PPartition(poset, ell, tuple(values))  # raises unless valid
-            return ids[tuple(values[start:start + k])]
-        return _Memo(fill)
-
-    return columns, split, low, move(0), move(k)
+    return _column_moves(partial(swept, 0), partial(swept, k))
 
 
 def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
@@ -199,9 +194,10 @@ def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
         values = list(f.values)
         _sweep(values, _rowmotion_order(f.poset, ext), f.poset, f.ell)
         return PPartition(f.poset, f.ell, tuple(values))
-    columns, split, low, move_a, move_b = tables
-    a, b, c = split(f.values)
-    b, c = move_b[a, b], move_b[a, c]
+    columns, ids, low, move_a, move_bc = tables
+    v, k = f.values, len(f.values) // 3
+    a, b, c = ids[v[:k]], ids[v[k:-k]], ids[v[-k:]]
+    b, c = move_bc[a, b], move_bc[a, c]
     a = move_a[a, low[b, c]]
     return _partition(f.poset, f.ell, columns[a] + columns[b] + columns[c])
 
@@ -226,10 +222,11 @@ def togpro(f: PPartition, q: int) -> PPartition:
     tables = _v_moves(f.poset, f.ell)
     if tables is None or len(f.values) != 3 * (q - 2):  # V x [k]: 3k values
         raise ValueError(f"poset must be V x [{q - 2}] for q={q}")
-    columns, split, low, move_a, move_b = tables
-    a, b, c = split(f.values)
+    columns, ids, low, move_a, move_bc = tables
+    v, k = f.values, q - 2
+    a, b, c = ids[v[:k]], ids[v[k:-k]], ids[v[-k:]]
     a = move_a[a, low[b, c]]
-    b, c = move_b[a, b], move_b[a, c]
+    b, c = move_bc[a, b], move_bc[a, c]
     return _partition(f.poset, f.ell, columns[a] + columns[b] + columns[c])
 
 

@@ -617,10 +617,6 @@ class _Claim:
     points: list = field(default_factory=list)
 
 
-def _given(value: int | None, default: int) -> int:
-    return default if value is None else value
-
-
 _WORD_CLAIMS = {
     "layers": (("content-rotation", _per_word(_content_rotation)),),
     "doublearcs": (
@@ -649,15 +645,10 @@ _FIGURE_CLAIMS = (
 )
 
 
-# The grid flags each suite's claims read; the others have fixed grids.
-_GRID_FLAGS = {"main": ("ell_max", "q_max", "sum_max"),
-               **dict.fromkeys(("layers", "doublearcs", "standardization",
-                                "rowmotion", "equivariance"),
-                               ("ell_max", "q_max"))}
-
-
-def _build_suite(name: str, ell_max: int | None, q_max: int | None,
-                 sum_max: int | None, ceiling: int) -> list[_Claim]:
+def _build_suite(name: str, given: Callable[[str, int], int],
+                 ceiling: int) -> list[_Claim]:
+    """The claims of one suite; given(flag, default) is each grid flag it
+    reads, the flag's value or else the default."""
     if name == "classical":
         params = {"n_max": 3}
         grid = [(n, 3 * n) for n in range(1, 4)]
@@ -676,7 +667,8 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
             _Claim("kreweras-roundtrip", params, _kreweras_roundtrip,
                    ("extensions",), grid)]
     if name == "main":
-        em, qm, sm = _given(ell_max, 3), _given(q_max, 7), _given(sum_max, 10)
+        em, qm = given("ell_max", 3), given("q_max", 7)
+        sm = given("sum_max", 10)
         params = {"ell_max": em, "q_max": qm, "sum_max": sm}
         grid = _word_grid(em, qm, sm)
         return [_Claim("pstrict-order-divides-2q", params, _pstrict_order,
@@ -684,15 +676,15 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
                 _Claim("pstrict-pro-q-is-bc-swap", params, _q_is_mirror,
                        ("pro-pstrict",), grid)]
     if name in _WORD_CLAIMS:
-        em, qm = _given(ell_max, 2), _given(q_max, 6)
+        em, qm = given("ell_max", 2), given("q_max", 6)
         params = {"ell_max": em, "q_max": qm}
         grid = _word_grid(em, qm)
         return [_Claim(cid, params, check, ("pro-pstrict",), grid)
                 for cid, check in _WORD_CLAIMS[name]]
     if name == "rowmotion":
-        em = _given(ell_max, 3)
-        qm = _given(q_max, 5)  # partitions of V x [q - 2]
-        fm, fq = _given(ell_max, 2), _given(q_max, 6)
+        em = given("ell_max", 3)
+        qm = given("q_max", 5)  # partitions of V x [q - 2]
+        fm, fq = given("ell_max", 2), given("q_max", 6)
         return [
             _Claim("row-order-divides", {"ell_max": em, "k_max": qm - 2},
                    _row_order, ("row",), _word_grid(em, qm)),
@@ -704,7 +696,7 @@ def _build_suite(name: str, ell_max: int | None, q_max: int | None,
                    partial(_row_extension_independent, ceiling), ("row",),
                    [(1, 4), (2, 3)])]
     if name == "equivariance":
-        em, qm = _given(ell_max, 2), _given(q_max, 6)
+        em, qm = given("ell_max", 2), given("q_max", 6)
         params = {"ell_max": em, "q_max": qm}
         grid = _word_grid(em, qm)
         return [_Claim("orbit-multisets-agree", params,
@@ -733,22 +725,27 @@ def run_suite(suite: str, ell_max: int | None = None,
     else:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(SUITE_NAMES + ('all',))}")
-    read = {flag for name in names for flag in _GRID_FLAGS.get(name, ())}
-    # below these no grid point is left, and a claim would check nothing
-    for flag, value, least in (("ell_max", ell_max, 1), ("q_max", q_max, 3),
-                               ("sum_max", sum_max, 4)):
-        if value is None:
-            continue
-        if flag not in read:
-            raise ValueError(f"no claim of suite {suite!r} reads {flag} "
-                             f"(--{flag.replace('_', '-')})")
-        if value < least:
+    flags = {"ell_max": ell_max, "q_max": q_max, "sum_max": sum_max}
+    read = set()
+
+    def given(flag: str, default: int) -> int:
+        read.add(flag)
+        value = flags[flag]
+        # below these no grid point is left, and a claim would check
+        # nothing; refused before a grid is built from the other flags
+        least = {"ell_max": 1, "q_max": 3, "sum_max": 4}[flag]
+        if value is not None and value < least:
             raise ValueError(f"{flag} (--{flag.replace('_', '-')}) must be "
                              f">= {least}, got {value}")
+        return default if value is None else value
+
     started = time.monotonic()
     claims = [claim for name in names
-              for claim in _build_suite(name, ell_max, q_max, sum_max,
-                                        ceiling)]
+              for claim in _build_suite(name, given, ceiling)]
+    for flag, value in flags.items():
+        if value is not None and flag not in read:
+            raise ValueError(f"no claim of suite {suite!r} reads {flag} "
+                             f"(--{flag.replace('_', '-')})")
     results: list = [None] * len(claims)
 
     def settle(i: int, counterexample: dict | None) -> None:

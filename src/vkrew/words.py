@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .kreweras import KrewerasWord, is_crossing
+from .kreweras import KrewerasWord, bump_diagram, is_crossing
 from .orbits import _json_field
 from .poset import make_v
 from .pstrict import PStrictLabeling, enumerate_labelings, promote_pstrict, \
@@ -356,8 +356,6 @@ def same_block_closers_nest(word: KrewerasWord,
                             block_sizes: tuple[int, ...]) -> bool:
     """Check that no two arcs of a standardized word cross when both end
     inside the same block."""
-    from .kreweras import bump_diagram
-
     block_of = {}
     pos = 0
     for i, size in enumerate(block_sizes, start=1):

@@ -132,6 +132,28 @@ def test_a_large_poset_keeps_only_its_covers():
     assert size < 3_000_000
 
 
+def test_a_large_poset_and_its_first_extension_peak_linear_in_size():
+    # no set of the elements above or below each element is kept at once,
+    # building the poset or bounding its extensions' labels: with the
+    # bitsets of all strict up- and down-sets, building V x [3000] peaked
+    # at 23 MB; without, building and the first extension take 6.9 MB
+    k = 3000
+    elements = [(p, i) for p in "ABC" for i in range(1, k + 1)]
+    covers = [((a, i), (b, i)) for a, b in (("A", "B"), ("A", "C"))
+              for i in range(1, k + 1)]
+    covers += [((p, i), (p, i + 1)) for p in "ABC" for i in range(1, k)]
+    tracemalloc.start()
+    try:
+        poset = Poset(elements, covers)
+        first = next(linear_extensions(poset))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poset.rank_max == k
+    assert first.labels[:3] == (1, 2, 3)
+    assert peak < 12_000_000
+
+
 def test_poset_rejects_unknown_cover_endpoint():
     with pytest.raises(PosetError):
         Poset(("a",), (("a", "b"),))
