@@ -169,18 +169,27 @@ class BumpDiagram:
                 raise ValueError("arc endpoints out of range")
 
 
-def bump_diagram(word: KrewerasWord) -> BumpDiagram:
-    """Match each B (and each C) with the most recent open A.
+def _matchings(letters) -> tuple[list, list]:
+    """The (opener, closer) positions, counted from 1, of the B arcs and
+    of the C arcs: each B (and each C) closes the most recent open A.
 
     The stack discipline yields the unique noncrossing matching whose
     openers are the A positions and closers the B (resp. C) positions.
     """
-    arcs = {"B": set(), "C": set()}
-    stacks = {"B": [], "C": []}
-    for pos, ch in enumerate(word.letters, start=1):
+    arcs_b, arcs_c = [], []
+    open_b, open_c = [], []
+    for pos, ch in enumerate(letters, start=1):
         if ch == "A":
-            stacks["B"].append(pos)
-            stacks["C"].append(pos)
+            open_b.append(pos)
+            open_c.append(pos)
+        elif ch == "B":
+            arcs_b.append((open_b.pop(), pos))
         else:
-            arcs[ch].add((stacks[ch].pop(), pos))
-    return BumpDiagram(len(word), frozenset(arcs["B"]), frozenset(arcs["C"]))
+            arcs_c.append((open_c.pop(), pos))
+    return arcs_b, arcs_c
+
+
+def bump_diagram(word: KrewerasWord) -> BumpDiagram:
+    """The two matchings of a Kreweras word (_matchings)."""
+    arcs_b, arcs_c = _matchings(word.letters)
+    return BumpDiagram(len(word), frozenset(arcs_b), frozenset(arcs_c))

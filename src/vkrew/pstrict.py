@@ -23,8 +23,8 @@ and the first labeling costs a few fibers.  Elsewhere, on a graded poset
 in any element order, it is the walk that lists linear extensions and
 partitions off V x [k] too (poset._order_preserving_maps), the reference
 for the loops.  Both build labelings without validation.  The
-constructor, from_json, labeling_of_word, swap_bc and bender_knuth_tau
-validate.  The moves are each checked when their entry is filled, so
+constructor, labeling_of_word, swap_bc and bender_knuth_tau validate.
+The moves are each checked when their entry is filled, so
 every labeling promote_pstrict assembles is valid; elsewhere it
 validates its image, never the states between its steps.  Validation
 checks each distinct fiber against its interval once, and the layers
@@ -140,12 +140,6 @@ class PStrictLabeling:
                 "fibers": {str(p): list(f)
                            for p, f in zip(self.restriction.poset.elements,
                                            self.fibers)}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PStrictLabeling":
-        rf = restriction_rq(make_v(), data["q"])
-        fibers = tuple(tuple(data["fibers"][p]) for p in ("A", "B", "C"))
-        return cls(rf, data["ell"], fibers)
 
     def __repr__(self) -> str:
         body = "; ".join(f"{p}:{','.join(map(str, f))}"

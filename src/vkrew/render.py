@@ -9,29 +9,23 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .kreweras import KrewerasWord, bump_diagram
-from .words import PartialMultiKrewerasWord, generalized_bump_diagram
+from .kreweras import KrewerasWord
+from .words import PartialMultiKrewerasWord, destandardize, \
+    generalized_bump_diagram
 
 __all__ = ["render_diagram"]
 
 
 def _diagram_data(obj):
-    """Normalize either word kind to (slots, solid arcs, dashed arcs,
-    double-arc opener slots, arc label function, blocked flag)."""
+    """The generalized bump diagram of either word kind, and whether to
+    draw block separators.  A Kreweras word is drawn as its word with one
+    letter per block, so its block indices are its letter positions; the
+    empty word is one empty block."""
     if isinstance(obj, PartialMultiKrewerasWord):
-        diagram = generalized_bump_diagram(obj)
-        slots = diagram.slots
-        doubles = diagram.double_arc_openers()
-
-        def label(pos):
-            return diagram.slot_block(pos)
-
-        return slots, diagram.arcs_b, diagram.arcs_c, doubles, label, True
+        return generalized_bump_diagram(obj), True
     if isinstance(obj, KrewerasWord):
-        diagram = bump_diagram(obj)
-        slots = tuple((pos, ch) for pos, ch in enumerate(obj.letters, start=1))
-        return slots, tuple(sorted(diagram.arcs_b)), \
-            tuple(sorted(diagram.arcs_c)), (), (lambda pos: pos), False
+        return generalized_bump_diagram(
+            destandardize(obj, (1,) * len(obj) or (0,))), False
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -44,13 +38,14 @@ def render_diagram(obj, fmt: str) -> str:
 
 
 def _render_ascii(obj) -> str:
-    slots, arcs_b, arcs_c, doubles, label, blocked = _diagram_data(obj)
+    diagram, blocked = _diagram_data(obj)
+    doubles = diagram.double_arc_openers()
     columns = {}
     letters_row = []
     index_row = []
     col = 0
     previous_block = None
-    for pos, (block, ch) in enumerate(slots, start=1):
+    for pos, (block, ch) in enumerate(diagram.slots, start=1):
         if blocked and previous_block is not None and block != previous_block:
             letters_row.append("|")
             index_row.append(" ")
@@ -66,15 +61,15 @@ def _render_ascii(obj) -> str:
         col += 1 + pad
         previous_block = block
 
-    arcs = sorted([("B", i, j) for i, j in arcs_b]
-                  + [("C", i, j) for i, j in arcs_c],
+    arcs = sorted([("B", i, j) for i, j in diagram.arcs_b]
+                  + [("C", i, j) for i, j in diagram.arcs_c],
                   key=lambda arc: (arc[1], arc[2], arc[0]))
     lines = ["".join(letters_row), "".join(index_row)]
     for color, i, j in arcs:
         start, end = columns[i], columns[j]
         fill = "-" if color == "B" else "."
         row = " " * start + "+" + fill * max(0, end - start - 1) + "+"
-        note = f"  {color} {label(i)}->{label(j)}"
+        note = f"  {color} {diagram.slot_block(i)}->{diagram.slot_block(j)}"
         if i in doubles:
             note += " *double"
         lines.append(row + note)
@@ -83,7 +78,8 @@ def _render_ascii(obj) -> str:
 
 
 def _render_svg(obj) -> str:
-    slots, arcs_b, arcs_c, doubles, label, blocked = _diagram_data(obj)
+    diagram, blocked = _diagram_data(obj)
+    slots = diagram.slots
     step = 26
     margin = 30
     baseline = 170
@@ -121,11 +117,11 @@ def _render_svg(obj) -> str:
                 f'stroke="{"#1f4fd8" if cls == "arc-b" else "#c0392b"}" '
                 f'stroke-width="2"{dash}/>')
 
-    for i, j in sorted(arcs_b):
+    for i, j in diagram.arcs_b:
         parts.append(arc_path(i, j, "arc-b", ""))
-    for i, j in sorted(arcs_c):
+    for i, j in diagram.arcs_c:
         parts.append(arc_path(i, j, "arc-c", ' stroke-dasharray="6 4"'))
-    for pos in doubles:
+    for pos in diagram.double_arc_openers():
         parts.append(f'<circle class="double-arc" cx="{x(pos)}" '
                      f'cy="{baseline - 10}" r="3" fill="#c0392b"/>')
     parts.append("</svg>")

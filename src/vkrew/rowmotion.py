@@ -17,7 +17,7 @@ lists linear extensions and labelings off V
 (poset._order_preserving_maps) lists them, and is the loops' reference;
 it bounds each value by 0..ell and by every cover whose other end was
 placed earlier, and keeps O(m).  Neither recurses, and the partitions
-are built without validation; the constructor, from_json and
+are built without validation; the constructor and
 apply_automorphism validate.  One sweep toggles raw values along
 element indices, reading the poset's cover-index tables.  On V x [k],
 rowmotion moves the B and C columns, then A, by the column kernel that
@@ -81,14 +81,6 @@ class PPartition:
         return {"poset": "VxK", "k": k, "ell": self.ell,
                 "values": {f"({p},{i})": self.value((p, i))
                            for p, i in self.poset.elements}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PPartition":
-        if data.get("poset") != "VxK":
-            raise ValueError("unsupported poset tag")
-        poset = product_with_chain(make_v(), data["k"])
-        values = tuple(data["values"][f"({p},{i})"] for p, i in poset.elements)
-        return cls(poset, data["ell"], values)
 
     def __repr__(self) -> str:
         return f"PPartition({self.values})"

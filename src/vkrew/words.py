@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .kreweras import KrewerasWord, bump_diagram, is_crossing
+from .kreweras import KrewerasWord, _matchings, bump_diagram, is_crossing
 from .orbits import _json_field
 from .poset import make_v
 from .pstrict import PStrictLabeling, enumerate_labelings, promote_pstrict, \
@@ -211,22 +211,14 @@ class GeneralizedBumpDiagram:
 
 
 def generalized_bump_diagram(w: PartialMultiKrewerasWord) -> GeneralizedBumpDiagram:
-    """Build both matchings by one stack per color over the slot order."""
+    """Match the slot letters (kreweras._matchings) and sort each color's
+    arcs."""
     slots: list[tuple[int, str]] = []
     for i, (na, nb, nc) in enumerate(w.blocks, start=1):
         slots += [(i, "B")] * nb + [(i, "C")] * nc + [(i, "A")] * na
-    arcs = {"B": [], "C": []}
-    stacks: dict[str, list[int]] = {"B": [], "C": []}
-    for pos, (_, ch) in enumerate(slots, start=1):
-        if ch == "A":
-            stacks["B"].append(pos)
-            stacks["C"].append(pos)
-        else:
-            if not stacks[ch]:
-                raise ValueError("closer without an open A")
-            arcs[ch].append((stacks[ch].pop(), pos))
+    arcs_b, arcs_c = _matchings(ch for _, ch in slots)
     return GeneralizedBumpDiagram(
-        w, tuple(slots), tuple(sorted(arcs["B"])), tuple(sorted(arcs["C"])))
+        w, tuple(slots), tuple(sorted(arcs_b)), tuple(sorted(arcs_c)))
 
 
 def layer_decomposition(w: PartialMultiKrewerasWord) -> tuple[VLayer, ...]:
@@ -318,22 +310,19 @@ def standardize(w: PartialMultiKrewerasWord) -> tuple[KrewerasWord, tuple[int, .
     diagram = generalized_bump_diagram(w)
     if diagram.double_arc_openers():
         raise ValueError("word has double arcs; standardization undefined")
-    opener_of = {c: o for o, c in diagram.arcs_b}
-    opener_of.update({c: o for o, c in diagram.arcs_c})
-    letters = []
-    for i in range(1, w.q + 1):
-        closers = [pos for pos, (blk, ch) in enumerate(diagram.slots, start=1)
-                   if blk == i and ch != "A"]
-        closers.sort(key=lambda pos: -opener_of[pos])
-        letters += [diagram.slots[pos - 1][1] for pos in closers]
-        letters += ["A"] * w.blocks[i - 1][0]
-    sizes = tuple(w.block_size(i) for i in range(1, w.q + 1))
-    return KrewerasWord("".join(letters)), sizes
+    opener_of = {c: o for o, c in diagram.arcs_b + diagram.arcs_c}
+    # an A has no opener, so it sorts after its block's closers
+    order = sorted(enumerate(diagram.slots, start=1),
+                   key=lambda slot: (slot[1][0], -opener_of.get(slot[0], 0)))
+    letters = "".join(ch for _, (_, ch) in order)
+    return KrewerasWord(letters), tuple(map(sum, w.blocks))
 
 
 def destandardize(word: KrewerasWord,
                   block_sizes: tuple[int, ...]) -> PartialMultiKrewerasWord:
     """Regroup a Kreweras word into blocks of the given sizes."""
+    if min(block_sizes, default=0) < 0:
+        raise ValueError(f"block size {min(block_sizes)} is negative")
     if sum(block_sizes) != len(word):
         raise ValueError(
             f"block sizes sum to {sum(block_sizes)}, word has {len(word)} letters")

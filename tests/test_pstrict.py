@@ -10,8 +10,10 @@ from vkrew.pstrict import PStrictLabeling, RestrictionFunction, \
     _tau_fibers, _v_moves, bender_knuth_tau, enumerate_labelings, \
     enumerate_restricted_labelings, free_labels, free_labels_bruteforce, \
     promote_pstrict, restriction_rq, swap_bc
-from vkrew.kreweras import promote_linext
-from vkrew.words import PartialMultiKrewerasWord, labeling_of_word
+from vkrew.kreweras import bump_diagram, promote_kreweras, promote_linext, \
+    to_kreweras
+from vkrew.words import PartialMultiKrewerasWord, destandardize, \
+    generalized_bump_diagram, labeling_of_word, word_of_labeling
 
 
 def labeling(ell, q, fa, fb, fc):
@@ -104,11 +106,6 @@ def test_labeling_validation():
         labeling(1, 4, (1,), (2,), (5,))  # outside interval
     with pytest.raises(ValueError):
         labeling(1, 4, (4,), (2,), (3,))  # A fiber above its maximum
-
-
-def test_labeling_json_roundtrip():
-    f = labeling(2, 4, (1, 2), (2, 3), (3, 3))
-    assert PStrictLabeling.from_json(f.to_json()) == f
 
 
 @pytest.mark.parametrize("ell,q,count", [(1, 3, 5), (2, 3, 14)])
@@ -257,18 +254,29 @@ def test_promotion_power_2q_is_identity():
 def test_promotion_matches_linext_on_distinct_labels():
     # every linear extension of V x [n], read as fibers, is a labeling at
     # (n, 3n) with distinct labels, and its P-strict promotion is its
-    # promotion as an extension: the Hopkins-Rubey case of the theorem
+    # promotion as an extension: the Hopkins-Rubey case of the theorem.
+    # Its word is the Kreweras word with one letter per block, in step
+    # with promote_kreweras and with the same bump diagram.
     counts = []
     for n in range(1, 5):
         rf = restriction_rq(make_v(), 3 * n)
+        sizes = (1,) * (3 * n)
 
         def fibers(labels):
             return labels[:n], labels[n:2 * n], labels[2 * n:]
         counts.append(0)
         for ext in linear_extensions(product_with_chain(make_v(), n)):
             f = PStrictLabeling(rf, n, fibers(ext.labels))
-            assert promote_pstrict(f).fibers \
-                == fibers(promote_linext(ext).labels)
+            g = promote_pstrict(f)
+            assert g.fibers == fibers(promote_linext(ext).labels)
+            w = to_kreweras(ext)
+            assert word_of_labeling(f) == destandardize(w, sizes)
+            assert word_of_labeling(g) \
+                == destandardize(promote_kreweras(w), sizes)
+            flat = bump_diagram(w)
+            diagram = generalized_bump_diagram(destandardize(w, sizes))
+            assert (set(diagram.arcs_b), set(diagram.arcs_c)) \
+                == (flat.arcs_b, flat.arcs_c)
             counts[-1] += 1
     assert counts == [2, 16, 192, 2816]
 
@@ -481,13 +489,6 @@ def test_restricted_enumeration_rejects_ell_below_1(ell):
 
 
 def test_outside_data_is_validated():
-    # the constructor's own checks are test_validation_messages'
-    data = labeling(2, 4, (1, 2), (2, 3), (3, 3)).to_json()
-    for fibers, message in (({"C": [3, 5]}, "fiber of 'C' leaves"),
-                            ({"A": [2, 1]}, "fiber of 'A' decreases")):
-        with pytest.raises(ValueError, match=message):
-            PStrictLabeling.from_json(
-                {**data, "fibers": {**data["fibers"], **fibers}})
     # a word with no letters passes its own checks, not a labeling's
     with pytest.raises(ValueError, match="ell must be >= 1"):
         labeling_of_word(PartialMultiKrewerasWord(0, 4, ((0, 0, 0),) * 4))

@@ -28,6 +28,52 @@ def test_ascii_plain_kreweras_word():
     assert "|" not in out
 
 
+LEGEND = "solid - : A->B arcs, dashed . : A->C arcs\n"
+
+
+def test_ascii_bytes_of_a_plain_word():
+    assert render_diagram(KrewerasWord("AABCBC"), "ascii") == LEGEND + (
+        "AABCBC\n"
+        "123456\n"
+        "+---+  B 1->5\n"
+        "+....+  C 1->6\n"
+        " ++  B 2->3\n"
+        " +.+  C 2->4\n")
+
+
+def test_ascii_bytes_of_a_double_arc():
+    word = PartialMultiKrewerasWord.from_text("A|BC")
+    assert render_diagram(word, "ascii") == LEGEND + (
+        "A|BC\n"
+        "1 2 \n"
+        "+-+  B 1->2 *double\n"
+        "+..+  C 1->2 *double\n")
+
+
+def test_ascii_bytes_of_the_empty_word():
+    assert render_diagram(KrewerasWord(""), "ascii") == LEGEND + "\n\n"
+
+
+def test_svg_bytes_of_a_plain_word():
+    assert render_diagram(KrewerasWord("ABC"), "svg") == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="112" height="210" '
+        'viewBox="0 0 112 210">\n'
+        '<g class="letters" font-family="monospace" font-size="14" '
+        'text-anchor="middle">\n'
+        '<text x="30" y="170">A</text>\n'
+        '<text class="block-index" x="30" y="190" font-size="10">1</text>\n'
+        '<text x="56" y="170">B</text>\n'
+        '<text class="block-index" x="56" y="190" font-size="10">2</text>\n'
+        '<text x="82" y="170">C</text>\n'
+        '<text class="block-index" x="82" y="190" font-size="10">3</text>\n'
+        '</g>\n'
+        '<path class="arc-b" d="M 30 154 Q 43 127 56 154" fill="none" '
+        'stroke="#1f4fd8" stroke-width="2"/>\n'
+        '<path class="arc-c" d="M 30 154 Q 56 114 82 154" fill="none" '
+        'stroke="#c0392b" stroke-width="2" stroke-dasharray="6 4"/>\n'
+        '</svg>\n')
+
+
 def test_render_deterministic():
     word = golden.word69()
     assert render_diagram(word, "ascii") == render_diagram(word, "ascii")

@@ -214,6 +214,9 @@ def test_destandardize_examples():
         == "A|A|CC|BB"
     with pytest.raises(ValueError):
         destandardize(KrewerasWord("ABC"), (1, 1, 2))
+    # the sizes sum to the length, but no block holds -1 letters
+    with pytest.raises(ValueError, match="block size -1 is negative"):
+        destandardize(KrewerasWord("AABBCC"), (2, 5, -1))
 
 
 def test_destandardize_roundtrip_deleted_figure_word():
