@@ -17,9 +17,9 @@ from .poset import linear_extensions, make_v, product_with_chain
 from .pstrict import enumerate_labelings
 from .render import render_diagram
 from .rowmotion import enumerate_ppartitions
-from .verify import DEFAULT_CEILING, SUITE_NAMES, CeilingExceeded, \
-    export_report, orbit_report_for_action, report_from_json, \
-    report_to_json_text, run_suite
+from .verify import _ACTIONS, DEFAULT_CEILING, SUITE_NAMES, \
+    CeilingExceeded, export_report, orbit_report_for_action, \
+    report_from_json, report_to_json_text, run_suite
 from .words import PartialMultiKrewerasWord, enumerate_words
 
 USAGE_ERROR = 2
@@ -42,8 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbits", help="orbit decomposition of one action")
     p.add_argument("--action", required=True,
-                   choices=["pro-linext", "pro-pstrict", "pro-kreweras",
-                            "row", "togpro"])
+                   choices=list(_ACTIONS))
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--q", type=int)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
@@ -70,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(parser, condition, message):
-    if not condition:
-        parser.error(message)  # exits with code 2
-
-
 # The one size flag each object does not read (linext reads --ell as --k).
 _UNREAD_FLAG = {"linext": "q", "labelings": "k", "words": "k",
                 "ppartitions": "q"}
@@ -88,7 +82,7 @@ def _at_least(args, flag: str, least: int = 1) -> int:
     return value
 
 
-def _cmd_enumerate(args, parser) -> int:
+def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
     unread = _UNREAD_FLAG[args.object]
@@ -96,8 +90,8 @@ def _cmd_enumerate(args, parser) -> int:
         raise ValueError(f"enumerate --object {args.object} does not read "
                          f"--{unread}")
     if args.object == "linext":
-        _require(parser, args.k is not None or args.ell is not None,
-                 "linext needs --k (layers of V x [k])")
+        if args.k is None and args.ell is None:
+            raise ValueError("linext needs --k (layers of V x [k])")
         if None not in (args.k, args.ell) and args.k != args.ell:
             raise ValueError(f"linext reads --ell as --k; got --ell "
                              f"{args.ell} and --k {args.k}")
@@ -106,18 +100,18 @@ def _cmd_enumerate(args, parser) -> int:
                              "labels": list(e.labels)})
                  for e in linear_extensions(product_with_chain(make_v(), n)))
     elif args.object == "labelings":
-        _require(parser, args.ell is not None and args.q is not None,
-                 "labelings need --ell and --q")
+        if None in (args.ell, args.q):
+            raise ValueError("labelings need --ell and --q")
         items = (json.dumps(f.to_json()) for f in enumerate_labelings(
             _at_least(args, "ell"), _at_least(args, "q", 3)))
     elif args.object == "words":
-        _require(parser, args.ell is not None and args.q is not None,
-                 "words need --ell and --q")
+        if None in (args.ell, args.q):
+            raise ValueError("words need --ell and --q")
         items = (json.dumps(w.to_json()) for w in enumerate_words(
             _at_least(args, "ell"), _at_least(args, "q", 3)))
     else:
-        _require(parser, args.ell is not None and args.k is not None,
-                 "ppartitions need --ell and --k")
+        if None in (args.ell, args.k):
+            raise ValueError("ppartitions need --ell and --k")
         poset = product_with_chain(make_v(), _at_least(args, "k"))
         items = (json.dumps(f.to_json()) for f in enumerate_ppartitions(
             poset, _at_least(args, "ell", 0)))
@@ -133,16 +127,14 @@ def _cmd_enumerate(args, parser) -> int:
     return 0
 
 
-def _cmd_orbits(args, parser) -> int:
-    if args.action in ("pro-pstrict", "row", "togpro"):
-        _require(parser, args.q is not None, f"{args.action} needs --q")
+def _cmd_orbits(args) -> int:
     report = orbit_report_for_action(args.action, args.ell, args.q,
                                      ceiling=args.ceiling)
     sys.stdout.write(report_to_json_text(report))
     return 0 if report.all_checks_pass else 1
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     report = run_suite(args.suite, ell_max=args.ell_max, q_max=args.q_max,
                        sum_max=args.sum_max, ceiling=args.ceiling)
     for line in report.summary_lines():
@@ -187,13 +179,13 @@ def _word_from_json(data: dict):
     return PartialMultiKrewerasWord.from_text(_json_field(data, "word", str))
 
 
-def _cmd_render(args, parser) -> int:
+def _cmd_render(args) -> int:
     obj = _from_json(_word_from_json, _read_json_object(args.input))
     sys.stdout.write(render_diagram(obj, args.format))
     return 0
 
 
-def _cmd_export(args, parser) -> int:
+def _cmd_export(args) -> int:
     report = _from_json(report_from_json, _read_json_object(args.input))
     export_report(report, args.out, args.format)
     return 0
@@ -208,7 +200,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "ceiling", 1) < 1:
             raise ValueError(f"--ceiling must be >= 1, got {args.ceiling}")
-        return commands[args.command](args, parser)
+        return commands[args.command](args)
     except (CeilingExceeded, RecursionError, ValueError, OSError) as exc:
         # RecursionError: JSON nested too deep to read
         print(f"error: {exc}", file=sys.stderr)

@@ -23,15 +23,16 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
     positions in ``elements`` starting at its earliest, in order of
     those.  Elements are looked up by ``key``, a raw form that tells them
     apart, or by themselves: an image is the element of its key if it has
-    that element's class and equals it.  Raises ActionError if the map
-    leaves the set or identifies two elements."""
+    that element's class and equals it.  Each element is stepped once, in
+    enumeration order; the walk proves the map a bijection, for it closes
+    each cycle at its start unless it reaches an element twice.  Raises
+    ActionError if the map leaves the set or identifies two elements."""
     items = list(elements)
     key = key or (lambda x: x)
     index = {k: i for i, k in enumerate(map(key, items))}
     if len(index) != len(items):
         raise ActionError("enumeration repeats an element")
-    image = []
-    hit = [0] * len(items)
+    image = array("q")
     for x in items:
         y = step(x)
         j = index.get(key(y)) if type(y) is type(x) else None
@@ -40,11 +41,7 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
         if j is None:
             raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
         image.append(j)
-        hit[j] += 1
-    for i, count in enumerate(hit):
-        if count != 1:
-            raise ActionError(f"{items[i]!r} has {count} preimages; not a bijection")
-    seen = [False] * len(items)
+    seen = bytearray(len(items))
     cycles = []
     for start in range(len(items)):
         if seen[start]:
@@ -52,9 +49,12 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
         cycle = []
         i = start
         while not seen[i]:
-            seen[i] = True
+            seen[i] = 1
             cycle.append(i)
             i = image[i]
+        if i != start:  # reached from this walk and from an earlier step
+            raise ActionError(f"{items[i]!r} is reached twice; "
+                              "not a bijection")
         cycles.append(array("q", cycle))
     return cycles
 

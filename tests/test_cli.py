@@ -116,9 +116,20 @@ def test_enumerate_limit_below_ceiling_exit_0(capsys):
 
 
 def test_enumerate_missing_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["enumerate", "--object", "labelings", "--ell", "1"])
-    assert exc.value.code == 2
+    # one error line, as for every other usage error: no argparse usage
+    for argv, message in [
+            (("linext",), "linext needs --k (layers of V x [k])"),
+            (("labelings", "--ell", "1"), "labelings need --ell and --q"),
+            (("words", "--q", "3"), "words need --ell and --q"),
+            (("ppartitions", "--ell", "1"), "ppartitions need --ell and --k")]:
+        code, out, err = run(capsys, "enumerate", "--object", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("action", ["pro-pstrict", "row", "togpro"])
+def test_orbits_missing_q_exit_2(capsys, action):
+    code, out, err = run(capsys, "orbits", "--action", action, "--ell", "1")
+    assert (code, out, err) == (2, "", f"error: {action} needs q\n")
 
 
 def test_unknown_suite_exit_2(capsys):
@@ -296,7 +307,8 @@ def test_deep_poset_enumerates_linear_extensions(capsys):
 
 
 def test_deep_poset_row_orbits(capsys):
-    # rowmotion reads the first extension of V x [400]
+    # rowmotion steps the one partition by column moves, listing no
+    # extension of V x [400]
     code, out, err = run(capsys, "orbits", "--action", "row",
                          "--ell", "0", "--q", "402")
     assert code == 0

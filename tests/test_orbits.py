@@ -43,8 +43,17 @@ def test_orbit_cycles_detects_escape():
 
 
 def test_orbit_cycles_detects_merge():
-    with pytest.raises(ActionError):
+    # the walk from 1 reaches 0, closed into a cycle of its own earlier
+    with pytest.raises(ActionError, match="^0 is reached twice"):
         orbit_cycles(lambda x: 0, [0, 1, 2])
+
+
+def test_orbit_cycles_detects_merge_inside_one_walk():
+    # 0 -> 1 -> 2 -> 3 -> 2: the walk from 0 reaches 2 again, not 0
+    with pytest.raises(ActionError, match="^2 is reached twice"):
+        orbit_cycles(lambda x: x + 1 if x < 3 else 2, range(4))
+    with pytest.raises(ActionError, match="^'c' is reached twice"):
+        orbit_cycles({"a": "b", "b": "c", "c": "d", "d": "c"}.get, "abcd")
 
 
 def test_orbit_cycles_detects_duplicates():

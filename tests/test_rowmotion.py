@@ -159,6 +159,43 @@ def test_togpro_orbits_match_promotion():
     assert tp_sizes == pro_sizes == [2, 3]
 
 
+def bsv(f):
+    """Bernstein-Striker-Vorland's column map: a labeling f of V x [ell] in
+    [q] to the partition of V x [k], k = q - 2, bounded by ell whose value
+    at (p, j) counts the labels of p's fiber above (k + 1 - j) + rk(p)."""
+    k = f.q - 2
+    poset = product_with_chain(make_v(), k)
+    rank = {"A": 0, "B": 1, "C": 1}
+    return PPartition(poset, f.ell, tuple(
+        sum(label > k + 1 - j + rank[p] for label in f.fiber(p))
+        for p, j in poset.elements))
+
+
+def test_bsv_map_conjugates_promotion_to_togpro():
+    checked = 0
+    for ell in (1, 2):
+        for q in range(3, 7):
+            labelings = list(enumerate_labelings(ell, q))
+            images = list(map(bsv, labelings))
+            partitions = list(enumerate_ppartitions(
+                product_with_chain(make_v(), q - 2), ell))
+            # a bijection onto the partitions
+            assert len(set(images)) == len(images) == len(partitions)
+            assert set(images) == set(partitions)
+            for f, image in zip(labelings, images):
+                assert bsv(promote_pstrict(f)) == togpro(image, q)
+            checked += len(labelings)
+    assert checked == 1533
+
+
+def test_bsv_map_does_not_conjugate_promotion_to_rowmotion():
+    # orbit multisets agree, but rowmotion is not togpro under this map
+    labelings = list(enumerate_labelings(1, 3))
+    differ = [f for f in labelings
+              if bsv(promote_pstrict(f)) != rowmotion(bsv(f))]
+    assert len(labelings) == 5 and len(differ) == 3
+
+
 def test_flip_examples():
     flip = flip_automorphism(make_v())
     f = pp((0, 1, 0))

@@ -11,7 +11,7 @@ import pytest
 
 import vkrew.pstrict as pstrict_module
 import vkrew.rowmotion as rowmotion_module
-from vkrew import cli, poset, verify, words
+from vkrew import cli, golden, poset, verify, words
 from vkrew.kreweras import kreweras_number, promote_kreweras, \
     promote_linext, swap_bc_letters, to_kreweras
 from vkrew.orbits import ActionError, orbit_cycles
@@ -94,6 +94,28 @@ def test_orbit_reports_for_actions():
     assert report.orbit_sizes == (3, 2) and report.all_checks_pass
     report = orbit_report_for_action("togpro", 1, 3)
     assert report.orbit_sizes == (3, 2) and report.all_checks_pass
+
+
+@pytest.mark.parametrize("action", ["pro-pstrict", "row", "togpro"])
+def test_the_order_is_exactly_2q(action):
+    # the theorem, and through Bernstein-Striker-Vorland its rowmotion and
+    # toggle-promotion forms on V x [q - 2]; the claims check divisibility
+    points = (verify._word_grid(3, 7, 10) if action == "pro-pstrict"
+              else grid(3, 6))
+    for ell, q in points:
+        assert orbit_report_for_action(action, ell, q).order == 2 * q
+
+
+def test_divisibility_passes_a_power_of_promotion(monkeypatch):
+    # Pro^3 has orbits dividing 2q and (Pro^3)^q is the B/C swap, so every
+    # check and every claim of main passes; only the exact order tells
+    # it from Pro
+    monkeypatch.setattr(verify, "promote_pstrict",
+                        lambda f: promote_pstrict(promote_pstrict(
+                            promote_pstrict(f))))
+    report = orbit_report_for_action("pro-pstrict", 2, 6)
+    assert report.all_checks_pass and report.order == 4
+    assert run_suite("main", ell_max=2, q_max=6).passed
 
 
 def test_orbit_report_requires_q():
@@ -972,3 +994,66 @@ def test_a_raising_standardization_fails_the_arcless_claims(monkeypatch):
     assert failures(report) == {
         cid: error for cid in ("std-pro-commutation", "std-valid-kreweras",
                                "destandardize-roundtrip", "std-order-unique")}
+
+
+# The failure reports of the figure, classical order and standardization
+# claims, each reached by rebinding in ``verify`` the name its predicate
+# reads.
+
+def test_a_wrong_extension_promotion_fails_its_figure(monkeypatch):
+    monkeypatch.setattr(verify, "promote_linext", identity)
+    assert failures(run_suite("figures")) == {"figure-promotion-pair": {
+        "item": "extension-promotion",
+        "expected": golden.ext18_promoted().labels,
+        "actual": golden.ext18().labels}}
+
+
+def test_missing_double_arcs_fail_their_figure_first(monkeypatch):
+    # the figure stops at its first mismatch: no arc is deleted
+    def raising(word, arc):
+        raise ValueError(f"deleted {arc}")
+    monkeypatch.setattr(verify, "double_arcs", lambda word: [])
+    monkeypatch.setattr(verify, "delete_double_arc", raising)
+    assert failures(run_suite("figures")) == {"figure-double-arcs": {
+        "item": "double-arcs", "expected": [(3, 4)], "actual": []}}
+
+
+def test_wrong_standardization_sizes_fail_their_figure(monkeypatch):
+    monkeypatch.setattr(verify, "standardize",
+                        lambda w, std=standardize: (std(w)[0], (9,)))
+    assert failures(run_suite("figures")) == {"figure-standardization": {
+        "item": "∅|AA|CC|BB", "expected": ["AACCBB", [0, 2, 2, 2]],
+        "actual": ["AACCBB", [9]]}}
+
+
+def test_a_failed_destandardization_fails_both_round_trips(monkeypatch):
+    monkeypatch.setattr(verify, "destandardize", lambda std, sizes: None)
+    assert failures(run_suite("figures"),
+                    run_suite("standardization", ell_max=1, q_max=3)) == {
+        "figure-standardization": {"item": "∅|AA|CC|BB",
+                                   "error": "round trip failed"},
+        "destandardize-roundtrip": {"ell": 1, "q": 3, "word": "A|B|C",
+                                    "std": "ABC", "sizes": [1, 1, 1]}}
+
+
+def test_an_order_not_dividing_6n_is_reported(monkeypatch):
+    first = extensions(2)[:5]
+    cycle = dict(zip(first, first[1:] + first[:1]))
+    monkeypatch.setattr(verify, "promote_linext", lambda e: cycle.get(e, e))
+    assert failures(run_suite("classical"))["classical-order-6n"] == {
+        "n": 2, "order": 5, "must_divide": 12}
+
+
+def test_crossing_same_block_arcs_fail_std_valid(monkeypatch):
+    monkeypatch.setattr(verify, "same_block_closers_nest",
+                        lambda std, sizes: False)
+    assert failures(run_suite("standardization", ell_max=1, q_max=3)) == {
+        "std-valid-kreweras": {"ell": 1, "q": 3, "word": "A|B|C",
+                               "std": "ABC", "error": "same-block arcs cross"}}
+
+
+def test_a_free_closer_order_fails_std_order_unique(monkeypatch):
+    monkeypatch.setattr(verify, "is_crossing", lambda arc, other: False)
+    assert failures(run_suite("standardization", ell_max=2, q_max=3)) == {
+        "std-order-unique": {"ell": 2, "q": 3, "word": "AA|BB|CC",
+                             "block": 2, "positions": [3, 4]}}
