@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from .poset import Element, LinearExtension, Poset, _column_moves, \
     _columns, _order_preserving_maps, _ranked_columns, _unvalidated, \
-    linear_extensions, make_v, product_with_chain, v_chain_layers
+    make_v, product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -143,17 +143,11 @@ def toggle(p: Element, f: PPartition) -> PPartition:
 
 def _rowmotion_order(poset: Poset,
                      ext: LinearExtension | None) -> tuple[int, ...]:
-    """Element indices along ``ext`` reversed; None is the canonical
-    first extension, whose order alone is cached, so that no caller's
-    extension outlives its call."""
+    """Element indices along ``ext`` reversed, or along the poset's
+    topological order reversed for None: rowmotion is one map along all."""
     if ext is None:
-        return _first_order(poset)
+        return tuple(reversed(poset._toposort()))
     return tuple(poset.index(e) for e in reversed(ext.order()))
-
-
-@lru_cache(maxsize=None)
-def _first_order(poset: Poset) -> tuple[int, ...]:
-    return _rowmotion_order(poset, next(iter(linear_extensions(poset))))
 
 
 @lru_cache(maxsize=1)
@@ -179,7 +173,8 @@ def _v_moves(poset: Poset, ell: int):
 def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
     """Toggle every element once, from maximal down to minimal along a
     linear extension.  The result does not depend on the extension; the
-    default is the canonical first one, by column moves on V x [k]."""
+    default steps by column moves on V x [k], elsewhere it sweeps the
+    poset's topological order reversed."""
     if ext is not None and ext.poset != f.poset:
         raise ValueError("linear extension belongs to a different poset")
     if ext is not None or (tables := _v_moves(f.poset, f.ell)) is None:
@@ -192,19 +187,6 @@ def rowmotion(f: PPartition, ext: LinearExtension | None = None) -> PPartition:
     b, c = move_bc[a, b], move_bc[a, c]
     a = move_a[a, low[b, c]]
     return _partition(f.poset, f.ell, columns[a] + columns[b] + columns[c])
-
-
-@lru_cache(maxsize=None)
-def _togpro_order(poset: Poset, q: int) -> tuple[int, ...]:
-    """Element indices of the diagonals {(p, i) : i = q - 1 + rk(p) - k},
-    k = 1, 2, ..., q - 1, in toggling order."""
-    k_layers = v_chain_layers(poset)
-    if k_layers is None or k_layers != q - 2:
-        raise ValueError(f"poset must be V x [{q - 2}] for q={q}")
-    return tuple(poset.index((p, i))
-                 for k in range(1, q)
-                 for p, rk in (("A", 0), ("B", 1), ("C", 1))
-                 for i in (q - 1 + rk - k,) if 1 <= i <= q - 2)
 
 
 def togpro(f: PPartition, q: int) -> PPartition:

@@ -36,7 +36,7 @@ from math import lcm
 from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable, Iterable, NamedTuple
 
-from . import golden
+from . import golden, rowmotion as _rowmotion_module
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
@@ -262,13 +262,12 @@ _ACTIONS = {
 }
 
 
-def _table(action: str, ell: int, q: int, ceiling: int,
-           lists: _Memo | None = None) -> _Table:
-    """Step each element of the point's ``lists`` (or lists of its own)
-    once.  The step, the read, and the arc data's functions when first
-    read, are looked up in this module, so a rebound name is used."""
+def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
+    """Step each element of the point's ``lists`` once.  The step, the
+    read, and the arc data's functions when first read, are looked up in
+    this module, so a rebound name is used."""
     a = _ACTIONS[action]
-    elements = (_lists(ell, q, ceiling) if lists is None else lists)[a.family]
+    elements = lists[a.family]
     if a.read is not None:
         elements = list(map(a.read, elements))
     return _Table(action, ell, q, elements,
@@ -364,10 +363,13 @@ def _kreweras_roundtrip(exts: list):
 
 
 def _row_extension_independent(ceiling: int, t: _Table):
-    """Sweeps along every extension of V x [k] give the table's image."""
+    """Sweeps along every extension of V x [k] give the table's image.
+    The sweeps are the rowmotion module's own, so rebinding this module's
+    rowmotion changes the table only."""
     exts = _lists(t.q - 2, 3 * (t.q - 2), ceiling)["extensions"]
+    row = _rowmotion_module.rowmotion
     for f, image in zip(t.elements, t.power(1)):
-        images = {image, *(rowmotion(f, ext) for ext in exts)}
+        images = {image, *(row(f, ext) for ext in exts)}
         if len(images) != 1:
             return {"ell": t.ell, "k": t.q - 2, "partition": f.to_json(),
                     "distinct_images": len(images)}
@@ -767,7 +769,7 @@ def run_suite(suite: str, ell_max: int | None = None,
         for action in _ACTIONS:
             if any(action in claims[i].reads for i in live):
                 try:
-                    tables[action] = _table(action, ell, q, ceiling, lists)
+                    tables[action] = _table(action, ell, q, lists)
                 except ActionError as exc:  # not a bijection here
                     errors[action] = {"ell": ell, "q": q, "action": action,
                                       "error": str(exc)}
@@ -806,7 +808,7 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
     elif q < 3:
         of = " (partitions of V x [q - 2])" if family == "ppartitions" else ""
         raise ValueError(f"{action} needs q >= 3{of}, got q={q}")
-    table = _table(action, ell, q, ceiling)
+    table = _table(action, ell, q, _lists(ell, q, ceiling))
     sizes = tuple(table.sizes())
     order = lcm(*sizes)
     counterexamples: dict = {}

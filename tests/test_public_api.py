@@ -14,8 +14,6 @@ BENCH = ROOT / "perfbench"
 # Readable references that the fast paths are checked against.
 KEPT = {"free_labels", "free_labels_bruteforce", "toggle", "bender_knuth",
         "promote_word_layerwise"}
-# togpro's sweep order, the reference for its column moves on V x [k]
-KEPT_PRIVATE = {"_togpro_order"}
 
 
 def public_names(tree):
@@ -78,7 +76,7 @@ def test_every_kept_reference_is_public_and_otherwise_unused():
 def test_every_definition_has_a_reader():
     # private helpers too, so a helper left without a caller is found
     unread = {name.split(".")[1] for name in unused_names(definitions)}
-    assert unread == KEPT | KEPT_PRIVATE
+    assert unread == KEPT
 
 
 def test_no_module_state_is_rebound():

@@ -329,6 +329,12 @@ def test_wrong_rowmotion_fails_order_flip_and_multiset_claims(monkeypatch):
                     "ell": ell, "q": q, "partition": f.to_json(),
                     "row_q": f.to_json(), "flipped": flip(f).to_json()})
     assert len(expected) == 2
+    # the sweeps along every extension are rowmotion's own, so they tell
+    # the table's identity step from them at the first partition
+    zero = next(ppartitions(1, 4))
+    assert zero.values == (0,) * 6
+    expected["row-extension-independent"] = {
+        "ell": 1, "k": 2, "partition": zero.to_json(), "distinct_images": 2}
     assert failures(run_suite("rowmotion", ell_max=2, q_max=4)) == expected
     # the multiset claim compares rowmotion's orbits with the other two
     found = failures(run_suite("equivariance", ell_max=1, q_max=4))
@@ -421,6 +427,52 @@ def test_wrong_classical_promotion_fails_its_readers(monkeypatch, name, wrong,
     expected = classical_failures(*steps.values())
     assert set(expected) == failing
     assert failures(run_suite("classical")) == expected
+
+
+# the suite of each claim, at its default grid
+SUITE_OF = {claim.id: suite for suite in verify.SUITE_NAMES
+            for claim in verify._build_suite(
+                suite, lambda flag, default: default, verify.DEFAULT_CEILING)}
+
+
+@pytest.mark.parametrize("name,suite,wrong,failing", [
+    ("promote_pstrict", "main", lambda f: promote_pstrict(promote_pstrict(f)),
+     {"pstrict-pro-q-is-bc-swap", "content-rotation", "double-arc-rotation",
+      "double-arc-deletion-commutes", "shortest-arc-shift",
+      "std-pro-commutation", "word-pro-q-is-bc-swap",
+      "orbit-multisets-agree", "figure-promoted-word"}),
+    ("promote_pstrict", "main", lambda f: swap_bc(promote_pstrict(f)),
+     {"pstrict-pro-q-is-bc-swap", "content-rotation",
+      "double-arc-deletion-commutes", "shortest-arc-shift",
+      "std-pro-commutation", "word-pro-q-is-bc-swap",
+      "orbit-multisets-agree", "figure-promoted-word"}),
+    ("rowmotion", "rowmotion", lambda f: togpro(f, len(f.values) // 3 + 2),
+     {"row-extension-independent"}),
+    ("rowmotion", "rowmotion", lambda f: flip(rowmotion(f)),
+     {"row-order-exact-ell1", "row-q-is-flip", "row-extension-independent",
+      "orbit-multisets-agree"}),
+    # no claim tells togpro from rowmotion: both have the orbit sizes of
+    # Pro and the flip as their q-th power
+    ("togpro", "equivariance", lambda f, q: rowmotion(f), set()),
+    ("promote_linext", "classical",
+     lambda e: promote_linext(promote_linext(e)),
+     {"classical-order-6n", "kreweras-orbits-match-linext",
+      "kreweras-intertwines", "figure-promotion-pair"}),
+    ("promote_kreweras", "classical",
+     lambda w: swap_bc_letters(promote_kreweras(w)),
+     {"classical-pro-3n-swaps-bc", "kreweras-orbits-match-linext",
+      "kreweras-intertwines", "std-pro-commutation",
+      "figure-kreweras-pair"}),
+], ids=["pro-squared", "swap-pro", "row-as-togpro", "flip-row",
+        "togpro-as-row", "linext-squared", "swap-kreweras"])
+def test_bijective_mutants_fail_exactly_their_readers(monkeypatch, name,
+                                                      suite, wrong, failing):
+    # each wrong step is a bijection, so every table is built, and only
+    # the claims that tell it from the right step fail; the suites run are
+    # the step's own and those of the claims expected to fail
+    monkeypatch.setattr(verify, name, wrong)
+    suites = sorted({suite} | {SUITE_OF[cid] for cid in failing})
+    assert set(failures(*map(run_suite, suites))) == failing
 
 
 def test_classical_suite_promotes_each_word_once(monkeypatch):
@@ -707,7 +759,8 @@ def test_steps_in_a_table_return_its_elements(monkeypatch, action, name):
         images.append(step(*args))
         return images[-1]
     monkeypatch.setattr(verify, name, recorded)
-    table = verify._table(action, 2, 6, verify.DEFAULT_CEILING)
+    table = verify._table(action, 2, 6,
+                          verify._lists(2, 6, verify.DEFAULT_CEILING))
     assert each_image_is_one_element(table, images)
 
 
@@ -806,7 +859,8 @@ def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
 def test_word_tables_arc_data_matches_the_words_functions():
     count = 0
     for ell, q in verify._word_grid(2, 6):
-        table = verify._table("pro-pstrict", ell, q, verify.DEFAULT_CEILING)
+        table = verify._table("pro-pstrict", ell, q, verify._lists(
+            ell, q, verify.DEFAULT_CEILING))
         assert table.words == list(enumerate_words(ell, q))
         assert [x.word for x in table.arcs] == table.words
         # word_of_labeling conjugates the table's step to promote_word
