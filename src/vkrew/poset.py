@@ -20,12 +20,13 @@ class Poset:
 
     Only the covers are kept, not the order relation.  The element tuple
     fixes the canonical order used by all enumerations, and the covers are
-    also kept by element index (``_up``, ``_down``, ``_cover_pairs``), the
-    form the enumerations, validators and steps read.
+    also kept by element index (``_up``, ``_down``, ``_cover_pairs``,
+    with one topological order ``_topo``), the form the enumerations,
+    validators and steps read.
     """
 
     __slots__ = ("elements", "covers", "_index", "_up", "_down",
-                 "_cover_pairs", "_ranks", "_hash")
+                 "_cover_pairs", "_topo", "_ranks", "_hash")
 
     def __init__(self, elements: Iterable[Element],
                  covers: Iterable[tuple[Element, Element]]):
@@ -49,27 +50,26 @@ class Poset:
         self._down = tuple(tuple(sorted(d)) for d in down)
         self._cover_pairs = tuple((a, b) for a, ups in enumerate(self._up)
                                   for b in ups)
-        rk = [0] * len(self.elements)  # longest path from a minimal element
-        for i in self._toposort():
-            rk[i] = max((rk[d] + 1 for d in self._down[i]), default=0)
-        self._check_irredundant(rk)
-        self._ranks = self._grade(rk)
-        self._hash = hash((self.elements, self.covers))
-
-    def _toposort(self) -> list[int]:
+        # a topological order of the indices, kept for the walks and sweeps
+        # that read one, and the longest path from a minimal element
         indeg = [len(d) for d in self._down]
         queue = [i for i, n in enumerate(indeg) if n == 0]
         topo = []
+        rk = [0] * len(self.elements)
         while queue:
             i = queue.pop()
             topo.append(i)
+            rk[i] = max((rk[d] + 1 for d in self._down[i]), default=0)
             for u in self._up[i]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
                     queue.append(u)
         if len(topo) != len(self.elements):
             raise PosetError("cover relations contain a directed cycle")
-        return topo
+        self._topo = tuple(topo)
+        self._check_irredundant(rk)
+        self._ranks = self._grade(rk)
+        self._hash = hash((self.elements, self.covers))
 
     def _check_irredundant(self, rk: list[int]) -> None:
         # cover (a, b) is redundant when b lies above another upper cover
@@ -351,7 +351,7 @@ def linear_extensions(poset: Poset) -> Iterator[LinearExtension]:
     values, walked by _order_preserving_maps within the bounds every
     extension keeps, 1 + |strict down-set| .. m - |strict up-set|.  Lazy,
     and no depth limit."""
-    topo, m = poset._toposort(), len(poset)
+    topo, m = poset._topo, len(poset)
     below = _closure_sizes(topo, poset._down, poset._up)
     above = _closure_sizes(reversed(topo), poset._up, poset._down)
     return (LinearExtension(poset, labels) for labels in

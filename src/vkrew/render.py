@@ -7,13 +7,15 @@ positions.  Identical input always yields identical output bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .kreweras import KrewerasWord
 from .words import PartialMultiKrewerasWord, destandardize, \
     generalized_bump_diagram
 
 __all__ = ["render_diagram"]
+
+# the XML escape of text: the mapping of xml.sax.saxutils.escape, whose
+# import loads urllib, http, email and ssl
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _diagram_data(obj):
@@ -96,7 +98,8 @@ def _render_svg(obj) -> str:
     ]
     previous_block = None
     for pos, (block, ch) in enumerate(slots, start=1):
-        parts.append(f'<text x="{x(pos)}" y="{baseline}">{escape(ch)}</text>')
+        text = ch.translate(_ESCAPE)
+        parts.append(f'<text x="{x(pos)}" y="{baseline}">{text}</text>')
         if block != previous_block:
             parts.append(f'<text class="block-index" x="{x(pos)}" '
                          f'y="{baseline + 20}" font-size="10">{block}</text>')

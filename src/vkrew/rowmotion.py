@@ -146,7 +146,7 @@ def _rowmotion_order(poset: Poset,
     """Element indices along ``ext`` reversed, or along the poset's
     topological order reversed for None: rowmotion is one map along all."""
     if ext is None:
-        return tuple(reversed(poset._toposort()))
+        return poset._topo[::-1]
     return tuple(poset.index(e) for e in reversed(ext.order()))
 
 

@@ -183,6 +183,13 @@ def test_extensions_canonical_order_and_validity(poset):
     assert brute
 
 
+@pytest.mark.parametrize("poset", SMALL.values(), ids=SMALL.keys())
+def test_stored_order_is_topological(poset):
+    position = {i: n for n, i in enumerate(poset._topo)}
+    assert sorted(poset._topo) == list(range(len(poset)))
+    assert all(position[a] < position[b] for a, b in poset._cover_pairs)
+
+
 def test_empty_poset_single_extension():
     empty = Poset((), ())
     assert list(linear_extensions(empty)) == [LinearExtension(empty, ())]

@@ -514,6 +514,35 @@ def test_steps_off_v_times_k_sweep_the_whole_partition(monkeypatch, poset):
     assert calls == [order] * len(partitions)
 
 
+def test_default_rowmotion_off_v_times_k_sweeps_a_reversed_extension():
+    poset = product_with_chain(diamond(), 3)
+    exts = list(linear_extensions(poset))
+    partitions = list(enumerate_ppartitions(poset, 2))
+    assert len(partitions) == 887
+    for ext in (exts[0], exts[-1]):
+        order = [poset.index(e) for e in reversed(ext.order())]
+        for f in partitions:
+            values = list(f.values)
+            module._sweep(values, order, poset, 2)
+            assert rowmotion(f).values == tuple(values), f
+
+
+def test_default_rowmotion_reads_the_stored_topological_order(monkeypatch):
+    # a fresh copy of diamond x [3], so the cached poset keeps its order,
+    # given another topological order: every step sweeps it reversed, so
+    # no step sorts the poset again
+    cached = product_with_chain(diamond(), 3)
+    poset = Poset(cached.elements, cached.covers)
+    first = next(linear_extensions(poset))
+    poset._topo = tuple(map(poset.index, first.order()))
+    assert poset._topo != cached._topo
+    calls = counted_sweeps(monkeypatch)
+    partitions = list(enumerate_ppartitions(poset, 2))
+    for f in partitions:
+        rowmotion(f)
+    assert calls == [poset._topo[::-1]] * len(partitions)
+
+
 # -- enumerated partitions are valid by construction ---------------------
 
 def count_valid(partitions) -> int:
