@@ -5,6 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from math import lcm
 from typing import Callable, Hashable, Iterable, TypeVar
 
@@ -18,32 +19,45 @@ class ActionError(ValueError):
 
 
 def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
-                 key: Callable[[X], Hashable] | None = None) -> list[array]:
+                 key: Callable[[X], Hashable] | None = None,
+                 locate: Callable[[X], int | None] | None = None,
+                 ) -> list[array]:
     """Cycles of ``step`` on ``elements``, each a compact array of
     positions in ``elements`` starting at its earliest, in order of
-    those.  Elements are looked up by ``key``, a raw form that tells them
-    apart, or by themselves: an image is the element of its key if it has
-    that element's class and equals it.  Each element is stepped once, in
-    enumeration order; the walk proves the map a bijection, for it closes
-    each cycle at its start unless it reaches an element twice.  Raises
-    ActionError if the map leaves the set or identifies two elements."""
-    items = list(elements)
-    key = key or (lambda x: x)
-    index = {k: i for i, k in enumerate(map(key, items))}
-    if len(index) != len(items):
-        raise ActionError("enumeration repeats an element")
+    those.  Each element is stepped once, in enumeration order; the walk
+    proves the map a bijection, for it closes each cycle at its start
+    unless it reaches an element twice.  Raises ActionError if the map
+    leaves the set or identifies two elements.
+
+    Given ``locate``, which gives the position of an element in
+    enumeration order, or None for anything that is none of them, an
+    image of the element's class is found by it.  Then nothing is kept:
+    the elements stream past once, and are listed again only to name an
+    element reached twice, so ``elements`` must list them anew on each
+    iteration.  Without it the elements are kept, and an image is the
+    element of its ``key``, a raw form that tells them apart, or of
+    itself, if it has that element's class and equals it."""
+    items = None
+    if locate is None:
+        items = list(elements)
+        key = key or (lambda x: x)
+        index = {k: i for i, k in enumerate(map(key, items))}
+        if len(index) != len(items):
+            raise ActionError("enumeration repeats an element")
+
+        def locate(y):
+            j = index.get(key(y))
+            return j if j is not None and y == items[j] else None
     image = array("q")
-    for x in items:
+    for x in elements if items is None else items:
         y = step(x)
-        j = index.get(key(y)) if type(y) is type(x) else None
-        if j is not None and not y == items[j]:  # no __ne__ dispatch
-            j = None
+        j = locate(y) if type(y) is type(x) else None
         if j is None:
             raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
         image.append(j)
-    seen = bytearray(len(items))
+    seen = bytearray(len(image))
     cycles = []
-    for start in range(len(items)):
+    for start in range(len(image)):
         if seen[start]:
             continue
         cycle = []
@@ -53,16 +67,17 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
             cycle.append(i)
             i = image[i]
         if i != start:  # reached from this walk and from an earlier step
-            raise ActionError(f"{items[i]!r} is reached twice; "
-                              "not a bijection")
+            x = (next(islice(elements, i, None)) if items is None
+                 else items[i])
+            raise ActionError(f"{x!r} is reached twice; not a bijection")
         cycles.append(array("q", cycle))
     return cycles
 
 
-def power_map(cycles: list, t: int) -> list[int]:
-    """The position of step^t of each position, from the cycles of
-    positions that orbit_cycles returns."""
-    out = [0] * sum(map(len, cycles))
+def power_map(cycles: list, t: int) -> array:
+    """The position of step^t of each position, as a compact array, from
+    the cycles of positions that orbit_cycles returns."""
+    out = array("q", [0]) * sum(map(len, cycles))
     for cycle in cycles:
         size = len(cycle)
         for i, x in enumerate(cycle):

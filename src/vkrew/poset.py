@@ -390,3 +390,50 @@ def _ranked_columns(a: Iterable[tuple],
         zs = tee(over(x), 1)[0]  # never advanced itself: copies replay
         for y in copy(zs):
             yield x, y, copy(zs)
+
+
+class _Ranks(dict):
+    """The positions of the column triples that _ranked_columns lists
+    from the same sources, without the triples: {x: (start, m, pos)} for
+    each A column x, with pos the place of each column in over(x), which
+    B and C share, m its length and start the count of the triples
+    before x's.  The triple (x, y, z) is at start + pos[y]·m + pos[z]."""
+
+    __slots__ = ()
+
+    def rank(self, x: tuple, y: tuple, z: tuple) -> int | None:
+        """The position of the triple (x, y, z), or None if it is none of
+        the listed triples."""
+        block = self.get(x)
+        if block is None:
+            return None
+        start, m, pos = block
+        i, j = pos.get(y), pos.get(z)
+        return None if i is None or j is None else start + i * m + j
+
+    def mirrors(self) -> Iterator[tuple[int, int]]:
+        """(p, the position of the triple at p with y and z exchanged) for
+        every position p, in order."""
+        for start, m, _ in self.values():
+            for i in range(m):
+                for j in range(m):
+                    yield start + i * m + j, start + j * m + i
+
+
+def _rank_table(a: Iterable[tuple],
+                over: Callable[[tuple], Iterable[tuple]],
+                ceiling: int) -> _Ranks | None:
+    """The _Ranks of the triples _ranked_columns(a, over) lists, or None
+    once their count passes ``ceiling``: each over-list is listed once
+    and stops there, so no more than that is listed.  Each column is
+    interned, so the blocks share one object per column."""
+    ranks, interned, size = _Ranks(), {}, 0
+    for x in a:
+        pos: dict = {}
+        for y in over(x):
+            pos[interned.setdefault(y, y)] = len(pos)
+            if size + len(pos) ** 2 > ceiling:
+                return None
+        ranks[interned.setdefault(x, x)] = size, len(pos), pos
+        size += len(pos) ** 2
+    return ranks

@@ -19,11 +19,14 @@ With the moves, the enumeration is the ranked column loops that list the
 partitions of V x [k] too (poset._ranked_columns), over fibers walked
 lazily on a chain (poset._columns) and interned by _v_moves as the loops
 read them, so an image shares its fibers with the labeling it equals,
-and the first labeling costs a few fibers.  Elsewhere, on a graded poset
-in any element order, it is the walk that lists linear extensions and
-partitions off V x [k] too (poset._order_preserving_maps), the reference
-for the loops.  Both build labelings without validation.  The
-constructor, labeling_of_word, swap_bc and bender_knuth_tau validate.
+and the first labeling costs a few fibers.  _v_ranks gives a labeling's
+position in that order from its three fibers, by a rank table over the
+same fibers (poset._rank_table), so an orbit table keeps no labeling.
+Elsewhere, on a graded poset in any element order, it is the walk that
+lists linear extensions and partitions off V x [k] too
+(poset._order_preserving_maps), the reference for the loops.  Both
+build labelings without validation.  The constructor, labeling_of_word,
+swap_bc and bender_knuth_tau validate.
 The moves are each checked when their entry is filled, so
 every labeling promote_pstrict assembles is valid; elsewhere it
 validates its image, never the states between its steps.  Validation
@@ -45,8 +48,8 @@ from operator import gt, lt
 from typing import Iterator
 
 from .poset import Element, Poset, _column_moves, _columns, \
-    _order_preserving_maps, _ranked_columns, _unvalidated, make_v, \
-    product_with_chain
+    _order_preserving_maps, _rank_table, _ranked_columns, _unvalidated, \
+    make_v, product_with_chain
 
 __all__ = [
     "RestrictionFunction", "PStrictLabeling", "restriction_rq",
@@ -192,23 +195,49 @@ def enumerate_restricted_labelings(rf: RestrictionFunction,
             product_with_chain(poset, ell), bottom, top))
 
 
-def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
-    """The labelings of V in ranked order: each A fiber, then each B
-    fiber strictly above it, then each such C fiber, by the ranked column
-    loops of poset._ranked_columns, lazy in the fibers they read.  Every
-    fiber is the one promotion's tables interned, so an image shares its
+def _v_columns(rf: RestrictionFunction, ell: int, fiber_of, ids):
+    """The A fibers of the labelings of V, and over(x): the B (and C)
+    fibers strictly above the A fiber x.  Each is walked lazily on a chain
+    and is the fiber promotion's tables interned, so an image shares its
     fibers with the labeling it equals, and tuple compares stop at
     identity."""
     q = rf.q
 
     def interned(bottom, top):
         return (fiber_of[ids[t]] for t in _columns(bottom, top))
+    return (interned((1,) * ell, q - 1),
+            lambda x: interned(tuple(v + 1 for v in x), q))
 
-    for fa, fb, fcs in _ranked_columns(
-            interned((1,) * ell, q - 1),
-            lambda x: interned(tuple(v + 1 for v in x), q)):
+
+def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
+    """The labelings of V in ranked order: each A fiber, then each B
+    fiber strictly above it, then each such C fiber, by the ranked column
+    loops of poset._ranked_columns, lazy in the fibers they read."""
+    for fa, fb, fcs in _ranked_columns(*_v_columns(rf, ell, fiber_of, ids)):
         for fc in fcs:
             yield _labeling(rf, ell, (fa, fb, fc))
+
+
+def _v_ranks(ell: int, q: int, ceiling: int):
+    """The rank table (poset._Ranks) of the labelings of V x [ell] in
+    [q], listed as enumerate_labelings lists them, and locate(f): the
+    position of labeling f among them, or None if f has another
+    restriction or ell, or is none of them.  None once they number more
+    than ``ceiling``."""
+    rf = restriction_rq(make_v(), q)
+    ranks = _rank_table(*_v_columns(rf, ell, *_v_moves(rf)[:2]), ceiling)
+    if ranks is None:
+        return None
+    rank = ranks.rank
+
+    def locate(f: PStrictLabeling) -> int | None:
+        nonlocal rf
+        if f.restriction is not rf:
+            if f.restriction != rf:
+                return None
+            rf = f.restriction  # equal: later ones compare by identity
+        return rank(*f.fibers) if f.ell == ell else None
+    return ranks, locate
 
 
 def enumerate_labelings(ell: int, q: int) -> Iterator[PStrictLabeling]:

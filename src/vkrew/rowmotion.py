@@ -12,12 +12,14 @@ also list the labelings of V (poset._ranked_columns): each A column, then
 each B column weakly above it, then each such C column, the columns
 weakly increasing in 0..ell and walked lazily on a chain
 (poset._columns).  The loops keep the C columns over the current A
-column, so memory grows with them.  On other posets the walk that also
-lists linear extensions and labelings off V
-(poset._order_preserving_maps) lists them, and is the loops' reference;
-it bounds each value by 0..ell and by every cover whose other end was
-placed earlier, and keeps O(m).  Neither recurses, and the partitions
-are built without validation; the constructor and
+column, so memory grows with them.  _v_ranks gives a partition's
+position in that order from its three columns, by a rank table over the
+same columns (poset._rank_table), so an orbit table keeps no partition.
+On other posets the walk that also lists linear extensions and labelings
+off V (poset._order_preserving_maps) lists them, and is the loops'
+reference; it bounds each value by 0..ell and by every cover whose
+other end was placed earlier, and keeps O(m).  Neither recurses, and the
+partitions are built without validation; the constructor and
 apply_automorphism validate.  One sweep toggles raw values along
 element indices, reading the poset's cover-index tables.  On V x [k],
 rowmotion moves the B and C columns, then A, by the column kernel that
@@ -37,8 +39,8 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .poset import Element, LinearExtension, Poset, _column_moves, \
-    _columns, _order_preserving_maps, _ranked_columns, _unvalidated, \
-    make_v, product_with_chain, v_chain_layers
+    _columns, _order_preserving_maps, _rank_table, _ranked_columns, \
+    _unvalidated, make_v, product_with_chain, v_chain_layers
 
 __all__ = [
     "PPartition", "PosetAutomorphism", "enumerate_ppartitions", "toggle",
@@ -116,6 +118,27 @@ def _v_partitions(poset: Poset, ell: int, k: int) -> Iterator[PPartition]:
         ab = a + b
         for c in cs:
             yield _partition(poset, ell, ab + c)
+
+
+def _v_ranks(poset: Poset, ell: int, ceiling: int):
+    """The rank table (poset._Ranks) of the partitions of V x [k] bounded
+    by ell, listed as enumerate_ppartitions lists them, and locate(f): the
+    position of partition f among them, read from its three columns, or
+    None if f has another poset or ell.  None once they number more than
+    ``ceiling``."""
+    k = v_chain_layers(poset)
+    over = partial(_columns, top=ell)
+    ranks = _rank_table(over((0,) * k), over, ceiling)
+    if ranks is None:
+        return None
+    rank = ranks.rank
+
+    def locate(f: PPartition) -> int | None:
+        if f.ell != ell or (f.poset is not poset and f.poset != poset):
+            return None
+        v = f.values
+        return rank(v[:k], v[k:-k], v[-k:])
+    return ranks, locate
 
 
 def _sweep(values: list[int], order: Iterable[int], poset: Poset,

@@ -2,23 +2,29 @@
 checked exhaustively over desk-scale parameter grids, with the first
 counterexample reported on failure.
 
-Each action with tables is one _Action record: its family, whose list
-_FAMILIES makes at a grid point, its step, the raw form by which a table
-finds an element, and its B/C mirror law.  A claim is a predicate over
-the tables and lists it reads, in that order.  A table holds one
-action's elements at one grid point in enumeration order, and its cycles
-as arrays of positions; it takes an image, found by raw form, for an
-element only if it has the element's class, owner and ell.  run_suite is
-point-major: at each grid point it lists each family once, builds the
-tables its claims still passing read, hands each claim its tables and
-lists and drops them all before the next point, so each object is
-enumerated and stepped once per run and one point's lists and tables are
-alive at a time.  Predicates read step^q of an element q places along
-its cycle and compare raw forms with the B/C mirror image.  A block word is a
-labeling read by label, so the word laws read the labeling table, which
-builds each word's arc data on first read: its sorted layers and double
-arcs and, absent double arcs, its standardization, for w and for Pro(w)
-alike.  A claim reports its first failing element in enumeration order.
+Each action with tables is one _Action record: its family, which
+_FAMILIES lists at a grid point, its step, and its B/C mirror law.  A
+claim is a predicate over the tables and lists it reads, in that order.
+A table holds one action's cycles at one grid point, as arrays of
+positions in enumeration order; it takes an image for an element only if
+it has the element's class, owner and ell.  On V (labelings and
+partitions) the point's rank table (poset._Ranks) gives each image's
+position from its three columns, so the elements stream past once and
+are not kept; a table lists them again only for the word claims,
+row-extension-independent and a counterexample.  The extensions and
+their Kreweras words are kept in a list and found by raw form.
+run_suite is point-major: at each grid point it makes each family's list
+or rank table once, builds the tables its claims still passing read,
+hands each claim its tables and lists and drops them all before the next
+point, so each object is stepped once per run and one point's lists and
+tables are alive at a time.  Predicates read step^q of an element q
+places along its cycle and compare it with the B/C mirror image: on V by
+position, the triple (A, B, C) at start + i·m + j against the one at
+start + j·m + i, elsewhere by raw form.  A block word is a labeling read
+by label, so the word laws read the labeling table, which builds each
+word's arc data on first read: its sorted layers and double arcs and,
+absent double arcs, its standardization, for w and for Pro(w) alike.  A
+claim reports its first failing element in enumeration order.
 orbit_report_for_action shares tables and predicates.
 """
 
@@ -33,16 +39,18 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import islice
 from math import lcm
-from operator import attrgetter, itemgetter, methodcaller
+from operator import attrgetter, methodcaller
 from typing import Callable, Iterable, NamedTuple
 
-from . import golden, rowmotion as _rowmotion_module
+from . import golden, pstrict as _pstrict_module, \
+    rowmotion as _rowmotion_module
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
 from .orbits import ActionError, OrbitReport, _json_field, orbit_cycles, \
     power_map
-from .poset import _Memo, linear_extensions, make_v, product_with_chain
+from .poset import _Memo, _Ranks, linear_extensions, make_v, \
+    product_with_chain
 from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
 from .rowmotion import apply_automorphism, enumerate_ppartitions, \
     flip_automorphism, rowmotion, togpro
@@ -66,14 +74,6 @@ __all__ = [
 
 class CeilingExceeded(RuntimeError):
     """A claim would enumerate more elements than the configured ceiling."""
-
-
-def _capped(iterable: Iterable, ceiling: int, what: str) -> list:
-    items = list(islice(iterable, ceiling + 1))
-    if len(items) > ceiling:
-        raise CeilingExceeded(
-            f"{what} exceeds the ceiling of {ceiling} elements")
-    return items
 
 
 @dataclass
@@ -132,24 +132,67 @@ def _word_grid(ell_max: int, q_max: int,
             if sum_max is None or ell + q <= sum_max]
 
 
-# Each family's elements at a grid point: the extensions of V x [n] at
-# (n, 3n), the labelings of V x [ell] in [q] and the partitions of
-# V x [q - 2] bounded by ell at (ell, q).
+class _Family(NamedTuple):
+    """A family's elements at a grid point (ell, q).  ``listing`` lists
+    them lazily by this module's names as bound when called, and ``name``
+    names them in a ceiling message.  On V, ``ranks`` gives their rank
+    table and locate, or None past the ceiling, and a table finds each
+    image by rank; elsewhere it finds it in the kept list."""
+
+    listing: Callable
+    name: Callable
+    ranks: Callable | None = None
+
+
+# The extensions of V x [n] at (n, 3n), the labelings of V x [ell] in [q]
+# and the partitions of V x [q - 2] bounded by ell at (ell, q).
 _FAMILIES = {
-    "extensions": lambda n, q, ceiling: _capped(linear_extensions(
-        product_with_chain(make_v(), n)), ceiling, f"extensions n={n}"),
-    "labelings": lambda ell, q, ceiling: _capped(
-        enumerate_labelings(ell, q), ceiling, f"labelings ell={ell} q={q}"),
-    "ppartitions": lambda ell, q, ceiling: _capped(
-        enumerate_ppartitions(product_with_chain(make_v(), q - 2), ell),
-        ceiling, f"ppartitions ell={ell} k={q - 2}"),
+    "extensions": _Family(
+        lambda n, q: linear_extensions(product_with_chain(make_v(), n)),
+        lambda n, q: f"extensions n={n}"),
+    "labelings": _Family(
+        lambda ell, q: enumerate_labelings(ell, q),
+        lambda ell, q: f"labelings ell={ell} q={q}",
+        lambda ell, q, ceiling: _pstrict_module._v_ranks(ell, q, ceiling)),
+    "ppartitions": _Family(
+        lambda ell, q: enumerate_ppartitions(
+            product_with_chain(make_v(), q - 2), ell),
+        lambda ell, q: f"ppartitions ell={ell} k={q - 2}",
+        lambda ell, q, ceiling: _rowmotion_module._v_ranks(
+            product_with_chain(make_v(), q - 2), ell, ceiling)),
 }
 
 
+def _listed(family: str, ell: int, q: int, ceiling: int):
+    """A family's list at a point, or on V its (ranks, locate), made
+    before any element is built; raises CeilingExceeded past the
+    ceiling."""
+    f = _FAMILIES[family]
+    if f.ranks is None:
+        found = list(islice(f.listing(ell, q), ceiling + 1))
+        if len(found) <= ceiling:
+            return found
+    elif (found := f.ranks(ell, q, ceiling)) is not None:
+        return found
+    raise CeilingExceeded(f"{f.name(ell, q)} exceeds the ceiling of "
+                          f"{ceiling} elements")
+
+
+class _Listing:
+    """A V family's elements at a point, listed anew on each iteration."""
+
+    def __init__(self, family: str, ell: int, q: int):
+        self.family, self.ell, self.q = family, ell, q
+
+    def __iter__(self):
+        return iter(_FAMILIES[self.family].listing(self.ell, self.q))
+
+
 def _lists(ell: int, q: int, ceiling: int) -> _Memo:
-    """A point's element lists by family, each listed on first read.  The
-    fill closes over the point, not the memo, so no cycle keeps it alive."""
-    return _Memo(lambda family: _FAMILIES[family](ell, q, ceiling))
+    """A point's element lists, or (ranks, locate), by family, each made
+    on first read.  The fill closes over the point, not the memo, so no
+    cycle keeps it alive."""
+    return _Memo(lambda family: _listed(family, ell, q, ceiling))
 
 
 # -- orbit tables ------------------------------------------------------
@@ -179,15 +222,22 @@ def _arcs(w: PartialMultiKrewerasWord) -> _Arcs:
 
 @dataclass
 class _Table:
-    """The orbits of one action at one grid point: the elements in
-    enumeration order, and the cycles as arrays of their positions.  A
-    labeling table builds its words and their _Arcs on first read."""
+    """The orbits of one action at one grid point: the cycles as arrays of
+    positions in enumeration order, and the elements, kept in a list or,
+    on V, listed again on first read from their listing, with the rank
+    table (poset._Ranks) that placed them.  A labeling table builds its
+    words and their _Arcs on first read."""
 
     action: str
     ell: int
     q: int
-    elements: list
+    listed: Iterable
     cycles: list
+    ranks: _Ranks | None = None
+
+    @cached_property
+    def elements(self) -> list:
+        return list(self.listed)
 
     @cached_property
     def words(self) -> list:
@@ -207,26 +257,21 @@ class _Table:
         return sorted((len(c) for c in self.cycles), reverse=True)
 
 
-def _flip_of_values(q: int):
-    """Values of a partition of V x [q - 2] -> those of its flip."""
-    poset = product_with_chain(make_v(), q - 2)
-    return itemgetter(*map(poset.index, flip_automorphism(poset).mapping))
-
-
 def _at(t: _Table) -> dict:
     return {"ell": t.ell, "q": t.q}
 
 
 class _Action(NamedTuple):
-    """An action with tables.  Its elements are its ``family``'s list,
-    each through ``read`` if given; ``step(q)`` is the step, read when a
-    table is built; ``raw`` is the form by which a table finds an element.
-    For the mirror laws, ``mirror(q)`` maps a raw form to that of its B/C
-    mirror image, and ``report(t, x, step^q(x))`` is the counterexample."""
+    """An action with tables.  Its elements are its ``family``'s, each
+    through ``read`` if given; ``step(q)`` is the step, read when a table
+    is built.  Off V, ``raw`` is the form by which a table finds an
+    element, and ``mirror(q)`` maps a raw form to that of its B/C mirror
+    image; on V the rank table finds both.  ``report(t, x, step^q(x))``
+    is the mirror law's counterexample."""
 
     family: str
     step: Callable
-    raw: Callable
+    raw: Callable | None = None
     mirror: Callable | None = None
     report: Callable | None = None
     read: Callable | None = None
@@ -245,28 +290,34 @@ _ACTIONS = {
                          "swapped": swap_bc_letters(x).letters},
         lambda e: to_kreweras(e)),
     "pro-pstrict": _Action(
-        "labelings", lambda q: promote_pstrict, attrgetter("fibers"),
-        lambda q: itemgetter(0, 2, 1),
-        lambda t, x, y: {**_at(t), "labeling": x.to_json(),
-                         "pro_q": y.to_json(),
-                         "swapped": swap_bc(x).to_json()}),
+        "labelings", lambda q: promote_pstrict,
+        report=lambda t, x, y: {**_at(t), "labeling": x.to_json(),
+                                "pro_q": y.to_json(),
+                                "swapped": swap_bc(x).to_json()}),
     "row": _Action(
-        "ppartitions", lambda q: rowmotion, attrgetter("values"),
-        _flip_of_values,
-        lambda t, x, y: {**_at(t), "partition": x.to_json(),
-                         "row_q": y.to_json(), "flipped": apply_automorphism(
-                             flip_automorphism(x.poset), x).to_json()}),
+        "ppartitions", lambda q: rowmotion,
+        report=lambda t, x, y: {
+            **_at(t), "partition": x.to_json(), "row_q": y.to_json(),
+            "flipped": apply_automorphism(flip_automorphism(x.poset),
+                                          x).to_json()}),
     "togpro": _Action(
-        "ppartitions", lambda q: lambda f: togpro(f, q), attrgetter("values"),
-        _flip_of_values, lambda t, x, y: {**_at(t), "partition": x.to_json()}),
+        "ppartitions", lambda q: lambda f: togpro(f, q),
+        report=lambda t, x, y: {**_at(t), "partition": x.to_json()}),
 }
 
 
 def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
-    """Step each element of the point's ``lists`` once.  The step, the
-    read, and the arc data's functions when first read, are looked up in
-    this module, so a rebound name is used."""
+    """Step each element of the point once: on V as its listing streams
+    past, found by the point's rank table, elsewhere in the point's
+    ``lists``.  The step, the read, the listing and the arc data's
+    functions when first read, are looked up in this module, so a rebound
+    name is used."""
     a = _ACTIONS[action]
+    if _FAMILIES[a.family].ranks is not None:
+        ranks, locate = lists[a.family]
+        listing = _Listing(a.family, ell, q)
+        return _Table(action, ell, q, listing,
+                      orbit_cycles(a.step(q), listing, locate=locate), ranks)
     elements = lists[a.family]
     if a.read is not None:
         elements = list(map(a.read, elements))
@@ -276,8 +327,16 @@ def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
 
 def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
-    is not its B/C mirror image, or None.  Compares raw letters, fibers or
-    values."""
+    is not its B/C mirror image, or None.  On V it compares positions:
+    step^q of the triple at start + i·m + j must be the one at
+    start + j·m + i; elsewhere raw letters."""
+    if t.ranks is not None:
+        image = power_map(t.cycles, t.q)
+        bad = next((p for p, mirror in t.ranks.mirrors()
+                    if image[p] != mirror), None)
+        if bad is None:
+            return None
+        return t.elements[bad], t.elements[image[bad]]
     a = _ACTIONS[t.action]
     raw, mirror = a.raw, a.mirror(t.q)
     for x, y in zip(t.elements, t.power(t.q)):

@@ -56,6 +56,43 @@ def test_orbit_cycles_detects_merge_inside_one_walk():
         orbit_cycles({"a": "b", "b": "c", "c": "d", "d": "c"}.get, "abcd")
 
 
+class Listing:
+    """range(n), listed anew on each iteration, counting the listings."""
+
+    def __init__(self, n):
+        self.n, self.listed = n, 0
+
+    def __iter__(self):
+        self.listed += 1
+        return iter(range(self.n))
+
+
+def test_orbit_cycles_by_locate_streams_the_elements_once():
+    listing = Listing(6)
+    locate = {x: x for x in range(6)}.get
+    assert cycle_lists(orbit_cycles(lambda x: (x + 2) % 6, listing,
+                                    locate=locate)) == [[0, 2, 4], [1, 3, 5]]
+    assert listing.listed == 1
+    # what locate does not place, or an image of another class, leaves
+    # the set, as in the kept list
+    for step, escape in ((lambda x: x + 1, "5 -> 6"), (float, "0 -> 0.0")):
+        listing.listed = 0
+        with pytest.raises(ActionError) as info:
+            orbit_cycles(step, listing, locate=locate)
+        assert str(info.value) == f"action leaves the set at {escape}"
+        assert listing.listed == 1
+
+
+def test_orbit_cycles_by_locate_lists_again_to_name_a_merge():
+    # 0 -> 1 -> ... -> 5 -> 3: the walk from 0 reaches 3 again, and the
+    # element is named from a second listing
+    listing = Listing(6)
+    with pytest.raises(ActionError, match="^3 is reached twice"):
+        orbit_cycles(lambda x: x + 1 if x < 5 else 3, listing,
+                     locate={x: x for x in range(6)}.get)
+    assert listing.listed == 2
+
+
 def test_orbit_cycles_detects_duplicates():
     with pytest.raises(ActionError):
         orbit_cycles(lambda x: x, [1, 1])

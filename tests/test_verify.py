@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 from math import lcm
@@ -830,9 +831,11 @@ def test_word_steps_promote_the_tables_labelings(monkeypatch, validations):
         assert all(each_image_is_one_element(*pair) for pair in stepped)
 
 
-def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
+def test_word_points_list_labelings_twice_and_build_no_labeling(
+        monkeypatch):
     # the word laws share the labeling table of their points with main and
-    # equivariance, and no word law transports a word back to a labeling
+    # equivariance; the table keeps no labeling, so the words list their
+    # point again, and no word law transports a word back to a labeling
     points = []
     enumerate_at = verify.enumerate_labelings
 
@@ -841,8 +844,9 @@ def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
         return enumerate_at(ell, q)
     monkeypatch.setattr(verify, "enumerate_labelings", recorded)
     assert run_suite("all").passed
-    assert sorted(points) == sorted(set(points)) == verify._word_grid(3, 7, 10)
-    assert len(points) == 15
+    assert Counter(points) == {point: 1 + (point in grid(2, 6))
+                               for point in verify._word_grid(3, 7, 10)}
+    assert len(points) == 15 + 8
     calls = Counter()
     to_labeling = words.labeling_of_word
 
@@ -852,6 +856,83 @@ def test_word_points_enumerate_once_and_build_no_labeling(monkeypatch):
     monkeypatch.setattr(words, "labeling_of_word", counted)
     assert run_suite("layers").passed
     assert calls["labeling_of_word"] == 0
+
+
+# -- ranked walks of the V tables -------------------------------------
+
+def default_points():
+    """Every point of the default grids of main, the word suites,
+    rowmotion and equivariance."""
+    return sorted({point for suite in ("main", "layers", "rowmotion",
+                                       "equivariance")
+                   for claim in verify._build_suite(
+                       suite, lambda flag, default: default,
+                       verify.DEFAULT_CEILING)
+                   for point in claim.points})
+
+
+# action -> (the reference's raw form, the B/C mirror image of an element)
+REFERENCES = {
+    "pro-pstrict": (attrgetter("fibers"), swap_bc),
+    "row": (attrgetter("values"),
+            lambda f: apply_automorphism(flip_automorphism(f.poset), f)),
+    "togpro": (attrgetter("values"),
+               lambda f: apply_automorphism(flip_automorphism(f.poset), f)),
+}
+
+
+@pytest.mark.parametrize("action", list(REFERENCES))
+def test_ranked_walk_matches_the_reference_on_every_default_point(action):
+    raw, mirror = REFERENCES[action]
+    family = verify._ACTIONS[action].family
+    points = default_points()
+    assert len(points) == 15 and {(1, 4), (2, 3), (2, 6), (3, 5)} < {*points}
+    for ell, q in points:
+        lists = verify._lists(ell, q, verify.DEFAULT_CEILING)
+        table = verify._table(action, ell, q, lists)
+        ranks, locate = lists[family]
+        elements = list(verify._FAMILIES[family].listing(ell, q))
+        assert [locate(x) for x in elements] == list(range(len(elements)))
+        assert sum(m * m for _, m, _ in ranks.values()) == len(elements)
+        assert table.cycles == orbit_cycles(verify._ACTIONS[action].step(q),
+                                            elements, key=raw)
+        # the arithmetic B/C swap of each position is its mirror's rank
+        assert all(locate(mirror(elements[p])) == swapped
+                   for p, swapped in ranks.mirrors()), (ell, q)
+
+
+@pytest.mark.parametrize("action", ["pro-pstrict", "row"])
+def test_a_v_report_keeps_no_element_list(action):
+    # 37,128 labelings or partitions; keeping them and an index of their
+    # raw forms took 8 to 11 MB
+    tracemalloc.start()
+    try:
+        assert orbit_report_for_action(action, 3, 7).count == 37_128
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def test_an_over_ceiling_table_is_refused_from_its_count(monkeypatch):
+    # the 1,770 columns of V x [58] in 0..2 make 1,036,440,020
+    # partitions; the count passes the ceiling inside the second A
+    # column's over-list, after some 3,100 columns, and no partition is
+    # built
+    listed = []
+    monkeypatch.setattr(verify, "enumerate_ppartitions",
+                        lambda *args: listed.append(args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CeilingExceeded) as info:
+            orbit_report_for_action("row", 2, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) \
+        == "ppartitions ell=2 k=58 exceeds the ceiling of 5000000 elements"
+    assert not listed
+    assert peak < 5_000_000
 
 
 # -- arc data of the word tables ---------------------------------------
@@ -911,9 +992,11 @@ def test_one_points_tables_are_alive_at_a_time(monkeypatch):
     assert not stale
 
 
-def test_each_family_is_listed_once_per_point(monkeypatch):
-    # the tables and list-reading claims at a point share one list of each
-    # family, and no claim steps a partition the row table has stepped
+def test_each_table_lists_its_family_once_per_point(monkeypatch):
+    # the extension tables and list-reading claims at a point share one
+    # list; each V table streams its family once and keeps none of it, so
+    # only the word claims and row-extension-independent list a V point
+    # again; no claim steps a partition the row table has stepped
     counts = Counter()
 
     def counted(name):
@@ -938,13 +1021,17 @@ def test_each_family_is_listed_once_per_point(monkeypatch):
     # the rowmotion grid and the equivariance grid hold every partition
     partitions = sum(1 for ell, q in {*grid(3, 5), *grid(2, 6)}
                      for _ in ppartitions(ell, q))
+    # togpro's table streams the equivariance grid again, and
+    # row-extension-independent lists its two points again
+    togpro_grid = sum(1 for ell, q in grid(2, 6) for _ in ppartitions(ell, q))
     assert dict(counts) == {
         # V x [1..4], and V x [1] and V x [2] again as sweep orders
         "linear_extensions": 3_044,
-        "enumerate_labelings": 53_815,
-        "enumerate_ppartitions": partitions,
+        # the word grid again for the words
+        "enumerate_labelings": 53_815 + 1_533,
+        "enumerate_ppartitions": partitions + togpro_grid + 14 + 14,
         "rowmotion": partitions}
-    assert partitions == 4_038
+    assert partitions == 4_038 and togpro_grid == 1_533
     assert 3_044 == sum(map(kreweras_number, range(1, 5))) \
         + kreweras_number(1) + kreweras_number(2)
 
