@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from math import lcm
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 X = TypeVar("X")
 
@@ -19,7 +20,6 @@ class ActionError(ValueError):
 
 
 def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
-                 key: Callable[[X], Hashable] | None = None,
                  locate: Callable[[X], int | None] | None = None,
                  ) -> list[array]:
     """Cycles of ``step`` on ``elements``, each a compact array of
@@ -29,27 +29,25 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
     unless it reaches an element twice.  Raises ActionError if the map
     leaves the set or identifies two elements.
 
-    Given ``locate``, which gives the position of an element in
-    enumeration order, or None for anything that is none of them, an
-    image of the element's class is found by it.  Then nothing is kept:
-    the elements stream past once, and are listed again only to name an
-    element reached twice, so ``elements`` must list them anew on each
-    iteration.  Without it the elements are kept, and an image is the
-    element of its ``key``, a raw form that tells them apart, or of
-    itself, if it has that element's class and equals it."""
-    items = None
+    An image of the element's class is found by ``locate``, which gives
+    the position of an element in enumeration order, or None for
+    anything that is none of them.  Then nothing is kept: the elements
+    stream past once, and are listed again only to name an element
+    reached twice, so ``elements`` must list them anew on each iteration
+    (an iterator is refused with a TypeError).  Without it the elements
+    are kept in a list, and an image is the element of its class that
+    it equals."""
     if locate is None:
-        items = list(elements)
-        key = key or (lambda x: x)
-        index = {k: i for i, k in enumerate(map(key, items))}
-        if len(index) != len(items):
+        elements = list(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
             raise ActionError("enumeration repeats an element")
-
-        def locate(y):
-            j = index.get(key(y))
-            return j if j is not None and y == items[j] else None
+        locate = index.get
+    elif isinstance(elements, Iterator):
+        raise TypeError("orbit_cycles(..., locate=) needs elements it can "
+                        "list again, not an iterator")
     image = array("q")
-    for x in elements if items is None else items:
+    for x in elements:
         y = step(x)
         j = locate(y) if type(y) is type(x) else None
         if j is None:
@@ -67,8 +65,7 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
             cycle.append(i)
             i = image[i]
         if i != start:  # reached from this walk and from an earlier step
-            x = (next(islice(elements, i, None)) if items is None
-                 else items[i])
+            x = next(islice(elements, i, None))
             raise ActionError(f"{x!r} is reached twice; not a bijection")
         cycles.append(array("q", cycle))
     return cycles

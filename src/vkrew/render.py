@@ -13,10 +13,6 @@ from .words import PartialMultiKrewerasWord, destandardize, \
 
 __all__ = ["render_diagram"]
 
-# the XML escape of text: the mapping of xml.sax.saxutils.escape, whose
-# import loads urllib, http, email and ssl
-_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-
 
 def _diagram_data(obj):
     """The generalized bump diagram of either word kind, and whether to
@@ -98,8 +94,7 @@ def _render_svg(obj) -> str:
     ]
     previous_block = None
     for pos, (block, ch) in enumerate(slots, start=1):
-        text = ch.translate(_ESCAPE)
-        parts.append(f'<text x="{x(pos)}" y="{baseline}">{text}</text>')
+        parts.append(f'<text x="{x(pos)}" y="{baseline}">{ch}</text>')
         if block != previous_block:
             parts.append(f'<text class="block-index" x="{x(pos)}" '
                          f'y="{baseline + 20}" font-size="10">{block}</text>')

@@ -12,7 +12,7 @@ partitions) the point's rank table (poset._Ranks) gives each image's
 position from its three columns, so the elements stream past once and
 are not kept; a table lists them again only for the word claims,
 row-extension-independent and a counterexample.  The extensions and
-their Kreweras words are kept in a list and found by raw form.
+their Kreweras words are kept in a list and found by equality.
 run_suite is point-major: at each grid point it makes each family's list
 or rank table once, builds the tables its claims still passing read,
 hands each claim its tables and lists and drops them all before the next
@@ -20,7 +20,7 @@ point, so each object is stepped once per run and one point's lists and
 tables are alive at a time.  Predicates read step^q of an element q
 places along its cycle and compare it with the B/C mirror image: on V by
 position, the triple (A, B, C) at start + i·m + j against the one at
-start + j·m + i, elsewhere by raw form.  A block word is a labeling read
+start + j·m + i, elsewhere by equality.  A block word is a labeling read
 by label, so the word laws read the labeling table, which builds each
 word's arc data on first read: its sorted layers and double arcs and,
 absent double arcs, its standardization, for w and for Pro(w) alike.  A
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import islice
 from math import lcm
-from operator import attrgetter, methodcaller
 from typing import Callable, Iterable, NamedTuple
 
 from . import golden, pstrict as _pstrict_module, \
@@ -264,14 +263,12 @@ def _at(t: _Table) -> dict:
 class _Action(NamedTuple):
     """An action with tables.  Its elements are its ``family``'s, each
     through ``read`` if given; ``step(q)`` is the step, read when a table
-    is built.  Off V, ``raw`` is the form by which a table finds an
-    element, and ``mirror(q)`` maps a raw form to that of its B/C mirror
-    image; on V the rank table finds both.  ``report(t, x, step^q(x))``
-    is the mirror law's counterexample."""
+    is built.  Off V, ``mirror`` maps an element to its B/C mirror image;
+    on V the rank table pairs them.  ``report(t, x, step^q(x))`` is the
+    mirror law's counterexample."""
 
     family: str
     step: Callable
-    raw: Callable | None = None
     mirror: Callable | None = None
     report: Callable | None = None
     read: Callable | None = None
@@ -281,11 +278,9 @@ class _Action(NamedTuple):
 # The Kreweras word of an extension sits at the extension's position, and
 # block words of V x [ell] are the pro-pstrict labelings at (ell, q).
 _ACTIONS = {
-    "pro-linext": _Action("extensions", lambda q: promote_linext,
-                          attrgetter("labels")),
+    "pro-linext": _Action("extensions", lambda q: promote_linext),
     "pro-kreweras": _Action(
-        "extensions", lambda q: promote_kreweras, attrgetter("letters"),
-        lambda q: methodcaller("translate", str.maketrans("BC", "CB")),
+        "extensions", lambda q: promote_kreweras, swap_bc_letters,
         lambda t, x, y: {"n": t.ell, "word": x.letters, "pro_3n": y.letters,
                          "swapped": swap_bc_letters(x).letters},
         lambda e: to_kreweras(e)),
@@ -322,14 +317,14 @@ def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
     if a.read is not None:
         elements = list(map(a.read, elements))
     return _Table(action, ell, q, elements,
-                  orbit_cycles(a.step(q), elements, key=a.raw))
+                  orbit_cycles(a.step(q), elements))
 
 
 def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
     is not its B/C mirror image, or None.  On V it compares positions:
     step^q of the triple at start + i·m + j must be the one at
-    start + j·m + i; elsewhere raw letters."""
+    start + j·m + i; elsewhere it compares elements."""
     if t.ranks is not None:
         image = power_map(t.cycles, t.q)
         bad = next((p for p, mirror in t.ranks.mirrors()
@@ -337,12 +332,9 @@ def _unmirrored(t: _Table):
         if bad is None:
             return None
         return t.elements[bad], t.elements[image[bad]]
-    a = _ACTIONS[t.action]
-    raw, mirror = a.raw, a.mirror(t.q)
-    for x, y in zip(t.elements, t.power(t.q)):
-        if raw(y) != mirror(raw(x)):
-            return x, y
-    return None
+    mirror = _ACTIONS[t.action].mirror
+    return next(((x, y) for x, y in zip(t.elements, t.power(t.q))
+                 if y != mirror(x)), None)
 
 
 # -- claim predicates over a table ------------------------------------

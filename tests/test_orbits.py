@@ -1,5 +1,3 @@
-from operator import itemgetter
-
 import pytest
 
 from vkrew.orbits import ActionError, OrbitReport, orbit_cycles, power_map
@@ -15,26 +13,24 @@ def test_orbit_cycles_of_identity():
     assert cycle_lists(orbit_cycles(lambda x: x, "abc")) == [[0], [1], [2]]
 
 
-def test_orbit_cycles_finds_images_by_key_and_equality():
+def test_orbit_cycles_finds_images_by_equality():
     items = [(0, "a"), (1, "b"), (2, "c")]
-    key = itemgetter(0)
 
-    def step(x):
-        return items[(x[0] + 1) % 3]
-    assert cycle_lists(orbit_cycles(step, items, key=key)) \
-        == cycle_lists(orbit_cycles(step, items)) == [[0, 1, 2]]
-    # an image with an element's key but unequal to it, or of another
-    # class, is not that element
+    def step(x):  # an equal tuple, not the element itself
+        return ((x[0] + 1) % 3, "abc"[(x[0] + 1) % 3])
+    assert step(items[2]) is not items[0]
+    assert cycle_lists(orbit_cycles(step, items)) == [[0, 1, 2]]
+    # an image unequal to every element, or of another class, is none of
+    # them
     for image in (lambda x: (x[0], "z"), lambda x: list(x), lambda x: None):
         with pytest.raises(ActionError, match="^action leaves the set at"):
-            orbit_cycles(image, items, key=key)
-    with pytest.raises(ActionError, match="repeats"):
-        orbit_cycles(lambda x: x, [(0, "a"), (0, "b")], key=key)
-    # without a key an image is found by itself, with the same checks: a
-    # float that equals an int element is not that element
+            orbit_cycles(image, items)
+    # a float that equals an int element is not that element
     with pytest.raises(ActionError,
                        match=r"^action leaves the set at 0 -> 0\.0$"):
         orbit_cycles(float, [0, 1])
+    with pytest.raises(ActionError, match="^enumeration repeats an element$"):
+        orbit_cycles(lambda x: x, [(0, "a"), (0, "a")])
 
 
 def test_orbit_cycles_detects_escape():
@@ -91,6 +87,28 @@ def test_orbit_cycles_by_locate_lists_again_to_name_a_merge():
         orbit_cycles(lambda x: x + 1 if x < 5 else 3, listing,
                      locate={x: x for x in range(6)}.get)
     assert listing.listed == 2
+
+
+def test_orbit_cycles_by_locate_refuses_an_iterator():
+    # naming an element reached twice lists the elements again, which a
+    # one-shot iterator cannot; it is refused before any step
+    locate = {x: x for x in range(6)}.get
+    steps = []
+
+    def step(x):
+        steps.append(x)
+        return x + 1 if x < 5 else 3
+    elements = iter(range(6))
+    with pytest.raises(TypeError, match="not an iterator"):
+        orbit_cycles(step, elements, locate=locate)
+    assert steps == [] and next(elements) == 0
+    # a listing, a list or a range lists again, and names the merge
+    for elements in (Listing(6), list(range(6)), range(6)):
+        with pytest.raises(ActionError, match="^3 is reached twice"):
+            orbit_cycles(step, elements, locate=locate)
+    # without locate an iterator is listed once and kept
+    assert cycle_lists(orbit_cycles(lambda x: (x + 1) % 3, iter(range(3)))) \
+        == [[0, 1, 2]]
 
 
 def test_orbit_cycles_detects_duplicates():

@@ -1,12 +1,10 @@
-from itertools import product
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
 
 import pytest
 
 from vkrew import golden
 from vkrew.kreweras import KrewerasWord
-from vkrew.render import _ESCAPE, render_diagram
+from vkrew.render import render_diagram
 from vkrew.words import PartialMultiKrewerasWord
 
 
@@ -74,16 +72,6 @@ def test_svg_bytes_of_a_plain_word():
         '<path class="arc-c" d="M 30 154 Q 56 114 82 154" fill="none" '
         'stroke="#c0392b" stroke-width="2" stroke-dasharray="6 4"/>\n'
         '</svg>\n')
-
-
-def test_escape_table_matches_the_stdlib_escape():
-    # the stdlib escape is the reference; the package does not import it,
-    # and like it the table leaves both quotes alone
-    alphabet = "AB|&<>\"'"
-    texts = ["".join(t) for n in range(4) for t in product(alphabet, repeat=n)]
-    texts.append("A|B&C<A>B\"C'|&amp;")
-    for text in texts:
-        assert text.translate(_ESCAPE) == escape(text), text
 
 
 def test_render_deterministic():
