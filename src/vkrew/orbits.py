@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from math import lcm
 from typing import Callable, Iterable, TypeVar
 
@@ -24,50 +22,46 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
                  ) -> list[array]:
     """Cycles of ``step`` on ``elements``, each a compact array of
     positions in ``elements`` starting at its earliest, in order of
-    those.  Each element is stepped once, in enumeration order; the walk
-    proves the map a bijection, for it closes each cycle at its start
-    unless it reaches an element twice.  Raises ActionError if the map
-    leaves the set or identifies two elements.
+    those.  Each cycle is one walk: the element at the earliest unvisited
+    position is stepped, and each image after it, until the walk returns
+    to its start, so each element is stepped once and only a cycle's
+    start is read from ``elements``.  A walk that closes at its start
+    proves its cycle, so the map is a bijection unless a walk reaches an
+    element twice.  Raises ActionError if the map leaves the set or
+    identifies two elements.
 
     An image of the element's class is found by ``locate``, which gives
-    the position of an element in enumeration order, or None for
-    anything that is none of them.  Then nothing is kept: the elements
-    stream past once, and are listed again only to name an element
-    reached twice, so ``elements`` must list them anew on each iteration
-    (an iterator is refused with a TypeError).  Without it the elements
-    are kept in a list, and an image is the element of its class that
-    it equals."""
+    the position of an element, or None for anything that is none of
+    them; then ``elements`` must be a sequence (len and the element at a
+    position), which need not keep its elements.  Without it the elements
+    are kept in a list, and an image is the element of its class that it
+    equals."""
     if locate is None:
         elements = list(elements)
         index = {x: i for i, x in enumerate(elements)}
         if len(index) != len(elements):
             raise ActionError("enumeration repeats an element")
         locate = index.get
-    elif isinstance(elements, Iterator):
-        raise TypeError("orbit_cycles(..., locate=) needs elements it can "
-                        "list again, not an iterator")
-    image = array("q")
-    for x in elements:
-        y = step(x)
-        j = locate(y) if type(y) is type(x) else None
-        if j is None:
-            raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
-        image.append(j)
-    seen = bytearray(len(image))
+    seen = bytearray(len(elements))
     cycles = []
-    for start in range(len(image)):
-        if seen[start]:
-            continue
-        cycle = []
-        i = start
-        while not seen[i]:
-            seen[i] = 1
-            cycle.append(i)
-            i = image[i]
-        if i != start:  # reached from this walk and from an earlier step
-            x = next(islice(elements, i, None))
-            raise ActionError(f"{x!r} is reached twice; not a bijection")
+    start = seen.find(0)
+    while start >= 0:
+        x, cycle = elements[start], [start]
+        seen[start] = 1
+        while True:
+            y = step(x)
+            j = locate(y) if type(y) is type(x) else None
+            if j is None:
+                raise ActionError(f"action leaves the set at {x!r} -> {y!r}")
+            if seen[j]:
+                break
+            seen[j] = 1
+            cycle.append(j)
+            x = y
+        if j != start:  # reached from this walk and from an earlier step
+            raise ActionError(f"{y!r} is reached twice; not a bijection")
         cycles.append(array("q", cycle))
+        start = seen.find(0, start + 1)
     return cycles
 
 

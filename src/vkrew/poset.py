@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
@@ -392,48 +394,82 @@ def _ranked_columns(a: Iterable[tuple],
             yield x, y, copy(zs)
 
 
-class _Ranks(dict):
-    """The positions of the column triples that _ranked_columns lists
-    from the same sources, without the triples: {x: (start, m, pos)} for
-    each A column x, with pos the place of each column in over(x), which
-    B and C share, m its length and start the count of the triples
-    before x's.  The triple (x, y, z) is at start + pos[y]·m + pos[z]."""
+class _Ranks:
+    """The column triples that _ranked_columns lists from the same
+    sources, as a sequence of the elements they make, without keeping
+    the triples.  ``blocks`` is {x: (start, pos)} for each A column x,
+    with pos the place of each column in over(x), which B and C share,
+    and start the count of the triples before x's; ``starts`` and
+    ``rows`` list each block's start and (x, over-list) in order.  With
+    m = len(pos), the triple (x, y, z) is at start + pos[y]·m + pos[z],
+    and the element at a position is ``build`` of its triple."""
 
-    __slots__ = ()
+    __slots__ = ("blocks", "starts", "rows", "build", "size")
+
+    def __init__(self, build: Callable[[tuple, tuple, tuple], object]):
+        self.blocks: dict = {}
+        self.starts: list[int] = []
+        self.rows: list[tuple[tuple, tuple]] = []
+        self.build, self.size = build, 0
+
+    def add(self, x: tuple, pos: dict) -> None:
+        """Append the block of A column x, its over-list placed by pos."""
+        self.blocks[x] = self.size, pos
+        self.starts.append(self.size)
+        self.rows.append((x, tuple(pos)))
+        self.size += len(pos) ** 2
+
+    def __len__(self) -> int:
+        return self.size
 
     def rank(self, x: tuple, y: tuple, z: tuple) -> int | None:
         """The position of the triple (x, y, z), or None if it is none of
         the listed triples."""
-        block = self.get(x)
+        block = self.blocks.get(x)
         if block is None:
             return None
-        start, m, pos = block
+        start, pos = block
         i, j = pos.get(y), pos.get(z)
-        return None if i is None or j is None else start + i * m + j
+        return None if i is None or j is None else start + i * len(pos) + j
 
-    def mirrors(self) -> Iterator[tuple[int, int]]:
-        """(p, the position of the triple at p with y and z exchanged) for
-        every position p, in order."""
-        for start, m, _ in self.values():
+    def __getitem__(self, p: int):
+        """The element at position p, built from its triple: the block by
+        bisection over the starts, then its row and column."""
+        if not 0 <= p < self.size:
+            raise IndexError(f"position {p} out of range")
+        b = bisect_right(self.starts, p) - 1
+        x, over = self.rows[b]
+        i, j = divmod(p - self.starts[b], len(over))
+        return self.build(x, over[i], over[j])
+
+    def mirror(self) -> array:
+        """The position of the B/C swap of the triple at each position: in
+        each block, row i of the square is its column i."""
+        out = array("q", [0]) * self.size
+        for start, (_, over) in zip(self.starts, self.rows):
+            m = len(over)
+            end = start + m * m
             for i in range(m):
-                for j in range(m):
-                    yield start + i * m + j, start + j * m + i
+                row = start + i * m
+                out[row:row + m] = array("q", range(start + i, end, m))
+        return out
 
 
 def _rank_table(a: Iterable[tuple],
                 over: Callable[[tuple], Iterable[tuple]],
+                build: Callable[[tuple, tuple, tuple], object],
                 ceiling: int) -> _Ranks | None:
-    """The _Ranks of the triples _ranked_columns(a, over) lists, or None
-    once their count passes ``ceiling``: each over-list is listed once
-    and stops there, so no more than that is listed.  Each column is
-    interned, so the blocks share one object per column."""
-    ranks, interned, size = _Ranks(), {}, 0
+    """The _Ranks of the triples _ranked_columns(a, over) lists, each made
+    an element by ``build``, or None once their count passes
+    ``ceiling``: each over-list is listed once and stops there, so no more
+    than that is listed.  Each column is interned, so the blocks share one
+    object per column."""
+    ranks, interned = _Ranks(build), {}
     for x in a:
         pos: dict = {}
         for y in over(x):
             pos[interned.setdefault(y, y)] = len(pos)
-            if size + len(pos) ** 2 > ceiling:
+            if len(ranks) + len(pos) ** 2 > ceiling:
                 return None
-        ranks[interned.setdefault(x, x)] = size, len(pos), pos
-        size += len(pos) ** 2
+        ranks.add(interned.setdefault(x, x), pos)
     return ranks

@@ -20,8 +20,10 @@ partitions of V x [k] too (poset._ranked_columns), over fibers walked
 lazily on a chain (poset._columns) and interned by _v_moves as the loops
 read them, so an image shares its fibers with the labeling it equals,
 and the first labeling costs a few fibers.  _v_ranks gives a labeling's
-position in that order from its three fibers, by a rank table over the
-same fibers (poset._rank_table), so an orbit table keeps no labeling.
+position in that order from its three fibers, and the labeling at a
+position, by a rank table over the same fibers (poset._rank_table), so
+an orbit table lists and keeps no labeling: its walk builds each cycle's
+start from its rank, and promotion builds the rest.
 Elsewhere, on a graded poset in any element order, it is the walk that
 lists linear extensions and partitions off V x [k] too
 (poset._order_preserving_maps), the reference for the loops.  Both
@@ -220,23 +222,24 @@ def _v_labelings(rf: RestrictionFunction, ell: int, fiber_of, ids):
 
 def _v_ranks(ell: int, q: int, ceiling: int):
     """The rank table (poset._Ranks) of the labelings of V x [ell] in
-    [q], listed as enumerate_labelings lists them, and locate(f): the
+    [q], a sequence of them in the order enumerate_labelings lists them,
+    built unvalidated over promotion's interned fibers, and locate(f): the
     position of labeling f among them, or None if f has another
-    restriction or ell, or is none of them.  None once they number more
-    than ``ceiling``."""
+    restriction or ell, or is none of them.  The table's labelings carry
+    the restriction locate compares by identity first, so an image of one
+    of them passes at the identity.  None once they number more than
+    ``ceiling``."""
     rf = restriction_rq(make_v(), q)
-    ranks = _rank_table(*_v_columns(rf, ell, *_v_moves(rf)[:2]), ceiling)
+    ranks = _rank_table(*_v_columns(rf, ell, *_v_moves(rf)[:2]),
+                        lambda *fibers: _labeling(rf, ell, fibers), ceiling)
     if ranks is None:
         return None
     rank = ranks.rank
 
     def locate(f: PStrictLabeling) -> int | None:
-        nonlocal rf
-        if f.restriction is not rf:
-            if f.restriction != rf:
-                return None
-            rf = f.restriction  # equal: later ones compare by identity
-        return rank(*f.fibers) if f.ell == ell else None
+        if f.ell != ell or (f.restriction is not rf and f.restriction != rf):
+            return None
+        return rank(*f.fibers)
     return ranks, locate
 
 

@@ -13,8 +13,10 @@ each B column weakly above it, then each such C column, the columns
 weakly increasing in 0..ell and walked lazily on a chain
 (poset._columns).  The loops keep the C columns over the current A
 column, so memory grows with them.  _v_ranks gives a partition's
-position in that order from its three columns, by a rank table over the
-same columns (poset._rank_table), so an orbit table keeps no partition.
+position in that order from its three columns, and the partition at a
+position, by a rank table over the same columns (poset._rank_table), so
+an orbit table lists and keeps no partition: its walk builds each
+cycle's start from its rank, and the step builds the rest.
 On other posets the walk that also lists linear extensions and labelings
 off V (poset._order_preserving_maps) lists them, and is the loops'
 reference; it bounds each value by 0..ell and by every cover whose
@@ -122,13 +124,16 @@ def _v_partitions(poset: Poset, ell: int, k: int) -> Iterator[PPartition]:
 
 def _v_ranks(poset: Poset, ell: int, ceiling: int):
     """The rank table (poset._Ranks) of the partitions of V x [k] bounded
-    by ell, listed as enumerate_ppartitions lists them, and locate(f): the
-    position of partition f among them, read from its three columns, or
-    None if f has another poset or ell.  None once they number more than
+    by ell, a sequence of them in the order enumerate_ppartitions lists
+    them, built unvalidated on ``poset``, and locate(f): the position of
+    partition f among them, read from its three columns, or None if f has
+    another poset or ell.  None once they number more than
     ``ceiling``."""
     k = v_chain_layers(poset)
     over = partial(_columns, top=ell)
-    ranks = _rank_table(over((0,) * k), over, ceiling)
+    ranks = _rank_table(over((0,) * k), over,
+                        lambda a, b, c: _partition(poset, ell, a + b + c),
+                        ceiling)
     if ranks is None:
         return None
     rank = ranks.rank

@@ -9,10 +9,12 @@ A table holds one action's cycles at one grid point, as arrays of
 positions in enumeration order; it takes an image for an element only if
 it has the element's class, owner and ell.  On V (labelings and
 partitions) the point's rank table (poset._Ranks) gives each image's
-position from its three columns, so the elements stream past once and
-are not kept; a table lists them again only for the word claims,
-row-extension-independent and a counterexample.  The extensions and
-their Kreweras words are kept in a list and found by equality.
+position from its three columns and builds the element at a position,
+so no element is listed or kept: each cycle's walk builds its start
+from its rank and steps each image in turn, and the word claims,
+row-extension-independent and a counterexample build what they read
+from its rank.  The extensions and their Kreweras words are kept in a
+list and found by equality.
 run_suite is point-major: at each grid point it makes each family's list
 or rank table once, builds the tables its claims still passing read,
 hands each claim its tables and lists and drops them all before the next
@@ -34,12 +36,13 @@ import csv
 import io
 import json
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import islice
 from math import lcm
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import golden, pstrict as _pstrict_module, \
     rowmotion as _rowmotion_module
@@ -50,9 +53,9 @@ from .orbits import ActionError, OrbitReport, _json_field, orbit_cycles, \
     power_map
 from .poset import _Memo, _Ranks, linear_extensions, make_v, \
     product_with_chain
-from .pstrict import enumerate_labelings, promote_pstrict, swap_bc
-from .rowmotion import apply_automorphism, enumerate_ppartitions, \
-    flip_automorphism, rowmotion, togpro
+from .pstrict import promote_pstrict, swap_bc
+from .rowmotion import apply_automorphism, flip_automorphism, rowmotion, \
+    togpro
 from .words import PartialMultiKrewerasWord, _blocks_text, _deleted, \
     _double_arcs, _layerwise_blocks, _shortest_arcs, \
     delete_double_arc, destandardize, double_arcs, labeling_of_word, \
@@ -132,14 +135,15 @@ def _word_grid(ell_max: int, q_max: int,
 
 
 class _Family(NamedTuple):
-    """A family's elements at a grid point (ell, q).  ``listing`` lists
-    them lazily by this module's names as bound when called, and ``name``
-    names them in a ceiling message.  On V, ``ranks`` gives their rank
-    table and locate, or None past the ceiling, and a table finds each
-    image by rank; elsewhere it finds it in the kept list."""
+    """A family's elements at a grid point (ell, q), named by ``name`` in
+    a ceiling message.  Off V, ``listing`` lists them lazily by this
+    module's names as bound when called, and a table finds each image in
+    the kept list.  On V, ``ranks`` gives their rank table (a sequence of
+    them) and locate, or None past the ceiling, and a table finds each
+    image by rank."""
 
-    listing: Callable
     name: Callable
+    listing: Callable | None = None
     ranks: Callable | None = None
 
 
@@ -147,17 +151,15 @@ class _Family(NamedTuple):
 # and the partitions of V x [q - 2] bounded by ell at (ell, q).
 _FAMILIES = {
     "extensions": _Family(
-        lambda n, q: linear_extensions(product_with_chain(make_v(), n)),
-        lambda n, q: f"extensions n={n}"),
+        lambda n, q: f"extensions n={n}",
+        lambda n, q: linear_extensions(product_with_chain(make_v(), n))),
     "labelings": _Family(
-        lambda ell, q: enumerate_labelings(ell, q),
         lambda ell, q: f"labelings ell={ell} q={q}",
-        lambda ell, q, ceiling: _pstrict_module._v_ranks(ell, q, ceiling)),
+        ranks=lambda ell, q, ceiling: _pstrict_module._v_ranks(
+            ell, q, ceiling)),
     "ppartitions": _Family(
-        lambda ell, q: enumerate_ppartitions(
-            product_with_chain(make_v(), q - 2), ell),
         lambda ell, q: f"ppartitions ell={ell} k={q - 2}",
-        lambda ell, q, ceiling: _rowmotion_module._v_ranks(
+        ranks=lambda ell, q, ceiling: _rowmotion_module._v_ranks(
             product_with_chain(make_v(), q - 2), ell, ceiling)),
 }
 
@@ -175,16 +177,6 @@ def _listed(family: str, ell: int, q: int, ceiling: int):
         return found
     raise CeilingExceeded(f"{f.name(ell, q)} exceeds the ceiling of "
                           f"{ceiling} elements")
-
-
-class _Listing:
-    """A V family's elements at a point, listed anew on each iteration."""
-
-    def __init__(self, family: str, ell: int, q: int):
-        self.family, self.ell, self.q = family, ell, q
-
-    def __iter__(self):
-        return iter(_FAMILIES[self.family].listing(self.ell, self.q))
 
 
 def _lists(ell: int, q: int, ceiling: int) -> _Memo:
@@ -223,20 +215,15 @@ def _arcs(w: PartialMultiKrewerasWord) -> _Arcs:
 class _Table:
     """The orbits of one action at one grid point: the cycles as arrays of
     positions in enumeration order, and the elements, kept in a list or,
-    on V, listed again on first read from their listing, with the rank
-    table (poset._Ranks) that placed them.  A labeling table builds its
+    on V, the rank table (poset._Ranks) that placed them, which builds
+    the element at a position when read.  A labeling table builds its
     words and their _Arcs on first read."""
 
     action: str
     ell: int
     q: int
-    listed: Iterable
+    elements: list | _Ranks
     cycles: list
-    ranks: _Ranks | None = None
-
-    @cached_property
-    def elements(self) -> list:
-        return list(self.listed)
 
     @cached_property
     def words(self) -> list:
@@ -302,17 +289,16 @@ _ACTIONS = {
 
 
 def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
-    """Step each element of the point once: on V as its listing streams
-    past, found by the point's rank table, elsewhere in the point's
-    ``lists``.  The step, the read, the listing and the arc data's
-    functions when first read, are looked up in this module, so a rebound
-    name is used."""
+    """Step each element of the point once, along its cycle: on V from
+    each cycle's start, built from its rank, each image found by the
+    point's rank table, elsewhere in the point's ``lists``.  The step, the
+    read and the arc data's functions when first read, are looked up in
+    this module, so a rebound name is used."""
     a = _ACTIONS[action]
     if _FAMILIES[a.family].ranks is not None:
         ranks, locate = lists[a.family]
-        listing = _Listing(a.family, ell, q)
-        return _Table(action, ell, q, listing,
-                      orbit_cycles(a.step(q), listing, locate=locate), ranks)
+        return _Table(action, ell, q, ranks,
+                      orbit_cycles(a.step(q), ranks, locate=locate))
     elements = lists[a.family]
     if a.read is not None:
         elements = list(map(a.read, elements))
@@ -322,16 +308,22 @@ def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
 
 def _unmirrored(t: _Table):
     """(x, step^q(x)) for the first x, in enumeration order, whose step^q
-    is not its B/C mirror image, or None.  On V it compares positions:
-    step^q of the triple at start + i·m + j must be the one at
-    start + j·m + i; elsewhere it compares elements."""
-    if t.ranks is not None:
-        image = power_map(t.cycles, t.q)
-        bad = next((p for p, mirror in t.ranks.mirrors()
-                    if image[p] != mirror), None)
-        if bad is None:
+    is not its B/C mirror image, or None.  On V it compares positions,
+    one cycle at a time: step^q moves each position q places along its
+    cycle, and must reach the position of its B/C swap
+    (poset._Ranks.mirror); elsewhere it compares elements."""
+    if isinstance(t.elements, _Ranks):
+        mirror, bad = t.elements.mirror(), []
+        for cycle in t.cycles:
+            s = t.q % len(cycle)
+            image = cycle[s:] + cycle[:s]
+            if array("q", map(mirror.__getitem__, cycle)) != image:
+                bad.append(min((p, y) for p, y in zip(cycle, image)
+                               if mirror[p] != y))
+        if not bad:
             return None
-        return t.elements[bad], t.elements[image[bad]]
+        p, y = min(bad)
+        return t.elements[p], t.elements[y]
     mirror = _ACTIONS[t.action].mirror
     return next(((x, y) for x, y in zip(t.elements, t.power(t.q))
                  if y != mirror(x)), None)

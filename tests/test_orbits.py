@@ -52,46 +52,56 @@ def test_orbit_cycles_detects_merge_inside_one_walk():
         orbit_cycles({"a": "b", "b": "c", "c": "d", "d": "c"}.get, "abcd")
 
 
-class Listing:
-    """range(n), listed anew on each iteration, counting the listings."""
+class Positions:
+    """range(n) as a sequence that keeps no element, recording each
+    position read."""
 
     def __init__(self, n):
-        self.n, self.listed = n, 0
+        self.n, self.read = n, []
 
-    def __iter__(self):
-        self.listed += 1
-        return iter(range(self.n))
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, p):
+        self.read.append(p)
+        return p
 
 
-def test_orbit_cycles_by_locate_streams_the_elements_once():
-    listing = Listing(6)
+def test_orbit_cycles_by_locate_reads_only_each_cycles_start():
+    # each walk reads its start and steps each image in turn
+    positions, stepped = Positions(6), []
+
+    def step(x):
+        stepped.append(x)
+        return (x + 2) % 6
     locate = {x: x for x in range(6)}.get
-    assert cycle_lists(orbit_cycles(lambda x: (x + 2) % 6, listing,
-                                    locate=locate)) == [[0, 2, 4], [1, 3, 5]]
-    assert listing.listed == 1
+    assert cycle_lists(orbit_cycles(step, positions, locate=locate)) \
+        == [[0, 2, 4], [1, 3, 5]]
+    assert positions.read == [0, 1]
+    assert stepped == [0, 2, 4, 1, 3, 5]
     # what locate does not place, or an image of another class, leaves
     # the set, as in the kept list
     for step, escape in ((lambda x: x + 1, "5 -> 6"), (float, "0 -> 0.0")):
-        listing.listed = 0
+        positions.read.clear()
         with pytest.raises(ActionError) as info:
-            orbit_cycles(step, listing, locate=locate)
+            orbit_cycles(step, positions, locate=locate)
         assert str(info.value) == f"action leaves the set at {escape}"
-        assert listing.listed == 1
+        assert positions.read == [0]
 
 
-def test_orbit_cycles_by_locate_lists_again_to_name_a_merge():
+def test_orbit_cycles_by_locate_names_a_merge_by_its_image():
     # 0 -> 1 -> ... -> 5 -> 3: the walk from 0 reaches 3 again, and the
-    # element is named from a second listing
-    listing = Listing(6)
+    # image it reached is named, with no further read of the elements
+    positions = Positions(6)
     with pytest.raises(ActionError, match="^3 is reached twice"):
-        orbit_cycles(lambda x: x + 1 if x < 5 else 3, listing,
+        orbit_cycles(lambda x: x + 1 if x < 5 else 3, positions,
                      locate={x: x for x in range(6)}.get)
-    assert listing.listed == 2
+    assert positions.read == [0]
 
 
 def test_orbit_cycles_by_locate_refuses_an_iterator():
-    # naming an element reached twice lists the elements again, which a
-    # one-shot iterator cannot; it is refused before any step
+    # with locate, a cycle's start is read by its position, which a
+    # one-shot iterator has not; it is refused before any step
     locate = {x: x for x in range(6)}.get
     steps = []
 
@@ -99,11 +109,11 @@ def test_orbit_cycles_by_locate_refuses_an_iterator():
         steps.append(x)
         return x + 1 if x < 5 else 3
     elements = iter(range(6))
-    with pytest.raises(TypeError, match="not an iterator"):
+    with pytest.raises(TypeError, match="has no len"):
         orbit_cycles(step, elements, locate=locate)
     assert steps == [] and next(elements) == 0
-    # a listing, a list or a range lists again, and names the merge
-    for elements in (Listing(6), list(range(6)), range(6)):
+    # a sequence, a list or a range names the merge
+    for elements in (Positions(6), list(range(6)), range(6)):
         with pytest.raises(ActionError, match="^3 is reached twice"):
             orbit_cycles(step, elements, locate=locate)
     # without locate an iterator is listed once and kept

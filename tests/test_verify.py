@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import tracemalloc
 import weakref
@@ -95,6 +96,47 @@ def test_orbit_reports_for_actions():
     assert report.orbit_sizes == (3, 2) and report.all_checks_pass
     report = orbit_report_for_action("togpro", 1, 3)
     assert report.orbit_sizes == (3, 2) and report.all_checks_pass
+
+
+# sha256 of the JSON text of the benchmark's four orbit reports, of the
+# classical reports at n = 1..3, and of run_suite("all") with its duration
+# zeroed: a change to the walk, the tables or the claims that moves one
+# byte of a report fails here
+REPORT_DIGESTS = {
+    ("pro-pstrict", 3, 7):
+        "85950da62ecd7eb8913b6022cdc73bcd85b0457c22cdac4198faebe79df4a4d3",
+    ("pro-pstrict", 2, 9):
+        "a47ff4cbbc46671c0e21982a75af860f65d26d2f7a84340c771b73f6126b56f8",
+    ("row", 3, 7):
+        "be9416bbd43f8f693c35079a62da41b30117aa80ea86fc1b0d18f65eade0986c",
+    ("togpro", 3, 7):
+        "b0a060a8959361643f97eb09916d0f3e9b08af7f903b32640bb82be659f4f303",
+    ("pro-linext", 1, None):
+        "1e1cda7ad844eba64e20543b56c4b6106b720a0ad83f0db49d4c80e2c8026726",
+    ("pro-linext", 2, None):
+        "4c368f043ee7ccba1c922fd85329bf1e4bcf4d1f00ca1a8315035079c0c21949",
+    ("pro-linext", 3, None):
+        "67d6e535f45be1a4a4cb0eb004ce38415306ea1bd7beab1861edd96205534a4f",
+    ("pro-kreweras", 1, None):
+        "c0db4197f841a5c26339b863c06fdc01bae5663c48688a60eceab7657a05debe",
+    ("pro-kreweras", 2, None):
+        "2418332c7ea4f85feb4d40af8fa4d6fca23235393b4ecef17376563be9ae79a5",
+    ("pro-kreweras", 3, None):
+        "c2ef81fc9260af18ac792f8297d81fd7e8ee7109f56fa88558c1ed8c1f5f6b5b",
+}
+SUITE_ALL_DIGEST = \
+    "a8f9dab2d53bf46a8b030f945426c1f6ffaac816521cffbc5ffe8157679903a3"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_are_byte_identical_to_their_pinned_digests():
+    assert {point: sha256(report_to_json_text(orbit_report_for_action(
+        *point))) for point in REPORT_DIGESTS} == REPORT_DIGESTS
+    assert sha256(report_to_json_text(normalized(run_suite("all")))) \
+        == SUITE_ALL_DIGEST
 
 
 @pytest.mark.parametrize("action", ["pro-pstrict", "row", "togpro"])
@@ -742,11 +784,13 @@ def test_each_step_runs_once_per_object(monkeypatch):
 
 
 def each_image_is_one_element(table, images) -> bool:
-    """Whether the step ran once per element, in enumeration order, and
-    each image equals exactly one element: the one the table's cycles
-    step to."""
-    return (len(set(table.elements)) == len(table.elements)
-            and images == table.power(1))
+    """Whether the step ran once per element, along each cycle from its
+    start, and each image equals exactly one element: the one the
+    table's cycles step to."""
+    elements = list(table.elements)
+    walked = [elements[p] for cycle in table.cycles
+              for p in (*cycle[1:], cycle[0])]
+    return len(set(elements)) == len(elements) and images == walked
 
 
 @pytest.mark.parametrize("action,name", [("pro-pstrict", "promote_pstrict"),
@@ -767,18 +811,21 @@ def test_steps_in_a_table_return_its_elements(monkeypatch, action, name):
 
 def stepped_tables(monkeypatch, name):
     """Records each orbit table verify builds, with the images its step
-    ``name`` returned while building it, as (table, images) pairs."""
-    stepped, images = [], []
+    ``name`` returned while building it and the objects it stepped, as
+    (table, images, stepped objects) triples."""
+    stepped, images, objects = [], [], []
     step, table_at = getattr(verify, name), verify._table
 
-    def recorded(*args):
-        images.append(step(*args))
+    def recorded(f, *args):
+        objects.append(f)
+        images.append(step(f, *args))
         return images[-1]
 
     def kept(*args):
         images.clear()
+        objects.clear()
         table = table_at(*args)
-        stepped.append((table, list(images)))
+        stepped.append((table, list(images), list(objects)))
         return table
     monkeypatch.setattr(verify, name, recorded)
     monkeypatch.setattr(verify, "_table", kept)
@@ -790,11 +837,12 @@ def stepped_tables(monkeypatch, name):
                                         ("togpro", PPartition)])
 def test_each_element_is_built_once_per_report(monkeypatch, validations,
                                                action, cls):
-    # the enumeration builds each element, valid by construction, and a
-    # step assembles its image from move entries checked when filled, so
+    # the rank table builds each cycle's start, valid by construction, and
+    # a step assembles its image from move entries checked when filled, so
     # a report validates at most one object per entry it fills, and none
-    # when run again at the same point; no element is reused by the next
-    # report
+    # when run again at the same point; each walk steps its start, then
+    # each image in turn, so every element is stepped as one object, built
+    # once, and no element is reused by the next report
     if action == "pro-pstrict":
         module, at = pstrict_module, (restriction_rq(make_v(), 6),)
         expected = sum(1 for _ in enumerate_labelings(2, 6))
@@ -810,9 +858,17 @@ def test_each_element_is_built_once_per_report(monkeypatch, validations,
     validated.clear()
     assert orbit_report_for_action(action, 2, 6).count == expected
     assert not validated
-    assert all(each_image_is_one_element(*pair) for pair in stepped)
-    first, second = ({id(x) for x in table.elements}
-                     for table, _ in stepped)
+    assert all(each_image_is_one_element(t, images)
+               for t, images, _ in stepped)
+    for table, images, objects in stepped:
+        assert objects == [table.elements[p] for cycle in table.cycles
+                           for p in cycle]
+        k = 0  # the step of each cycle's start
+        for cycle in table.cycles:
+            assert all(objects[k + i] is images[k + i - 1]
+                       for i in range(1, len(cycle)))
+            k += len(cycle)
+    first, second = ({id(x) for x in objects} for _, _, objects in stepped)
     assert len(first) == expected and not first & second
 
 
@@ -827,26 +883,26 @@ def test_word_steps_promote_the_tables_labelings(monkeypatch, validations):
         stepped.clear()
         assert run_suite(suite).passed
         assert not validated, suite
-        assert [(t.ell, t.q) for t, _ in stepped] == grid(2, 6), suite
-        assert all(each_image_is_one_element(*pair) for pair in stepped)
+        assert [(t.ell, t.q) for t, _, _ in stepped] == grid(2, 6), suite
+        assert all(each_image_is_one_element(t, images)
+                   for t, images, _ in stepped)
 
 
-def test_word_points_list_labelings_twice_and_build_no_labeling(
+def test_word_points_list_no_labeling_and_build_none_from_words(
         monkeypatch):
     # the word laws share the labeling table of their points with main and
-    # equivariance; the table keeps no labeling, so the words list their
-    # point again, and no word law transports a word back to a labeling
+    # equivariance; the table keeps no labeling, and the words read each
+    # labeling from its rank, so no point lists its labelings, and no word
+    # law transports a word back to a labeling
     points = []
-    enumerate_at = verify.enumerate_labelings
+    labelings_at = pstrict_module._v_labelings
 
-    def recorded(ell, q):
-        points.append((ell, q))
-        return enumerate_at(ell, q)
-    monkeypatch.setattr(verify, "enumerate_labelings", recorded)
+    def recorded(rf, ell, *tables):
+        points.append((ell, rf.q))
+        return labelings_at(rf, ell, *tables)
+    monkeypatch.setattr(pstrict_module, "_v_labelings", recorded)
     assert run_suite("all").passed
-    assert Counter(points) == {point: 1 + (point in grid(2, 6))
-                               for point in verify._word_grid(3, 7, 10)}
-    assert len(points) == 15 + 8
+    assert points == []
     calls = Counter()
     to_labeling = words.labeling_of_word
 
@@ -879,9 +935,31 @@ def flipped(f):
 REFERENCES = {"pro-pstrict": swap_bc, "row": flipped, "togpro": flipped}
 
 
+# family -> its elements at (ell, q), listed in enumeration order
+LISTINGS = {"labelings": enumerate_labelings, "ppartitions": ppartitions}
+
+
+def walked(image):
+    """The cycles of the permutation ``image`` of positions, each from
+    its earliest position, in order of those."""
+    seen, cycles = set(), []
+    for start in range(len(image)):
+        cycle, p = [], start
+        while p not in seen:
+            seen.add(p)
+            cycle.append(p)
+            p = image[p]
+        if cycle:
+            assert p == start
+            cycles.append(cycle)
+    return cycles
+
+
 @pytest.mark.parametrize("action", list(REFERENCES))
 def test_ranked_walk_matches_the_reference_on_every_default_point(action):
-    mirror = REFERENCES[action]
+    # the reference lists the family, steps each element in enumeration
+    # order and finds its image in a dict of the listed elements
+    mirror, step = REFERENCES[action], getattr(verify, STEPS[action])
     family = verify._ACTIONS[action].family
     points = default_points()
     assert len(points) == 15 and {(1, 4), (2, 3), (2, 6), (3, 5)} < {*points}
@@ -889,14 +967,31 @@ def test_ranked_walk_matches_the_reference_on_every_default_point(action):
         lists = verify._lists(ell, q, verify.DEFAULT_CEILING)
         table = verify._table(action, ell, q, lists)
         ranks, locate = lists[family]
-        elements = list(verify._FAMILIES[family].listing(ell, q))
+        elements = list(LISTINGS[family](ell, q))
+        index = {x: p for p, x in enumerate(elements)}
+        assert len(ranks) == len(elements)
+        assert [ranks[p] for p in range(len(elements))] == elements
         assert [locate(x) for x in elements] == list(range(len(elements)))
-        assert sum(m * m for _, m, _ in ranks.values()) == len(elements)
-        assert table.cycles == orbit_cycles(verify._ACTIONS[action].step(q),
-                                            elements)
-        # the arithmetic B/C swap of each position is its mirror's rank
-        assert all(locate(mirror(elements[p])) == swapped
-                   for p, swapped in ranks.mirrors()), (ell, q)
+        image = [index[step(x, q) if action == "togpro" else step(x)]
+                 for x in elements]
+        assert [list(c) for c in table.cycles] == walked(image), (ell, q)
+        # the arithmetic B/C swap of each position is its mirror's position
+        assert list(ranks.mirror()) \
+            == [index[mirror(x)] for x in elements], (ell, q)
+
+
+def test_a_non_injective_step_on_a_rank_table_names_its_image(monkeypatch):
+    # the first labeling goes to the second, and every other one to its
+    # promotion: the walk from the first follows the second's cycle, which
+    # returns to the second, seen earlier in this walk
+    first, second = [PStrictLabeling(restriction_rq(make_v(), 3), 1, fibers)
+                     for fibers in (((1,), (2,), (2,)), ((1,), (2,), (3,)))]
+    monkeypatch.setattr(verify, "promote_pstrict",
+                        lambda f: second if f == first else promote_pstrict(f))
+    with pytest.raises(ActionError) as info:
+        orbit_report_for_action("pro-pstrict", 1, 3)
+    assert str(info.value) \
+        == "PStrictLabeling(A:1; B:2; C:3) is reached twice; not a bijection"
 
 
 @pytest.mark.parametrize("action", ["pro-pstrict", "row"])
@@ -918,7 +1013,7 @@ def test_an_over_ceiling_table_is_refused_from_its_count(monkeypatch):
     # column's over-list, after some 3,100 columns, and no partition is
     # built
     listed = []
-    monkeypatch.setattr(verify, "enumerate_ppartitions",
+    monkeypatch.setattr(rowmotion_module, "_partition",
                         lambda *args: listed.append(args))
     tracemalloc.start()
     try:
@@ -990,25 +1085,31 @@ def test_one_points_tables_are_alive_at_a_time(monkeypatch):
     assert not stale
 
 
-def test_each_table_lists_its_family_once_per_point(monkeypatch):
+def test_only_the_extension_tables_list_their_family(monkeypatch):
     # the extension tables and list-reading claims at a point share one
-    # list; each V table streams its family once and keeps none of it, so
-    # only the word claims and row-extension-independent list a V point
-    # again; no claim steps a partition the row table has stepped
+    # list; a V table lists nothing: it builds each cycle's start from its
+    # rank, and the word claims and row-extension-independent read their
+    # elements by rank too; no claim steps a partition the row table has
+    # stepped
+    # the rowmotion grid and the equivariance grid hold every partition
+    partitions = sum(1 for ell, q in {*grid(3, 5), *grid(2, 6)}
+                     for _ in ppartitions(ell, q))
+    assert partitions == 4_038
     counts = Counter()
 
-    def counted(name):
-        listed = getattr(verify, name)
+    def counted(module, name):
+        listed = getattr(module, name)
 
         def listing(*args):
             for x in listed(*args):
                 counts[name] += 1
                 yield x
-        monkeypatch.setattr(verify, name, listing)
+        monkeypatch.setattr(module, name, listing)
 
-    for name in ("linear_extensions", "enumerate_labelings",
-                 "enumerate_ppartitions"):
-        counted(name)
+    counted(verify, "linear_extensions")
+    # the ranked column loops that list the labelings and partitions of V
+    counted(pstrict_module, "_ranked_columns")
+    counted(rowmotion_module, "_ranked_columns")
     row = verify.rowmotion
 
     def stepped(f, ext=None):
@@ -1016,20 +1117,9 @@ def test_each_table_lists_its_family_once_per_point(monkeypatch):
         return row(f, ext)
     monkeypatch.setattr(verify, "rowmotion", stepped)
     assert run_suite("all").passed
-    # the rowmotion grid and the equivariance grid hold every partition
-    partitions = sum(1 for ell, q in {*grid(3, 5), *grid(2, 6)}
-                     for _ in ppartitions(ell, q))
-    # togpro's table streams the equivariance grid again, and
-    # row-extension-independent lists its two points again
-    togpro_grid = sum(1 for ell, q in grid(2, 6) for _ in ppartitions(ell, q))
     assert dict(counts) == {
         # V x [1..4], and V x [1] and V x [2] again as sweep orders
-        "linear_extensions": 3_044,
-        # the word grid again for the words
-        "enumerate_labelings": 53_815 + 1_533,
-        "enumerate_ppartitions": partitions + togpro_grid + 14 + 14,
-        "rowmotion": partitions}
-    assert partitions == 4_038 and togpro_grid == 1_533
+        "linear_extensions": 3_044, "rowmotion": partitions}
     assert 3_044 == sum(map(kreweras_number, range(1, 5))) \
         + kreweras_number(1) + kreweras_number(2)
 
