@@ -17,18 +17,18 @@ class ActionError(ValueError):
     """The map is not a bijection of the given set onto itself."""
 
 
-def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
-                 locate: Callable[[X], int | None] | None = None,
-                 ) -> list[array]:
-    """Cycles of ``step`` on ``elements``, each a compact array of
-    positions in ``elements`` starting at its earliest, in order of
-    those.  Each cycle is one walk: the element at the earliest unvisited
-    position is stepped, and each image after it, until the walk returns
-    to its start, so each element is stepped once and only a cycle's
-    start is read from ``elements``.  A walk that closes at its start
-    proves its cycle, so the map is a bijection unless a walk reaches an
-    element twice.  Raises ActionError if the map leaves the set or
-    identifies two elements.
+def orbit_cycles(step: Callable[[X], X], elements: Iterable[X],
+                 visit: Callable[[list[int], list[X]], object], *,
+                 locate: Callable[[X], int | None] | None = None) -> None:
+    """Walk the cycles of ``step`` on ``elements`` and hand each to
+    ``visit(positions, xs)`` as its walk closes it, keeping none:
+    ``positions`` from the cycle's earliest, in walk order, and ``xs`` the
+    elements at them, so the step of xs[i] is xs[i + 1].  Each walk steps
+    the element at the earliest unvisited position, and each image after
+    it, until it returns to its start, so each element is stepped once and
+    only a cycle's start is read from ``elements``.  Raises ActionError if
+    the map leaves the set or a walk reaches an element twice (then the
+    map identifies two elements).
 
     An image of the element's class is found by ``locate``, which gives
     the position of an element, or None for anything that is none of
@@ -43,10 +43,10 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
             raise ActionError("enumeration repeats an element")
         locate = index.get
     seen = bytearray(len(elements))
-    cycles = []
     start = seen.find(0)
     while start >= 0:
-        x, cycle = elements[start], [start]
+        x = elements[start]
+        positions, xs = [start], [x]
         seen[start] = 1
         while True:
             y = step(x)
@@ -56,18 +56,18 @@ def orbit_cycles(step: Callable[[X], X], elements: Iterable[X], *,
             if seen[j]:
                 break
             seen[j] = 1
-            cycle.append(j)
+            positions.append(j)
+            xs.append(y)
             x = y
         if j != start:  # reached from this walk and from an earlier step
             raise ActionError(f"{y!r} is reached twice; not a bijection")
-        cycles.append(array("q", cycle))
+        visit(positions, xs)
         start = seen.find(0, start + 1)
-    return cycles
 
 
 def power_map(cycles: list, t: int) -> array:
     """The position of step^t of each position, as a compact array, from
-    the cycles of positions that orbit_cycles returns."""
+    the cycles of positions that orbit_cycles visits."""
     out = array("q", [0]) * sum(map(len, cycles))
     for cycle in cycles:
         size = len(cycle)

@@ -4,30 +4,25 @@ counterexample reported on failure.
 
 Each action with tables is one _Action record: its family, which
 _FAMILIES lists at a grid point, its step, and its B/C mirror law.  A
-claim is a predicate over the tables and lists it reads, in that order.
-A table holds one action's cycles at one grid point, as arrays of
-positions in enumeration order; it takes an image for an element only if
-it has the element's class, owner and ell.  On V (labelings and
-partitions) the point's rank table (poset._Ranks) gives each image's
-position from its three columns and builds the element at a position,
-so no element is listed or kept: each cycle's walk builds its start
-from its rank and steps each image in turn, and the word claims,
-row-extension-independent and a counterexample build what they read
-from its rank.  The extensions and their Kreweras words are kept in a
-list and found by equality.
-run_suite is point-major: at each grid point it makes each family's list
-or rank table once, builds the tables its claims still passing read,
-hands each claim its tables and lists and drops them all before the next
-point, so each object is stepped once per run and one point's lists and
-tables are alive at a time.  Predicates read step^q of an element q
-places along its cycle and compare it with the B/C mirror image: on V by
-position, the triple (A, B, C) at start + i·m + j against the one at
-start + j·m + i, elsewhere by equality.  A block word is a labeling read
-by label, so the word laws read the labeling table, which builds each
-word's arc data on first read: its sorted layers and double arcs and,
-absent double arcs, its standardization, for w and for Pro(w) alike.  A
-claim reports its first failing element in enumeration order.
-orbit_report_for_action shares tables and predicates.
+table is one walk of one action at one grid point (orbit_cycles); it
+keeps its elements' list or, on V, the point's rank table
+(poset._Ranks), which places each image by its three columns and builds
+each cycle's start from its rank, and a histogram of orbit sizes, but
+no cycle.  A claim is a fold over the cycles of the tables it reads, or
+a predicate over their histograms and the family lists it reads.  As the
+walk closes a cycle it hands the cycle's positions, in walk order, and
+the elements it built to the checks of the claims still passing; each
+names the cycle's least failing position and a counterexample from those
+elements, and the least over all cycles is kept, so a claim reports its
+first failing element in enumeration order.  step^q of an element is the
+element q places along its cycle, compared with the B/C mirror image: on
+V by position (start + i·m + j against start + j·m + i), elsewhere by
+equality.  The word laws read the labeling table's cycles: each word's
+arc data is built once per cycle, and Pro(w) is the next word.
+run_suite is point-major: at each grid point it walks the tables its
+claims still passing read and drops them before the next point, so each
+object is stepped once per run and one point's tables are alive at a
+time.  orbit_report_for_action shares tables and the mirror check.
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ from . import golden, pstrict as _pstrict_module, \
 from .kreweras import bump_diagram, from_kreweras, is_crossing, \
     kreweras_number, promote_kreweras, promote_linext, swap_bc_letters, \
     to_kreweras
-from .orbits import ActionError, OrbitReport, _json_field, orbit_cycles, \
-    power_map
+from .orbits import ActionError, OrbitReport, _json_field, orbit_cycles
 from .poset import _Memo, _Ranks, linear_extensions, make_v, \
     product_with_chain
 from .pstrict import promote_pstrict, swap_bc
@@ -213,34 +207,37 @@ def _arcs(w: PartialMultiKrewerasWord) -> _Arcs:
 
 @dataclass
 class _Table:
-    """The orbits of one action at one grid point: the cycles as arrays of
-    positions in enumeration order, and the elements, kept in a list or,
-    on V, the rank table (poset._Ranks) that placed them, which builds
-    the element at a position when read.  A labeling table builds its
-    words and their _Arcs on first read."""
+    """The orbits of one action at one grid point, as its one walk left
+    them: the elements, kept in a list or, on V, the rank table
+    (poset._Ranks) that placed them, which builds the element at a
+    position when read, and the histogram of orbit sizes.  No cycle is
+    kept: the walk hands each one to the point's claims as it closes it."""
 
     action: str
     ell: int
     q: int
     elements: list | _Ranks
-    cycles: list
+    sizes: Counter = field(default_factory=Counter)
 
     @cached_property
-    def words(self) -> list:
-        return list(map(word_of_labeling, self.elements))
+    def mirror(self) -> array:
+        """On V, the position of each position's B/C mirror image."""
+        return self.elements.mirror()
+
+
+class _Cycle:
+    """One cycle as its walk closed it: its ``positions`` from the
+    earliest, in walk order, and the elements ``xs`` at them, so Pro (the
+    step) of xs[i] is xs[i + 1], and of the last xs[0].  On a labeling
+    table, ``arcs`` holds the _Arcs of each element's word, built on first
+    read and shared by the word claims."""
+
+    def __init__(self, positions: list[int], xs: list):
+        self.positions, self.xs = positions, xs
 
     @cached_property
-    def arcs(self) -> list:
-        return list(map(_arcs, self.words))
-
-    def power(self, t: int, of: list | None = None) -> list:
-        """step^t of each element, in enumeration order; given ``of``,
-        aligned with the elements, the entry of ``of`` at each step^t."""
-        of = self.elements if of is None else of
-        return list(map(of.__getitem__, power_map(self.cycles, t)))
-
-    def sizes(self) -> list[int]:
-        return sorted((len(c) for c in self.cycles), reverse=True)
+    def arcs(self) -> list[_Arcs]:
+        return [_arcs(word_of_labeling(x)) for x in self.xs]
 
 
 def _at(t: _Table) -> dict:
@@ -249,10 +246,11 @@ def _at(t: _Table) -> dict:
 
 class _Action(NamedTuple):
     """An action with tables.  Its elements are its ``family``'s, each
-    through ``read`` if given; ``step(q)`` is the step, read when a table
-    is built.  Off V, ``mirror`` maps an element to its B/C mirror image;
-    on V the rank table pairs them.  ``report(t, x, step^q(x))`` is the
-    mirror law's counterexample."""
+    through ``read`` if given; ``step(q)`` is the step, read as a table's
+    walk starts.  Off V, ``mirror`` maps an element to its B/C mirror
+    image; on V the rank table pairs their positions.
+    ``report(t, x, step^q(x))`` is the mirror law's counterexample, built
+    from the elements the walk holds."""
 
     family: str
     step: Callable
@@ -288,54 +286,90 @@ _ACTIONS = {
 }
 
 
-def _table(action: str, ell: int, q: int, lists: _Memo) -> _Table:
-    """Step each element of the point once, along its cycle: on V from
-    each cycle's start, built from its rank, each image found by the
-    point's rank table, elsewhere in the point's ``lists``.  The step, the
-    read and the arc data's functions when first read, are looked up in
-    this module, so a rebound name is used."""
+def _table(action: str, ell: int, q: int, lists: _Memo, checks: list = (),
+           least: dict | None = None) -> _Table:
+    """One walk of the action at the point, stepping each element once,
+    along its cycle: on V from each cycle's start, built from its rank,
+    each image found by the point's rank table, elsewhere in the point's
+    ``lists``.  Each closed cycle adds its size to the histogram and goes,
+    as one _Cycle, to each (key, check) of ``checks``; ``least[key]``
+    keeps the (position, counterexample) at the least position where
+    check(t, c) failed, and a check is skipped once that position lies
+    before the cycle's start, as all later cycles lie past it.  The step
+    and the read are looked up in this module, so a rebound name is used."""
     a = _ACTIONS[action]
     if _FAMILIES[a.family].ranks is not None:
-        ranks, locate = lists[a.family]
-        return _Table(action, ell, q, ranks,
-                      orbit_cycles(a.step(q), ranks, locate=locate))
-    elements = lists[a.family]
-    if a.read is not None:
-        elements = list(map(a.read, elements))
-    return _Table(action, ell, q, elements,
-                  orbit_cycles(a.step(q), elements))
+        elements, locate = lists[a.family]
+    else:
+        elements, locate = lists[a.family], None
+        if a.read is not None:
+            elements = list(map(a.read, elements))
+    t = _Table(action, ell, q, elements)
+
+    def closed(positions: list, xs: list) -> None:
+        t.sizes[len(positions)] += 1
+        c, start = _Cycle(positions, xs), positions[0]
+        for key, check in checks:
+            best = least.get(key)
+            if best is None or best[0] > start:
+                bad = check(t, c)
+                if bad is not None and (best is None or bad[0] < best[0]):
+                    least[key] = bad
+    orbit_cycles(a.step(q), elements, closed, locate=locate)
+    return t
 
 
-def _unmirrored(t: _Table):
-    """(x, step^q(x)) for the first x, in enumeration order, whose step^q
-    is not its B/C mirror image, or None.  On V it compares positions,
-    one cycle at a time: step^q moves each position q places along its
-    cycle, and must reach the position of its B/C swap
+def _least(positions: list, bad: Callable):
+    """(p, bad(i)) at the least position p = positions[i] of a cycle where
+    bad(i) is not None, or None; bad is called only where p could still be
+    the least."""
+    found = None
+    for i, p in enumerate(positions):
+        if found is None or p < found[0]:
+            counterexample = bad(i)
+            if counterexample is not None:
+                found = p, counterexample
+    return found
+
+
+def _unmirrored(t: _Table, c: _Cycle):
+    """(p, (x, step^q(x))) at the least position p of a cycle whose
+    element x has a step^q that is not its B/C mirror image, or None.
+    step^q moves each element q places along its cycle.  On V it compares
+    positions, the image against the position of the element's B/C swap
     (poset._Ranks.mirror); elsewhere it compares elements."""
+    positions, xs = c.positions, c.xs
+    n = len(xs)
+    s = t.q % n
     if isinstance(t.elements, _Ranks):
-        mirror, bad = t.elements.mirror(), []
-        for cycle in t.cycles:
-            s = t.q % len(cycle)
-            image = cycle[s:] + cycle[:s]
-            if array("q", map(mirror.__getitem__, cycle)) != image:
-                bad.append(min((p, y) for p, y in zip(cycle, image)
-                               if mirror[p] != y))
-        if not bad:
+        mirror = t.mirror
+        image = positions[s:] + positions[:s]
+        if list(map(mirror.__getitem__, positions)) == image:
             return None
-        p, y = min(bad)
-        return t.elements[p], t.elements[y]
+        return _least(positions, lambda i: (xs[i], xs[(i + s) % n])
+                      if mirror[positions[i]] != image[i] else None)
     mirror = _ACTIONS[t.action].mirror
-    return next(((x, y) for x, y in zip(t.elements, t.power(t.q))
-                 if y != mirror(x)), None)
+    return _least(positions, lambda i: (xs[i], xs[(i + s) % n])
+                  if xs[(i + s) % n] != mirror(xs[i]) else None)
 
 
-# -- claim predicates over a table ------------------------------------
+# -- claim checks -------------------------------------------------------
+# A check of one cycle gives (position, counterexample) at the least
+# position of the cycle where its claim fails, or None; a check over
+# tables reads their size histograms once the walks are done.
 
-def _q_is_mirror(t: _Table, report=None):
+def _each(check: Callable) -> Callable:
+    """The fold of a claim whose check of a cycle needs nothing else: the
+    same check at every point."""
+    return lambda ell, q: check
+
+
+def _q_is_mirror(t: _Table, c: _Cycle, report=None):
     """step^q is the B/C swap of a labeling or word, or the flip of a
     partition; ``report`` builds the counterexample in the action's place."""
-    bad = _unmirrored(t)
-    return bad and (report or _ACTIONS[t.action].report)(t, *bad)
+    bad = _unmirrored(t, c)
+    return bad and (bad[0],
+                    (report or _ACTIONS[t.action].report)(t, *bad[1]))
 
 
 def _in_words(t: _Table, f, g):
@@ -346,29 +380,21 @@ def _in_words(t: _Table, f, g):
             "swapped": swap_bc_word(x).to_text()}
 
 
-def _pstrict_order(t: _Table):
-    """Every orbit size divides 2q; names the earliest element of the
-    first orbit that does not."""
-    for cycle in t.cycles:
-        if (2 * t.q) % len(cycle):
-            return {**_at(t), "orbit_size": len(cycle),
-                    "labeling": t.elements[cycle[0]].to_json()}
-    return None
-
-
-def _row_order(t: _Table):
-    """Every orbit size divides 2(k + 2) on V x [k]."""
-    for cycle in t.cycles:
-        if (2 * t.q) % len(cycle):
-            return {"ell": t.ell, "k": t.q - 2, "orbit_size": len(cycle),
-                    "partition": t.elements[cycle[0]].to_json()}
-    return None
+def _order_divides(t: _Table, c: _Cycle):
+    """Every orbit size divides 2q, on V x [k] 2(k + 2); a cycle that does
+    not fails at its earliest element."""
+    if (2 * t.q) % len(c.xs) == 0:
+        return None
+    at, name = ((_at(t), "labeling") if t.action == "pro-pstrict" else
+                ({"ell": t.ell, "k": t.q - 2}, "partition"))
+    return c.positions[0], {**at, "orbit_size": len(c.xs),
+                            name: c.xs[0].to_json()}
 
 
 def _linext_order(t: _Table):
     """Order divides 6n everywhere; equals 6n once n >= 2.  At n = 1 the
     action is a single swap of the two extensions, so its order is 2."""
-    n, order = t.ell, lcm(*t.sizes())
+    n, order = t.ell, lcm(*t.sizes)
     if (6 * n) % order != 0:
         return {"n": n, "order": order, "must_divide": 6 * n}
     if n >= 2 and order != 6 * n:
@@ -376,18 +402,26 @@ def _linext_order(t: _Table):
     return None
 
 
-def _kreweras_intertwines(linext: _Table, words: _Table):
+def _kreweras_intertwines(ell: int, q: int) -> Callable:
     """The word of Pro(e) is Pro of the word of e.  The word table holds
-    the word of each extension at its position, so the word of Pro(e) is
-    read along the extension table's cycles."""
-    for word, via_ext, via_word in zip(words.elements,
-                                       linext.power(1, words.elements),
-                                       words.power(1)):
-        if via_ext != via_word:
-            return {"n": words.ell, "word": word.letters,
-                    "via_extension": via_ext.letters,
-                    "via_word": via_word.letters}
-    return None
+    the word of each extension at its position, and each walk is
+    canonical, so the two permutations agree where the extension table's
+    cycles, recorded as a map of each position to its image, give each
+    position the image the word table's cycles give it."""
+    image: dict = {}
+
+    def check(t: _Table, c: _Cycle):
+        positions, xs = c.positions, c.xs
+        following = positions[1:] + positions[:1]
+        if t.action == "pro-linext":
+            image.update(zip(positions, following))
+            return None
+        return _least(positions, lambda i: {
+            "n": t.ell, "word": xs[i].letters,
+            "via_extension": t.elements[image[positions[i]]].letters,
+            "via_word": xs[i + 1 - len(xs)].letters}
+            if image[positions[i]] != following[i] else None)
+    return check
 
 
 def _classical_count(exts: list):
@@ -405,22 +439,26 @@ def _kreweras_roundtrip(exts: list):
     return None
 
 
-def _row_extension_independent(ceiling: int, t: _Table):
+def _row_extension_independent(ceiling: int, ell: int, q: int) -> Callable:
     """Sweeps along every extension of V x [k] give the table's image.
     The sweeps are the rowmotion module's own, so rebinding this module's
-    rowmotion changes the table only."""
-    exts = _lists(t.q - 2, 3 * (t.q - 2), ceiling)["extensions"]
+    rowmotion changes the table only; the extensions are listed once per
+    point."""
+    exts = _lists(q - 2, 3 * (q - 2), ceiling)["extensions"]
     row = _rowmotion_module.rowmotion
-    for f, image in zip(t.elements, t.power(1)):
-        images = {image, *(row(f, ext) for ext in exts)}
-        if len(images) != 1:
-            return {"ell": t.ell, "k": t.q - 2, "partition": f.to_json(),
-                    "distinct_images": len(images)}
-    return None
+
+    def check(t: _Table, c: _Cycle):
+        xs = c.xs
+        images = [{xs[i + 1 - len(xs)], *(row(x, ext) for ext in exts)}
+                  for i, x in enumerate(xs)]
+        return _least(c.positions, lambda i: {
+            "ell": t.ell, "k": t.q - 2, "partition": xs[i].to_json(),
+            "distinct_images": len(images[i])} if len(images[i]) > 1 else None)
+    return check
 
 
 def _row_exact(t: _Table):
-    order = lcm(*t.sizes())
+    order = lcm(*t.sizes)
     if order != 2 * t.q:
         return {"ell": t.ell, "k": t.q - 2, "order": order,
                 "expected": 2 * t.q}
@@ -429,37 +467,42 @@ def _row_exact(t: _Table):
 
 def _kreweras_orbits_match(linext: _Table, words: _Table):
     """Kreweras words have the orbit sizes of their extensions."""
-    if linext.sizes() != words.sizes():
-        return {"n": words.ell, "extension_orbits": sorted(linext.sizes()),
-                "word_orbits": sorted(words.sizes())}
+    if linext.sizes != words.sizes:
+        return {"n": words.ell,
+                "extension_orbits": sorted(linext.sizes.elements()),
+                "word_orbits": sorted(words.sizes.elements())}
     return None
 
 
 def _orbit_multisets_agree(pstrict: _Table, row: _Table, togpro: _Table):
     """P-strict promotion, rowmotion and toggle-promotion have the same
     orbit sizes."""
-    sizes = {t.action: t.sizes() for t in (pstrict, row, togpro)}
-    if not sizes["pro-pstrict"] == sizes["row"] == sizes["togpro"]:
-        return {**_at(togpro), "sizes": sizes}
+    if not pstrict.sizes == row.sizes == togpro.sizes:
+        return {**_at(togpro), "sizes": {
+            t.action: sorted(t.sizes.elements(), reverse=True)
+            for t in (pstrict, row, togpro)}}
     return None
 
 
 def _per_word(check, arcless: bool = False):
-    """A table predicate applying ``check(x, y, q)`` to the _Arcs x of
-    every word and y of its Pro(w), or with ``arcless`` to every word
-    without double arcs, failing at a word whose standardization raised."""
-    def predicate(t: _Table):
-        for x, y in zip(t.arcs, t.power(1, t.arcs)):
+    """The fold of a check of one cycle applying ``check(x, y, q)`` to the
+    _Arcs x of each word and y of its Pro(w), the next word of the cycle,
+    or with ``arcless`` to each word without double arcs, failing at a
+    word whose standardization raised."""
+    def per_cycle(t: _Table, c: _Cycle):
+        arcs = c.arcs
+
+        def bad(i: int):
+            x = arcs[i]
             if arcless and x.arcs:
-                continue
-            bad = ({"error": str(x.std)}
-                   if arcless and isinstance(x.std, ValueError)
-                   else check(x, y, t.q))
-            if bad is not None:
-                return {"ell": t.ell, "q": t.q, "word": x.word.to_text(),
-                        **bad}
-        return None
-    return predicate
+                return None
+            found = ({"error": str(x.std)}
+                     if arcless and isinstance(x.std, ValueError)
+                     else check(x, arcs[i + 1 - len(arcs)], t.q))
+            return None if found is None else {
+                **_at(t), "word": x.word.to_text(), **found}
+        return _least(c.positions, bad)
+    return _each(per_cycle)
 
 
 def _content_rotation(x, y, q):
@@ -485,9 +528,9 @@ def _double_arc_rotation(x, y, q):
     return None
 
 
-def _double_arc_deletion(t: _Table):
+def _double_arc_deletion(ell: int, q: int) -> Callable:
     """Pro of each deleted word, an (ell - 1, q) word, is computed once
-    per table.  A rotated arc missing from Pro(w) fails the claim."""
+    per point.  A rotated arc missing from Pro(w) fails the claim."""
     promote = cache(promote_word)
 
     def check(x, y, q):
@@ -502,7 +545,7 @@ def _double_arc_deletion(t: _Table):
                         "promote_then_delete": promoted_then_deleted
                         and promoted_then_deleted.to_text()}
         return None
-    return _per_word(check)(t)
+    return _per_word(check)(ell, q)
 
 
 def _shortest_arc_shift(x, y, q):
@@ -651,15 +694,19 @@ def _claim_figure_standardization():
 
 @dataclass
 class _Claim:
-    """A claim with its params.  With ``reads``, ``check`` is a predicate
-    over the action tables and family lists they name, in that order, at
-    each of ``points`` (in grid order); without, it runs on its own."""
+    """A claim with its params.  Without ``reads``, ``check()`` runs on
+    its own.  With them, at each of ``points`` (in grid order), ``check``
+    is either, with ``fold``, a function of the point giving its check of
+    one cycle ``check(ell, q)(t, c)`` of each table that ``reads`` names,
+    run as the walk closes the cycle; or a predicate over the finished
+    tables and the family lists that ``reads`` names, in that order."""
 
     id: str
     params: dict
     check: Callable
     reads: tuple[str, ...] = ()
     points: list = field(default_factory=list)
+    fold: bool = False
 
 
 _WORD_CLAIMS = {
@@ -674,7 +721,8 @@ _WORD_CLAIMS = {
         ("std-valid-kreweras", _per_word(_std_valid, True)),
         ("destandardize-roundtrip", _per_word(_destandardize_roundtrip, True)),
         ("std-order-unique", _per_word(_std_order_unique, True)),
-        ("word-pro-q-is-bc-swap", partial(_q_is_mirror, report=_in_words))),
+        ("word-pro-q-is-bc-swap",
+         _each(partial(_q_is_mirror, report=_in_words)))),
 }
 
 _FIGURE_CLAIMS = (
@@ -702,13 +750,13 @@ def _build_suite(name: str, given: Callable[[str, int], int],
                    ("extensions",), [(n, 3 * n) for n in range(1, 5)]),
             _Claim("classical-order-6n", params, _linext_order,
                    ("pro-linext",), grid),
-            _Claim("classical-pro-3n-swaps-bc", params, _q_is_mirror,
-                   ("pro-kreweras",), grid),
+            _Claim("classical-pro-3n-swaps-bc", params, _each(_q_is_mirror),
+                   ("pro-kreweras",), grid, fold=True),
             _Claim("kreweras-orbits-match-linext", params,
                    _kreweras_orbits_match, ("pro-linext", "pro-kreweras"),
                    grid),
             _Claim("kreweras-intertwines", params, _kreweras_intertwines,
-                   ("pro-linext", "pro-kreweras"), grid),
+                   ("pro-linext", "pro-kreweras"), grid, fold=True),
             _Claim("kreweras-roundtrip", params, _kreweras_roundtrip,
                    ("extensions",), grid)]
     if name == "main":
@@ -716,15 +764,17 @@ def _build_suite(name: str, given: Callable[[str, int], int],
         sm = given("sum_max", 10)
         params = {"ell_max": em, "q_max": qm, "sum_max": sm}
         grid = _word_grid(em, qm, sm)
-        return [_Claim("pstrict-order-divides-2q", params, _pstrict_order,
-                       ("pro-pstrict",), grid),
-                _Claim("pstrict-pro-q-is-bc-swap", params, _q_is_mirror,
-                       ("pro-pstrict",), grid)]
+        return [_Claim("pstrict-order-divides-2q", params,
+                       _each(_order_divides), ("pro-pstrict",), grid,
+                       fold=True),
+                _Claim("pstrict-pro-q-is-bc-swap", params,
+                       _each(_q_is_mirror), ("pro-pstrict",), grid,
+                       fold=True)]
     if name in _WORD_CLAIMS:
         em, qm = given("ell_max", 2), given("q_max", 6)
         params = {"ell_max": em, "q_max": qm}
         grid = _word_grid(em, qm)
-        return [_Claim(cid, params, check, ("pro-pstrict",), grid)
+        return [_Claim(cid, params, check, ("pro-pstrict",), grid, fold=True)
                 for cid, check in _WORD_CLAIMS[name]]
     if name == "rowmotion":
         em = given("ell_max", 3)
@@ -732,14 +782,16 @@ def _build_suite(name: str, given: Callable[[str, int], int],
         fm, fq = given("ell_max", 2), given("q_max", 6)
         return [
             _Claim("row-order-divides", {"ell_max": em, "k_max": qm - 2},
-                   _row_order, ("row",), _word_grid(em, qm)),
+                   _each(_order_divides), ("row",), _word_grid(em, qm),
+                   fold=True),
             _Claim("row-order-exact-ell1", {"k_max": qm - 2}, _row_exact,
                    ("row",), _word_grid(1, qm)),
-            _Claim("row-q-is-flip", {"ell_max": fm, "q_max": fq}, _q_is_mirror,
-                   ("row",), _word_grid(fm, fq)),
+            _Claim("row-q-is-flip", {"ell_max": fm, "q_max": fq},
+                   _each(_q_is_mirror), ("row",), _word_grid(fm, fq),
+                   fold=True),
             _Claim("row-extension-independent", {},
                    partial(_row_extension_independent, ceiling), ("row",),
-                   [(1, 4), (2, 3)])]
+                   [(1, 4), (2, 3)], fold=True)]
     if name == "equivariance":
         em, qm = given("ell_max", 2), given("q_max", 6)
         params = {"ell_max": em, "q_max": qm}
@@ -747,8 +799,8 @@ def _build_suite(name: str, given: Callable[[str, int], int],
         return [_Claim("orbit-multisets-agree", params,
                        _orbit_multisets_agree,
                        ("pro-pstrict", "row", "togpro"), grid),
-                _Claim("togpro-q-is-flip", params, _q_is_mirror,
-                       ("togpro",), grid)]
+                _Claim("togpro-q-is-flip", params, _each(_q_is_mirror),
+                       ("togpro",), grid, fold=True)]
     if name == "figures":
         return [_Claim(cid, {}, fn) for cid, fn in _FIGURE_CLAIMS]
     raise ValueError(f"unknown suite {name!r}")
@@ -761,8 +813,10 @@ def run_suite(suite: str, ell_max: int | None = None,
 
     Claims that run on their own go first.  Then, at each grid point in
     order, the lists and tables that the claims still passing read there
-    are built, each claim is checked on them, and they are dropped; a
-    claim's result is settled at its last point."""
+    are built, each table as one walk that hands each closed cycle to the
+    checks of the claims reading it, which keep their least failing
+    position; the claims over finished tables and lists are checked, and
+    all is dropped.  A claim's result is settled at its last point."""
     if suite == "all":
         names = SUITE_NAMES
     elif suite in SUITE_NAMES:
@@ -809,19 +863,30 @@ def run_suite(suite: str, ell_max: int | None = None,
     for ell, q in points:
         live = [i for i in readers[ell, q] if found.get(i) is None]
         lists, tables, errors = _lists(ell, q, ceiling), {}, {}
+        folds = {i: claims[i].check(ell, q) for i in live if claims[i].fold}
+        least: dict = {}  # position -> its least failing position here
         for action in _ACTIONS:
-            if any(action in claims[i].reads for i in live):
-                try:
-                    tables[action] = _table(action, ell, q, lists)
-                except ActionError as exc:  # not a bijection here
-                    errors[action] = {"ell": ell, "q": q, "action": action,
-                                      "error": str(exc)}
+            if not any(action in claims[i].reads for i in live):
+                continue
+            # a claim whose earlier table failed here checks no more cycles
+            checks = [(i, check) for i, check in folds.items()
+                      if action in claims[i].reads
+                      and errors.keys().isdisjoint(claims[i].reads)]
+            try:
+                tables[action] = _table(action, ell, q, lists, checks, least)
+            except ActionError as exc:  # not a bijection here
+                errors[action] = {"ell": ell, "q": q, "action": action,
+                                  "error": str(exc)}
         for i in live:
             reads = claims[i].reads
             error = next(filter(None, map(errors.get, reads)), None)
-            found[i] = error or claims[i].check(
-                *(tables[r] if r in _ACTIONS else lists[r] for r in reads))
-        del lists, tables  # one point's lists and tables alive at a time
+            if error is not None or claims[i].fold:
+                found[i] = error or least.get(i, (None, None))[1]
+            else:
+                found[i] = claims[i].check(
+                    *(tables[r] if r in _ACTIONS else lists[r] for r in reads))
+        # one point's lists, tables and folds alive at a time
+        del lists, tables, folds
         for i in readers[ell, q]:
             if last[i] == (ell, q):
                 settle(i, found[i])
@@ -851,8 +916,12 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
     elif q < 3:
         of = " (partitions of V x [q - 2])" if family == "ppartitions" else ""
         raise ValueError(f"{action} needs q >= 3{of}, got q={q}")
-    table = _table(action, ell, q, _lists(ell, q, ceiling))
-    sizes = tuple(table.sizes())
+    law = ("pro_q_is_bc_swap" if action == "pro-pstrict"
+           else f"{action}_q_is_flip")
+    least: dict = {}
+    table = _table(action, ell, q, _lists(ell, q, ceiling),
+                   [] if classical else [(law, _unmirrored)], least)
+    sizes = tuple(sorted(table.sizes.elements(), reverse=True))
     order = lcm(*sizes)
     counterexamples: dict = {}
     if classical:
@@ -860,12 +929,10 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
                   "order_equals_6n": order == 2 * q,
                   "count_matches_formula": sum(sizes) == kreweras_number(ell)}
     else:
-        law = ("pro_q_is_bc_swap" if action == "pro-pstrict"
-               else f"{action}_q_is_flip")
-        bad = _unmirrored(table)
-        checks = {"order_divides_2q": (2 * q) % order == 0, law: bad is None}
-        if bad is not None:
-            counterexamples[law] = bad[0].to_json()
+        checks = {"order_divides_2q": (2 * q) % order == 0,
+                  law: law not in least}
+        if law in least:
+            counterexamples[law] = least[law][1][0].to_json()
     return OrbitReport(action=action, params={"ell": ell, "q": q},
                        count=sum(sizes), orbit_sizes=sizes, order=order,
                        checks=checks, counterexamples=counterexamples)

@@ -539,6 +539,10 @@ def test_classical_suite_promotes_each_word_once(monkeypatch):
     assert calls["to_kreweras"] <= 2 * n_words
 
 
+def ignore(positions, xs):
+    """A visit of orbit_cycles that keeps nothing."""
+
+
 def test_non_bijective_kreweras_promotion_fails_every_reader(monkeypatch):
     kwords = [to_kreweras(e) for e in extensions(1)]
 
@@ -548,7 +552,7 @@ def test_non_bijective_kreweras_promotion_fails_every_reader(monkeypatch):
 
     monkeypatch.setattr(verify, "promote_kreweras", merged)
     with pytest.raises(ActionError) as info:
-        orbit_cycles(merged, kwords)
+        orbit_cycles(merged, kwords, ignore)
     error = {"ell": 1, "q": 3, "action": "pro-kreweras",
              "error": str(info.value)}
     assert failures(run_suite("classical")) == dict.fromkeys(
@@ -566,7 +570,7 @@ def test_non_bijective_linext_promotion_fails_only_its_table_readers(
 
     monkeypatch.setattr(verify, "promote_linext", merged)
     with pytest.raises(ActionError) as info:
-        orbit_cycles(merged, exts)
+        orbit_cycles(merged, exts, ignore)
     error = {"ell": 1, "q": 3, "action": "pro-linext",
              "error": str(info.value)}
     # the count and the round trip read the extension list, not Pro
@@ -607,7 +611,7 @@ def test_non_bijective_rowmotion_fails_extension_independence(monkeypatch):
 
     monkeypatch.setattr(verify, "rowmotion", merged)
     with pytest.raises(ActionError) as info:
-        orbit_cycles(merged, partitions)
+        orbit_cycles(merged, partitions, ignore)
     # row-extension-independent reads the row table, as the order law
     # does, and the identity elsewhere keeps the order law passing at (1, 3)
     error = {"ell": 1, "q": 4, "action": "row", "error": str(info.value)}
@@ -642,7 +646,7 @@ def test_non_bijective_step_fails_every_reader(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "promote_pstrict", merged)
     with pytest.raises(ActionError) as info:
-        orbit_cycles(merged, labelings)
+        orbit_cycles(merged, labelings, ignore)
     # no table at (1, 3), so each word claim reading one fails there, the
     # claims that never look at Pro(w) included
     error = {"ell": 1, "q": 3, "action": "pro-pstrict",
@@ -783,14 +787,28 @@ def test_each_step_runs_once_per_object(monkeypatch):
         1 for ell, q in grid(2, 5) for _ in ppartitions(ell, q))
 
 
-def each_image_is_one_element(table, images) -> bool:
-    """Whether the step ran once per element, along each cycle from its
-    start, and each image equals exactly one element: the one the
-    table's cycles step to."""
+def recorded_table(action, ell, q, cycles):
+    """The table of ``action`` at (ell, q), each cycle its walk visits
+    appended to ``cycles`` as (positions, elements)."""
+    return verify._table(action, ell, q,
+                         verify._lists(ell, q, verify.DEFAULT_CEILING),
+                         [("cycles", lambda t, c: cycles.append(
+                             (c.positions, c.xs)))], {})
+
+
+def each_image_is_one_element(table, cycles, images) -> bool:
+    """Whether the walk visited each element once, at its position, and
+    the step ran once per element, along each cycle from its start, and
+    each image equals exactly one element: the one the visited cycles
+    step to."""
     elements = list(table.elements)
-    walked = [elements[p] for cycle in table.cycles
-              for p in (*cycle[1:], cycle[0])]
-    return len(set(elements)) == len(elements) and images == walked
+    walked = [elements[p] for positions, _ in cycles
+              for p in (*positions[1:], positions[0])]
+    return (len(set(elements)) == len(elements) and images == walked
+            and sorted(p for positions, _ in cycles for p in positions)
+            == list(range(len(elements)))
+            and all(xs == [elements[p] for p in positions]
+                    for positions, xs in cycles))
 
 
 @pytest.mark.parametrize("action,name", [("pro-pstrict", "promote_pstrict"),
@@ -804,15 +822,16 @@ def test_steps_in_a_table_return_its_elements(monkeypatch, action, name):
         images.append(step(*args))
         return images[-1]
     monkeypatch.setattr(verify, name, recorded)
-    table = verify._table(action, 2, 6,
-                          verify._lists(2, 6, verify.DEFAULT_CEILING))
-    assert each_image_is_one_element(table, images)
+    cycles = []
+    table = recorded_table(action, 2, 6, cycles)
+    assert each_image_is_one_element(table, cycles, images)
 
 
 def stepped_tables(monkeypatch, name):
-    """Records each orbit table verify builds, with the images its step
-    ``name`` returned while building it and the objects it stepped, as
-    (table, images, stepped objects) triples."""
+    """Records each orbit table verify builds, with the cycles its walk
+    visited, as (positions, elements), the images its step ``name``
+    returned while building it and the objects it stepped, as (table,
+    cycles, images, stepped objects)."""
     stepped, images, objects = [], [], []
     step, table_at = getattr(verify, name), verify._table
 
@@ -821,11 +840,14 @@ def stepped_tables(monkeypatch, name):
         images.append(step(f, *args))
         return images[-1]
 
-    def kept(*args):
+    def kept(action, ell, q, lists, checks=(), least=None):
         images.clear()
         objects.clear()
-        table = table_at(*args)
-        stepped.append((table, list(images), list(objects)))
+        cycles = []
+        table = table_at(action, ell, q, lists, [
+            ("cycles", lambda t, c: cycles.append((c.positions, c.xs))),
+            *checks], {} if least is None else least)
+        stepped.append((table, cycles, list(images), list(objects)))
         return table
     monkeypatch.setattr(verify, name, recorded)
     monkeypatch.setattr(verify, "_table", kept)
@@ -858,17 +880,21 @@ def test_each_element_is_built_once_per_report(monkeypatch, validations,
     validated.clear()
     assert orbit_report_for_action(action, 2, 6).count == expected
     assert not validated
-    assert all(each_image_is_one_element(t, images)
-               for t, images, _ in stepped)
-    for table, images, objects in stepped:
-        assert objects == [table.elements[p] for cycle in table.cycles
-                           for p in cycle]
+    assert all(each_image_is_one_element(t, cycles, images)
+               for t, cycles, images, _ in stepped)
+    for table, cycles, images, objects in stepped:
+        assert objects == [table.elements[p] for positions, _ in cycles
+                           for p in positions]
+        # the walk hands each visit the very objects it stepped
+        walked = [x for _, xs in cycles for x in xs]
+        assert len(walked) == len(objects) and all(
+            x is y for x, y in zip(walked, objects))
         k = 0  # the step of each cycle's start
-        for cycle in table.cycles:
+        for positions, _ in cycles:
             assert all(objects[k + i] is images[k + i - 1]
-                       for i in range(1, len(cycle)))
-            k += len(cycle)
-    first, second = ({id(x) for x in objects} for _, _, objects in stepped)
+                       for i in range(1, len(positions)))
+            k += len(positions)
+    first, second = ({id(x) for x in objects} for *_, objects in stepped)
     assert len(first) == expected and not first & second
 
 
@@ -883,9 +909,9 @@ def test_word_steps_promote_the_tables_labelings(monkeypatch, validations):
         stepped.clear()
         assert run_suite(suite).passed
         assert not validated, suite
-        assert [(t.ell, t.q) for t, _, _ in stepped] == grid(2, 6), suite
-        assert all(each_image_is_one_element(t, images)
-                   for t, images, _ in stepped)
+        assert [(t.ell, t.q) for t, *_ in stepped] == grid(2, 6), suite
+        assert all(each_image_is_one_element(t, cycles, images)
+                   for t, cycles, images, _ in stepped)
 
 
 def test_word_points_list_no_labeling_and_build_none_from_words(
@@ -964,8 +990,10 @@ def test_ranked_walk_matches_the_reference_on_every_default_point(action):
     points = default_points()
     assert len(points) == 15 and {(1, 4), (2, 3), (2, 6), (3, 5)} < {*points}
     for ell, q in points:
-        lists = verify._lists(ell, q, verify.DEFAULT_CEILING)
-        table = verify._table(action, ell, q, lists)
+        lists, cycles = verify._lists(ell, q, verify.DEFAULT_CEILING), []
+        verify._table(action, ell, q, lists,
+                      [("cycles", lambda t, c: cycles.append(c.positions))],
+                      {})
         ranks, locate = lists[family]
         elements = list(LISTINGS[family](ell, q))
         index = {x: p for p, x in enumerate(elements)}
@@ -974,7 +1002,7 @@ def test_ranked_walk_matches_the_reference_on_every_default_point(action):
         assert [locate(x) for x in elements] == list(range(len(elements)))
         image = [index[step(x, q) if action == "togpro" else step(x)]
                  for x in elements]
-        assert [list(c) for c in table.cycles] == walked(image), (ell, q)
+        assert cycles == walked(image), (ell, q)
         # the arithmetic B/C swap of each position is its mirror's position
         assert list(ranks.mirror()) \
             == [index[mirror(x)] for x in elements], (ell, q)
@@ -994,17 +1022,50 @@ def test_a_non_injective_step_on_a_rank_table_names_its_image(monkeypatch):
         == "PStrictLabeling(A:1; B:2; C:3) is reached twice; not a bijection"
 
 
+def test_a_claim_names_its_least_failing_position_across_cycles(
+        monkeypatch):
+    # the swap law is made to fail at two positions: one of the first
+    # cycle, past the start of a later cycle, and that later start; the
+    # first failing cycle holds the greater position, and the report
+    # names the lesser, the first failing labeling in enumeration order
+    cycles = []
+    recorded_table("pro-pstrict", 1, 3, cycles)
+    first, later = next((a, b) for i, (a, _) in enumerate(cycles)
+                        for b, _ in cycles[i + 1:] if b[0] < max(a))
+    assert (first, later) == ([0, 3, 4], [1, 2])
+    mirror = poset._Ranks.mirror
+
+    def corrupted(ranks):
+        """The mirror positions, with none at the two positions."""
+        out = mirror(ranks)
+        out[max(first)] = out[later[0]] = -1
+        return out
+    monkeypatch.setattr(poset._Ranks, "mirror", corrupted)
+    least = list(enumerate_labelings(1, 3))[later[0]]
+    assert failures(run_suite("main", ell_max=1, q_max=3)) == {
+        "pstrict-pro-q-is-bc-swap": {
+            "ell": 1, "q": 3, "labeling": least.to_json(),
+            "pro_q": swap_bc(least).to_json(),
+            "swapped": swap_bc(least).to_json()}}
+    assert orbit_report_for_action("pro-pstrict", 1, 3).counterexamples \
+        == {"pro_q_is_bc_swap": least.to_json()}
+
+
 @pytest.mark.parametrize("action", ["pro-pstrict", "row"])
 def test_a_v_report_keeps_no_element_list(action):
     # 37,128 labelings or partitions; keeping them and an index of their
-    # raw forms took 8 to 13 MB
-    tracemalloc.start()
-    try:
-        assert orbit_report_for_action(action, 3, 7).count == 37_128
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_000_000
+    # raw forms took 8 to 13 MB.  At (3, 8), 116,280 of them, a report
+    # that kept its cycles as arrays of positions peaked at 3.8 to 3.9 MB,
+    # 1.5 MB of them the cycles; keeping none, it peaks near 2.3 MB, most
+    # of it the 0.93 MB array of mirror positions
+    for q, count in ((7, 37_128), (8, 116_280)):
+        tracemalloc.start()
+        try:
+            assert orbit_report_for_action(action, 3, q).count == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, q
 
 
 def test_an_over_ceiling_table_is_refused_from_its_count(monkeypatch):
@@ -1033,15 +1094,22 @@ def test_an_over_ceiling_table_is_refused_from_its_count(monkeypatch):
 def test_word_tables_arc_data_matches_the_words_functions():
     count = 0
     for ell, q in verify._word_grid(2, 6):
-        table = verify._table("pro-pstrict", ell, q, verify._lists(
-            ell, q, verify.DEFAULT_CEILING))
-        assert table.words == list(enumerate_words(ell, q))
-        assert [x.word for x in table.arcs] == table.words
+        arcs, pairs = {}, []
+
+        def record(t, c):
+            """Each cycle's arc data by position, and each with that of
+            the next element of its cycle, Pro(w)."""
+            arcs.update(zip(c.positions, c.arcs))
+            pairs.extend(zip(c.arcs, c.arcs[1:] + c.arcs[:1]))
+        verify._table("pro-pstrict", ell, q, verify._lists(
+            ell, q, verify.DEFAULT_CEILING), [("arcs", record)], {})
+        words = [arcs[p].word for p in range(len(arcs))]
+        assert words == list(enumerate_words(ell, q))
         # word_of_labeling conjugates the table's step to promote_word
-        assert [y.word for y in table.power(1, table.arcs)] \
-            == [promote_word(w) for w in table.words]
-        count += len(table.words)
-        for x in table.arcs:
+        assert len(pairs) == len(words) and all(
+            y.word == promote_word(x.word) for x, y in pairs)
+        count += len(words)
+        for x in arcs.values():
             w = x.word
             assert x.layers == layer_decomposition(w)
             assert x.arcs == double_arcs(w)
@@ -1140,7 +1208,7 @@ def test_nothing_outlives_its_point_through_a_cycle():
     # with the cyclic collector off, an object of the run is freed only by
     # reference counts, so one a cycle holds is left over
     kinds = (LinearExtension, PStrictLabeling, PPartition, verify._Table,
-             verify._Arcs)
+             verify._Cycle, verify._Arcs)
     gc.collect()
     before = [o for o in gc.get_objects() if isinstance(o, kinds)]
     known = set(map(id, before))  # held in before, so no id is reused
@@ -1157,7 +1225,7 @@ def test_nothing_outlives_its_point_through_a_cycle():
 def live_tables():
     gc.collect()
     return sum(1 for o in gc.get_objects()
-               if isinstance(o, (verify._Table, verify._Arcs)))
+               if isinstance(o, (verify._Table, verify._Cycle, verify._Arcs)))
 
 
 def test_no_arc_data_outlives_its_table(monkeypatch):
