@@ -918,9 +918,9 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
         raise ValueError(f"{action} needs q >= 3{of}, got q={q}")
     law = ("pro_q_is_bc_swap" if action == "pro-pstrict"
            else f"{action}_q_is_flip")
-    least: dict = {}
+    bad: dict = {}  # the law -> its least failing position and pair
     table = _table(action, ell, q, _lists(ell, q, ceiling),
-                   [] if classical else [(law, _unmirrored)], least)
+                   [] if classical else [(law, _unmirrored)], bad)
     sizes = tuple(sorted(table.sizes.elements(), reverse=True))
     order = lcm(*sizes)
     counterexamples: dict = {}
@@ -930,9 +930,9 @@ def orbit_report_for_action(action: str, ell: int, q: int | None = None,
                   "count_matches_formula": sum(sizes) == kreweras_number(ell)}
     else:
         checks = {"order_divides_2q": (2 * q) % order == 0,
-                  law: law not in least}
-        if law in least:
-            counterexamples[law] = least[law][1][0].to_json()
+                  law: law not in bad}
+        if law in bad:
+            counterexamples[law] = bad[law][1][0].to_json()
     return OrbitReport(action=action, params={"ell": ell, "q": q},
                        count=sum(sizes), orbit_sizes=sizes, order=order,
                        checks=checks, counterexamples=counterexamples)
